@@ -35,7 +35,7 @@ from .model import (
     fracture_density,
     voigt_elasticity,
 )
-from .solvers import SolverFailure, ZSolveReport, al_penalty_update, solve_u, solve_z
+from .solvers import SolverFailure, ZSolveReport, solve_u, solve_z
 from .zerodim import ZeroDimModel, brute_force_z_step, run_zero_dim
 
 __all__ = [
@@ -48,6 +48,6 @@ __all__ = [
     "Mesh", "build_ct_mesh", "build_lshape_mesh", "norm_quadrature_weights",
     "LoadProgram", "MaterialModel", "NormSpec", "SchemeParams",
     "degradation", "dissipation_R", "fracture_density", "voigt_elasticity",
-    "SolverFailure", "ZSolveReport", "al_penalty_update", "solve_u", "solve_z",
+    "SolverFailure", "ZSolveReport", "solve_u", "solve_z",
     "ZeroDimModel", "brute_force_z_step", "run_zero_dim",
 ]

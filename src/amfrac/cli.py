@@ -79,8 +79,7 @@ _ZERODIM_DEFAULTS = {
 _SCHEME_KEYS = {
     "rho": float, "t": float, "alpha": float, "norm_v": str,
     "tol_am": float, "tol_newton": float, "tol_constraint": float,
-    "max_am_iters": int, "max_al_iters": int,
-    "beta0": float, "beta_growth": float,
+    "max_am_iters": int,
 }
 _MATERIAL_KEYS = {
     "young_e": float, "poisson_nu": float, "eta": float, "g_c": float,
@@ -208,9 +207,6 @@ def load_config(path) -> RunConfig:
         tol_newton=float(sch.get("tol_newton", 1e-8)),
         tol_constraint=float(sch.get("tol_constraint", 1e-8)),
         max_am_iters=int(sch.get("max_am_iters", 500)),
-        max_al_iters=int(sch.get("max_al_iters", 50)),
-        beta0=float(sch.get("beta0", 10.0)),
-        beta_growth=float(sch.get("beta_growth", 10.0)),
         snapshot_stride=int(out_cfg.get("snapshot_stride", 10)),
         store_all_snapshots=bool(out_cfg.get("store_all_snapshots", False)),
     )
@@ -278,8 +274,6 @@ def _resolve_dict(cfg: RunConfig) -> dict:
             "tol_am": cfg.scheme.tol_am, "tol_newton": cfg.scheme.tol_newton,
             "tol_constraint": cfg.scheme.tol_constraint,
             "max_am_iters": cfg.scheme.max_am_iters,
-            "max_al_iters": cfg.scheme.max_al_iters,
-            "beta0": cfg.scheme.beta0, "beta_growth": cfg.scheme.beta_growth,
             "snapshot_stride": cfg.snapshot_stride,
             "store_all_snapshots": cfg.store_all_snapshots,
         },

@@ -174,11 +174,14 @@ class LoadProgram:
         order = np.argsort(pts[:, along], kind="stable")
         chain = loaded[order]
         d = np.asarray(self.direction)
-        for a, b in zip(chain[:-1], chain[1:]):
-            seg = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a])
-            for node in (a, b):
-                f1[2 * node] += 0.5 * seg * self.traction_rate * d[0]
-                f1[2 * node + 1] += 0.5 * seg * self.traction_rate * d[1]
+        diff = mesh.nodes[chain[1:]] - mesh.nodes[chain[:-1]]
+        # a per-row dot product, rounded like np.linalg.norm of one edge
+        seg = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
+        # both ends of each edge in chain order: every entry receives its
+        # additions in the order of an edge-by-edge loop
+        ends = np.column_stack([chain[:-1], chain[1:]]).ravel()
+        np.add.at(f1, 2 * ends, np.repeat(0.5 * seg * self.traction_rate * d[0], 2))
+        np.add.at(f1, 2 * ends + 1, np.repeat(0.5 * seg * self.traction_rate * d[1], 2))
         if loaded.size == 1:
             # point load fallback: rate interpreted directly as a force
             f1[2 * loaded[0]] = self.traction_rate * d[0]
@@ -220,9 +223,6 @@ class SchemeParams:
     tol_newton: float = 1e-8
     tol_constraint: float = 1e-8
     max_am_iters: int = 500
-    max_al_iters: int = 50
-    beta0: float = 10.0
-    beta_growth: float = 10.0
     snapshot_stride: int = 10
     store_all_snapshots: bool = False
     max_steps: int = 0  # 0: derived from T/rho

@@ -3,19 +3,22 @@
 The displacement subproblem is a symmetric positive definite linear solve
 after Dirichlet elimination.  The damage subproblem minimizes a convex
 quadratic under the nodal irreversibility bound ``z <= z_prev`` and the
-arc-length ball ``||z - z_prev||_V <= rho``; both constraints are treated
-with an augmented Lagrangian whose inner problems are solved by a
-semismooth Newton method with backtracking, followed by a Newton polish of
-the active-set KKT system that drives the stationarity residual to solver
-tolerance.  On the feasible cone the L^alpha ball is smooth; its gradient
-singularity at ``z = z_prev`` is removed by a negligible regularization of
-the alpha-th power sum.
+arc-length ball ``||z - z_prev||_V <= rho``.  The box is handled by a
+primal-dual active-set method, i.e. semismooth Newton on its
+complementarity conditions (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
+2002): each pass pins the active nodes to ``z_prev`` and solves the free
+block exactly.  When the box solution leaves the ball it is retracted onto
+the sphere along the ray from ``z_prev``, and bordered Newton steps on the
+free values and the ball multiplier take over, the active set being updated
+after each step.  On the feasible cone the L^alpha ball is smooth; its
+gradient singularity at ``z = z_prev`` is removed by a negligible
+regularization of the alpha-th power sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,13 +101,6 @@ class _Ball:
         else:
             self.G = (data.mass(mesh) + data.laplacian(mesh)).tocsr()
 
-    def value(self, v: np.ndarray) -> float:
-        if self.norm.kind == "lalpha":
-            a = self.norm.alpha
-            S = float(np.sum(self.w * np.abs(self.P @ v) ** a)) + _EPS_REG
-            return S ** (1.0 / a)
-        return math.sqrt(float(v @ (self.G @ v)) + _EPS_REG)
-
     def grad(self, v: np.ndarray):
         """Returns (N, gradN) at v."""
         if self.norm.kind == "lalpha":
@@ -120,9 +116,9 @@ class _Ball:
         N = math.sqrt(float(v @ Gv) + _EPS_REG)
         return N, Gv / N
 
-    def hess_parts(self, v: np.ndarray, mult: float, beta: float):
-        """Curvature of ``mult * N(v) + beta/2 * (N(v) - const)^2`` split as
-        a sparse matrix plus ``c * a a^T``; returns (sparse, a, c)."""
+    def hess_parts(self, v: np.ndarray, mult: float):
+        """Curvature of ``mult * N(v)`` split as a sparse matrix plus
+        ``c * a a^T``; returns (sparse, a, c)."""
         if self.norm.kind == "lalpha":
             a_exp = self.norm.alpha
             vq = self.P @ v
@@ -133,73 +129,61 @@ class _Ball:
                 self.P.T @ sp.diags(D) @ self.P
             )
             gS = a_exp * (self.P.T @ (D * vq))
-            c = (
-                mult * (1.0 / a_exp) * (1.0 / a_exp - 1.0) * S ** (1.0 / a_exp - 2.0)
-                + beta * (1.0 / a_exp) ** 2 * S ** (2.0 / a_exp - 2.0)
-            )
+            c = mult * (1.0 / a_exp) * (1.0 / a_exp - 1.0) * S ** (1.0 / a_exp - 2.0)
             return Hs.tocsr(), gS, c
         Gv = self.G @ v
         N = math.sqrt(float(v @ Gv) + _EPS_REG)
-        Hs = (mult / N) * self.G
-        c = -mult / N ** 3 + beta / N ** 2
-        return Hs.tocsr(), Gv, c
+        return ((mult / N) * self.G).tocsr(), Gv, -mult / N ** 3
 
 
 def _solve_with_rank1(lu, c: float, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (H + c a a') x = rhs given a factorization of H."""
+    """Solve (H + c a a') x = rhs given a factorization of H; ``rhs`` may
+    hold several right-hand sides as columns."""
     x = lu.solve(rhs)
-    if a is None or c == 0.0:
+    if c == 0.0:
         return x
     y = lu.solve(a)
     denom = 1.0 + c * float(a @ y)
     if abs(denom) < 1e-14:
         return x
-    return x - (c * float(a @ x) / denom) * y
+    return x - np.multiply.outer(y, (c / denom) * (a @ x))
 
 
-# ---------------------------------------------------------------------------
-# Augmented Lagrangian state and update
-# ---------------------------------------------------------------------------
+def _bordered_step(Q, btot, z, z_prev, mu, free, ball: _Ball, rho):
+    """One Newton step on the ball-active KKT equalities in ``(z_F, mu)``:
 
-@dataclass
-class ALIterate:
-    """Multiplier/penalty state between augmented-Lagrangian outer passes."""
+        (Q z - btot + mu gN(v))_F = 0,   N(v) = rho,   v = z - z_prev,
 
-    lam: np.ndarray
-    mu: float
-    beta: float
-    box_gap: np.ndarray = None
-    ball_gap: float = -math.inf
-    violation: float = math.inf
-    prev_violation: float = math.inf
-
-
-def al_penalty_update(it: ALIterate, params: SchemeParams) -> ALIterate:
-    """First-order multiplier update with conditional penalty growth.
-
-    lam <- max(0, lam + beta * (z - z_prev)),
-    mu  <- max(0, mu + beta * (||z - z_prev||_V - rho)); beta grows when the
-    constraint violation did not shrink by a factor of 4.
-    """
-    lam = np.maximum(0.0, it.lam + it.beta * it.box_gap)
-    mu = max(0.0, it.mu + it.beta * it.ball_gap)
-    beta = it.beta
-    if it.violation > 0.25 * it.prev_violation:
-        beta *= params.beta_growth
-    if not math.isfinite(beta) or beta > 1e30:
-        raise SolverFailure("augmented-Lagrangian penalty overflow",
-                            beta=beta, violation=it.violation)
-    return ALIterate(lam=lam, mu=mu, beta=beta,
-                     prev_violation=it.violation)
+    with the box-active nodes held at ``z_prev``.  Updates ``z`` in place
+    and returns the new multiplier."""
+    v = z - z_prev
+    N, gN = ball.grad(v)
+    Hs, a, c = ball.hess_parts(v, mu)
+    lu = splu((Q + Hs)[free][:, free].tocsc())
+    g = gN[free]
+    r = (Q @ z - btot + mu * gN)[free]
+    s = _solve_with_rank1(lu, c, a[free], np.column_stack([r, g]))
+    dmu = (N - rho - float(g @ s[:, 0])) / float(g @ s[:, 1])
+    z[free] -= s[:, 0] + dmu * s[:, 1]
+    return mu + dmu
 
 
 # ---------------------------------------------------------------------------
 # Damage solve
 # ---------------------------------------------------------------------------
 
+_MAX_ITERATIONS = 50  # box solves and bordered Newton steps per damage solve
+
+
 @dataclass(eq=False)
 class ZSolveReport:
-    """Solution and KKT certificates of one damage subproblem."""
+    """Solution and KKT certificates of one damage subproblem.
+
+    ``al_iters`` counts the solver's passes: the first one plus one for each
+    change of the box-active set or of the ball status.  ``newton_iters``
+    counts linear solves, one factorization each (box solves and bordered
+    Newton steps); a pass with every node box-active solves nothing.
+    """
 
     z: np.ndarray
     lam: np.ndarray
@@ -216,24 +200,13 @@ class ZSolveReport:
     converged: bool = True
 
 
-def _al_value(Q, btot, z, z_prev, ball, rho, lam, mu, beta):
-    J = 0.5 * float(z @ (Q @ z)) - float(btot @ z)
-    g1 = z - z_prev
-    a1 = np.maximum(0.0, lam + beta * g1)
-    val = J + float(np.sum(a1 ** 2 - lam ** 2)) / (2.0 * beta)
-    if ball is not None:
-        g2 = ball.value(z - z_prev) - rho
-        a2 = max(0.0, mu + beta * g2)
-        val += (a2 ** 2 - mu ** 2) / (2.0 * beta)
-    return val
-
-
 def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
             mesh: Mesh, model: MaterialModel, params: SchemeParams) -> ZSolveReport:
     """Damage update: minimize the damage-quadratic energy plus dissipation
     subject to ``z <= z_prev`` (nodal) and ``||z - z_prev||_V <= rho``.
 
-    ``rho = inf`` disables the ball (plain staggered step).
+    ``rho = inf`` disables the ball (plain staggered step).  Raises
+    ``SolverFailure`` with its residuals when the KKT tolerances are not met.
     """
     Q, b, _ = z_quadratic(u, mesh, model)
     w = lumped_weights(mesh)
@@ -243,94 +216,90 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     has_ball = np.isfinite(rho)
     ball = _Ball(mesh, norm) if has_ball else None
 
-    g_scale = max(1.0, float(np.abs(Q @ z_prev - btot).max()))
-    stat_scale = max(1.0, dual_norm_lumped(Q @ z_prev - btot, w, norm))
-    beta = params.beta0 * max(1.0, float(np.abs(Q.diagonal()).max()))
-    state = ALIterate(lam=np.zeros(n), mu=0.0, beta=beta)
-
-    z = z_prev.copy()
-    newton_total = 0
+    g0 = Q @ z_prev - btot
+    stat_scale = max(1.0, dual_norm_lumped(g0, w, norm))
     feas_tol = params.tol_constraint
     ball_tol = params.tol_constraint * max(1.0, rho) if has_ball else 0.0
+    # a free node re-enters the active set only above round-off, so a node
+    # released with a multiplier of -0.0 cannot flip back and forth
+    enter_tol = 1e-3 * feas_tol
 
-    def kkt_residual(z, lam, mu):
-        r = Q @ z - btot + lam
-        if has_ball and mu > 0.0:
-            _, gN = ball.grad(z - z_prev)
-            r = r + mu * gN
-        return r
+    z = z_prev.copy()
+    active = g0 < 0.0  # lam0 = btot - Q z_prev > 0
+    mu, ball_on = 0.0, False
+    N, gN = 0.0, None
+    box_sets = set()
+    passes, solves, new_pass = 0, 0, True
+    stat = math.inf
 
-    converged = False
-    al_iters = 0
-    for al_iters in range(1, params.max_al_iters + 1):
-        # ---- inner semismooth Newton on the AL function ----
-        lam, mu, beta = state.lam, state.mu, state.beta
-        inner_tol = max(0.25 * params.tol_newton * g_scale, 1e-14 * g_scale)
-        for _ in range(100):
-            g1 = z - z_prev
-            a1 = np.maximum(0.0, lam + beta * g1)
-            grad = Q @ z - btot + a1
-            a2 = 0.0
-            gN = None
-            if has_ball:
-                N, gN = ball.grad(g1)
-                a2 = max(0.0, mu + beta * (N - rho))
-                if a2 > 0.0:
-                    grad = grad + a2 * gN
-            if float(np.abs(grad).max()) <= inner_tol:
-                break
-            H = Q + sp.diags(beta * (lam + beta * g1 > 0.0).astype(float))
-            a_vec, c = None, 0.0
-            if has_ball and a2 > 0.0:
-                Hs_ball, a_vec, c = ball.hess_parts(g1, a2, beta)
-                H = H + Hs_ball
-            lu = splu(H.tocsc())
-            step = -_solve_with_rank1(lu, c, a_vec, grad)
-            newton_total += 1
-            slope = float(grad @ step)
-            if slope > -1e-16 * g_scale:
-                step = -grad / max(1.0, beta)
-                slope = float(grad @ step)
-            val0 = _al_value(Q, btot, z, z_prev, ball, rho, lam, mu, beta)
-            tstep = 1.0
-            while tstep > 1e-12:
-                z_new = z + tstep * step
-                if (_al_value(Q, btot, z_new, z_prev, ball, rho, lam, mu, beta)
-                        <= val0 + 1e-4 * tstep * slope):
-                    break
-                tstep *= 0.5
-            z = z + tstep * step
+    def failure(message):
+        v = z - z_prev
+        return SolverFailure(
+            message, stationarity=stat,
+            box_violation=float(np.maximum(0.0, v).max(initial=0.0)),
+            ball_violation=max(0.0, N - rho) if has_ball else 0.0,
+            passes=passes)
 
-        # ---- multiplier update ----
-        g1 = z - z_prev
-        g2 = (ball.value(g1) - rho) if has_ball else -math.inf
-        viol = max(float(np.maximum(0.0, g1).max(initial=0.0)),
-                   max(0.0, g2))
-        state.box_gap = g1
-        state.ball_gap = g2
-        state.violation = viol
-        state = al_penalty_update(state, params)
+    for _ in range(_MAX_ITERATIONS):
+        passes += new_pass
+        free = ~active
+        z[active] = z_prev[active]
+        if ball_on:
+            if free.any():
+                mu = _bordered_step(Q, btot, z, z_prev, mu, free, ball, rho)
+                solves += 1
+        else:
+            # a box pass depends on the active set alone: a repeat is a cycle
+            key = active.tobytes()
+            if key in box_sets:
+                raise failure("damage active set cycles")
+            box_sets.add(key)
+            if free.any():
+                rhs = btot[free] - Q[free][:, active] @ z_prev[active]
+                z[free] = splu(Q[free][:, free].tocsc()).solve(rhs)
+                solves += 1
 
-        stat = dual_norm_lumped(kkt_residual(z, state.lam, state.mu), w, norm)
-        box_ok = float(np.maximum(0.0, g1).max(initial=0.0)) <= feas_tol
-        ball_ok = (not has_ball) or (g2 <= ball_tol)
-        if box_ok and ball_ok and stat <= params.tol_newton * stat_scale:
-            converged = True
+        was_on = ball_on
+        v = z - z_prev
+        if has_ball:
+            N, gN = ball.grad(v)
+            if N > rho:
+                # retract onto the sphere; N is 1-homogeneous and the ray
+                # from z_prev keeps v <= 0 wherever it already was
+                v *= rho / N
+                z = z_prev + v
+                N, gN = ball.grad(v)
+                if not ball_on:
+                    # least-squares multiplier of the retracted point; a
+                    # negative fit starts at 0 rather than dropping the ball
+                    # straight back into the same box pass
+                    ball_on = True
+                    r = (Q @ z - btot)[free]
+                    g = gN[free]
+                    mu = max(0.0, -float(r @ g) / float(g @ g))
+            if mu < 0.0:
+                ball_on, mu = False, 0.0
+
+        r = Q @ z - btot
+        if ball_on:
+            r += mu * gN
+        lam = np.where(active, -r, 0.0)
+        new_active = np.where(active, lam >= 0.0, v > enter_tol)
+        stat = dual_norm_lumped(r + lam, w, norm)
+        new_pass = not (np.array_equal(new_active, active) and ball_on == was_on)
+        if not new_pass and (not ball_on or (
+                stat <= params.tol_newton * stat_scale
+                and abs(N - rho) <= ball_tol)):
             break
+        active = new_active
+    else:
+        raise failure("damage solve exhausted its iteration budget")
 
-    # ---- active-set Newton polish ----
-    z, lam_p, mu_p = _polish(Q, btot, z, z_prev, ball, rho, state, params)
-    stat = dual_norm_lumped(kkt_residual(z, lam_p, mu_p), w, norm)
-    g1 = z - z_prev
-    g2 = (ball.value(g1) - rho) if has_ball else -math.inf
-    box_viol = float(np.maximum(0.0, g1).max(initial=0.0))
-    if not (box_viol <= 10 * feas_tol and (not has_ball or g2 <= 10 * ball_tol)
+    box_viol = float(np.maximum(0.0, v).max(initial=0.0))
+    g2 = N - rho if has_ball else -math.inf
+    if not (box_viol <= 10 * feas_tol and g2 <= 10 * ball_tol
             and stat <= 10 * params.tol_newton * stat_scale):
-        if not converged:
-            raise SolverFailure(
-                "damage subproblem did not reach its KKT tolerance",
-                stationarity=stat, box_violation=box_viol,
-                ball_violation=max(0.0, g2), al_iters=al_iters)
+        raise failure("damage subproblem did not reach its KKT tolerance")
 
     # lower bound emerges from the objective; clamp only beyond tolerance
     clamps = int(np.count_nonzero(z < -params.tol_constraint))
@@ -339,121 +308,23 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
 
     dz_norm = field_norm_V(z - z_prev, mesh, norm)
 
-    if has_ball and mu_p > 0.0:
+    if ball_on and mu > 0.0:
         _, gN = ball.grad(z - z_prev)
-        xi = mu_p * gN
+        xi = mu * gN
     else:
         xi = np.zeros(n)
-    report = ZSolveReport(
+    return ZSolveReport(
         z=z,
-        lam=lam_p,
-        mu=mu_p,
+        lam=lam,
+        mu=mu,
         xi=xi,
         xi_norm_dual=dual_norm_lumped(xi, w, norm) if np.any(xi) else 0.0,
         constraint_active=bool(has_ball and
                                dz_norm >= rho - 10 * max(feas_tol, ball_tol)),
         stationarity_residual=stat,
-        al_iters=al_iters,
-        newton_iters=newton_total,
+        al_iters=passes,
+        newton_iters=solves,
         objective=0.5 * float(z @ (Q @ z)) - float(btot @ z),
         dz_norm_V=float(dz_norm),
         lower_clamps=clamps,
-        converged=converged or stat <= 10 * params.tol_newton * stat_scale,
     )
-    return report
-
-
-def _polish(Q, btot, z, z_prev, ball, rho, state: ALIterate,
-            params: SchemeParams):
-    """Newton iteration on the active-set KKT equalities.
-
-    Box-active nodes are pinned to ``z_prev``; if the ball is active the
-    scalar multiplier is solved alongside through a bordered system.  Falls
-    back to the augmented-Lagrangian iterate when the polish does not
-    improve the residual.
-    """
-    n = z.size
-    has_ball = ball is not None
-    eps_a = 10 * params.tol_constraint
-    active = (state.lam > 0.0) | (z - z_prev >= -eps_a)
-    v = z - z_prev
-    ball_on = False
-    if has_ball:
-        Nv = ball.value(v)
-        ball_on = state.mu > 0.0 or Nv >= rho * (1.0 - 1e-9) - eps_a
-    free = ~active
-
-    z_best, lam_best, mu_best = z.copy(), state.lam.copy(), state.mu
-
-    def residual(z, mu):
-        r = Q @ z - btot
-        if has_ball and mu != 0.0:
-            _, gN = ball.grad(z - z_prev)
-            r = r + mu * gN
-        return r
-
-    res0 = np.abs(residual(z_best, mu_best)[free]).max(initial=0.0)
-    if ball_on:
-        res0 = max(res0, abs(ball.value(z_best - z_prev) - rho))
-
-    z_try = z.copy()
-    z_try[active] = z_prev[active]
-    mu_try = state.mu if ball_on else 0.0
-    ok = True
-    for _ in range(30):
-        v = z_try - z_prev
-        r = residual(z_try, mu_try)
-        F1 = r[free]
-        F2 = (ball.value(v) - rho) if ball_on else 0.0
-        res = np.abs(F1).max(initial=0.0) + (abs(F2) if ball_on else 0.0)
-        if res <= 1e-14 * max(1.0, np.abs(btot).max()):
-            break
-        H = Q
-        a_vec, c = None, 0.0
-        gN = None
-        if has_ball and (ball_on and mu_try != 0.0):
-            Hs_ball, a_vec, c = ball.hess_parts(v, mu_try, 0.0)
-            H = Q + Hs_ball
-        if ball_on:
-            _, gN = ball.grad(v)
-        Hff = H[free][:, free].tocsc()
-        try:
-            lu = splu(Hff)
-        except RuntimeError:
-            ok = False
-            break
-        af = a_vec[free] if a_vec is not None else None
-
-        def hsolve(rhs):
-            return _solve_with_rank1(lu, c, af, rhs)
-
-        if ball_on:
-            s1 = hsolve(F1)
-            s2 = hsolve(gN[free])
-            denom = float(gN[free] @ s2)
-            if abs(denom) < 1e-30:
-                ok = False
-                break
-            dmu = (F2 - float(gN[free] @ s1)) / denom
-            dz_f = -(s1 + dmu * s2)
-            mu_try = mu_try + dmu
-        else:
-            dz_f = -hsolve(F1)
-        z_try[free] = z_try[free] + dz_f
-    else:
-        ok = False
-
-    if ok:
-        v = z_try - z_prev
-        lam_try = np.zeros(n)
-        r = residual(z_try, mu_try)
-        lam_try[active] = -r[active]
-        sign_ok = (lam_try[active].min(initial=0.0) >= -10 * eps_a
-                   and (not ball_on or mu_try >= -10 * eps_a)
-                   and float(np.maximum(0.0, v).max(initial=0.0)) <= eps_a)
-        lam_try = np.maximum(lam_try, 0.0)
-        mu_try = max(mu_try, 0.0)
-        res1 = np.abs((r + lam_try)[free]).max(initial=0.0)
-        if sign_ok and res1 <= max(res0, 1e-13 * max(1.0, np.abs(btot).max())):
-            return z_try, lam_try, mu_try
-    return z_best, np.maximum(lam_best, 0.0), max(mu_best, 0.0)

@@ -70,8 +70,10 @@ fine_h = 0.05
         assert cfg.mesh_args["coarse_h"] == 0.2
 
     def test_unknown_key_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="unknown key"):
-            load_config(write(tmp_path, "[experiment]\nname = ct\n[scheme]\nrho_typo = 1\n"))
+        # beta0 configured the removed augmented-Lagrangian damage solve
+        for key in ("rho_typo", "beta0"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                load_config(write(tmp_path, f"[experiment]\nname = ct\n[scheme]\n{key} = 1\n"))
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown section"):

@@ -148,6 +148,26 @@ class TestValidation:
             af.NormSpec(kind="lalpha", alpha=0.5)
 
 
+class TestForceRateVector:
+    def test_matches_edge_loop_exactly(self, analysis_traction_setup):
+        """The vectorized edge lumping adds in the same order as a loop
+        over the chain's edges, so the vectors agree bit for bit."""
+        mesh, _, load, _ = analysis_traction_setup
+        loaded = mesh.boundary_sets["loaded"]
+        pts = mesh.nodes[loaded]
+        along = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
+        chain = loaded[np.argsort(pts[:, along], kind="stable")]
+        d = np.asarray(load.direction)
+        expected = np.zeros(2 * mesh.n_nodes)
+        for a, b in zip(chain[:-1], chain[1:]):
+            seg = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a])
+            for node in (a, b):
+                expected[2 * node] += 0.5 * seg * load.traction_rate * d[0]
+                expected[2 * node + 1] += 0.5 * seg * load.traction_rate * d[1]
+        assert np.any(expected)
+        assert np.array_equal(load.force_rate_vector(mesh), expected)
+
+
 class TestCoercivity:
     def test_energy_bounded_below_by_quadratic(self):
         """Certified lower bound: energy >= c1 |u|_H1^2 + c2 |z|_Z^2 - c0

@@ -3,12 +3,13 @@ certificates."""
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 
 import amfrac as af
+import amfrac.solvers
 from amfrac.assembly import z_quadratic, lumped_weights
 from amfrac.mesh import Mesh
-from amfrac.solvers import ALIterate, SolverFailure, al_penalty_update
+from amfrac.solvers import SolverFailure
 
 
 def default_params(rho=0.05, alpha=4.0, **kw):
@@ -62,6 +63,18 @@ def one_element_problem(strain=0.6):
     u = np.zeros(2 * mesh.n_nodes)
     u[0::2] = strain * mesh.nodes[:, 0]
     return mesh, model, u
+
+
+def half_strained_problem():
+    """5x5-node square, damaged to 0.8, strained only where x > 1/2: the
+    healing drive pins the unstrained nodes to z_prev (box active), while
+    the strained ones would leave a small ball."""
+    mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+    model = af.MaterialModel(young_E=10.0, poisson_nu=0.0, eta=1e-4,
+                             preset="AT", g_c=0.5, theta=0.2)
+    u = np.zeros(2 * mesh.n_nodes)
+    u[0::2] = np.maximum(mesh.nodes[:, 0] - 0.5, 0.0) ** 2
+    return mesh, model, u, np.full(mesh.n_nodes, 0.8)
 
 
 class TestSolveZ:
@@ -206,54 +219,59 @@ class TestSolveZ:
         assert dzn <= params.rho * (1 + 1e-6)
         assert (rep.z - z_prev).max() <= 1e-8
 
-    def test_failure_carries_residuals(self):
-        mesh, model, u = one_element_problem(strain=2.0)
-        params = default_params(rho=0.05, max_al_iters=0)
+    def test_both_constraints_slsqp_oracle(self):
+        """Box-active nodes and the ball active together: the bordered
+        Newton step with a non-empty active set against SLSQP."""
+        mesh, model, u, z_prev = half_strained_problem()
+        assert mesh.n_nodes <= 25
+        params = default_params(rho=0.02)
+        rep = af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+        Q, b, _ = z_quadratic(u, mesh, model)
+        Qd = Q.toarray()
+        ref = minimize(
+            lambda z: 0.5 * z @ Qd @ z - b @ z, z_prev,
+            jac=lambda z: Qd @ z - b, method="SLSQP",
+            bounds=[(None, zp) for zp in z_prev],
+            constraints=[{"type": "ineq", "fun": lambda z: params.rho -
+                          af.field_norm_V(z - z_prev, mesh, params.norm_V)}],
+            options={"ftol": 1e-15, "maxiter": 500})
+        assert ref.success
+        assert np.abs(rep.z - ref.x).max() <= 1e-6
+        dz = rep.z - z_prev
+        assert rep.lam.min() >= 0.0 and np.count_nonzero(rep.lam) > 0
+        assert rep.mu > 0.0 and rep.constraint_active
+        assert np.max(rep.lam * np.abs(dz)) <= params.tol_constraint
+        assert rep.mu * abs(params.rho - rep.dz_norm_V) <= \
+            10 * params.tol_constraint * rep.mu
+        assert rep.stationarity_residual <= params.tol_newton
+
+    def test_factorization_count(self, monkeypatch):
+        calls = []
+        splu = amfrac.solvers.splu
+        monkeypatch.setattr(amfrac.solvers, "splu",
+                            lambda A: calls.append(A.shape) or splu(A))
+        # every node is free from the start and stays free
+        mesh, model, u = one_element_problem()
+        params = default_params(rho=1e6)
+        rep = af.solve_z(0.0, u, np.ones(mesh.n_nodes), params.rho, mesh,
+                         model, params)
+        assert np.all(rep.z < 1.0) and len(calls) <= 1
+        assert rep.newton_iters == len(calls)
+        # every node is active: nothing to factorize
+        calls.clear()
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.25)
+        z_prev = np.full(mesh.n_nodes, 0.8)
+        rep = af.solve_z(0.0, np.zeros(2 * mesh.n_nodes), z_prev, params.rho,
+                         mesh, model, params)
+        assert np.array_equal(rep.z, z_prev) and calls == []
+
+    def test_failure_carries_residuals(self, monkeypatch):
+        mesh, model, u, z_prev = half_strained_problem()
+        params = default_params(rho=1e6)
+        rep = af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+        assert rep.al_iters > 1, "the first active set must be wrong"
+        monkeypatch.setattr(amfrac.solvers, "_MAX_ITERATIONS", 1)
         with pytest.raises(SolverFailure) as err:
-            af.solve_z(0.0, u, np.ones(mesh.n_nodes), params.rho, mesh,
-                       model, params)
+            af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
         assert "stationarity" in err.value.residuals
-
-
-class TestALPenaltyUpdate:
-    def params(self):
-        return default_params()
-
-    def test_zero_violation_keeps_multipliers(self):
-        it = ALIterate(lam=np.array([0.5, 0.0]), mu=0.3, beta=10.0,
-                       box_gap=np.zeros(2), ball_gap=0.0, violation=0.0,
-                       prev_violation=np.inf)
-        out = al_penalty_update(it, self.params())
-        assert np.allclose(out.lam, it.lam)
-        assert out.mu == pytest.approx(it.mu)
-        assert out.beta == it.beta
-
-    def test_first_order_update(self):
-        it = ALIterate(lam=np.zeros(1), mu=0.0, beta=10.0,
-                       box_gap=np.array([0.2]), ball_gap=-1.0, violation=0.2,
-                       prev_violation=np.inf)
-        out = al_penalty_update(it, self.params())
-        assert out.lam[0] == pytest.approx(2.0)  # beta * violation
-        assert out.mu == 0.0
-
-    def test_penalty_growth_on_stall(self):
-        params = self.params()
-        it = ALIterate(lam=np.zeros(1), mu=0.0, beta=10.0,
-                       box_gap=np.array([0.1]), ball_gap=-1.0, violation=0.1,
-                       prev_violation=0.11)
-        out = al_penalty_update(it, params)
-        assert out.beta == pytest.approx(10.0 * params.beta_growth)
-
-    def test_no_growth_on_fast_decrease(self):
-        it = ALIterate(lam=np.zeros(1), mu=0.0, beta=10.0,
-                       box_gap=np.array([0.01]), ball_gap=-1.0, violation=0.01,
-                       prev_violation=0.1)
-        out = al_penalty_update(it, self.params())
-        assert out.beta == 10.0
-
-    def test_overflow_guard(self):
-        it = ALIterate(lam=np.zeros(1), mu=0.0, beta=1e31,
-                       box_gap=np.array([0.1]), ball_gap=-1.0, violation=0.1,
-                       prev_violation=0.1)
-        with pytest.raises(SolverFailure):
-            al_penalty_update(it, self.params())
+        assert err.value.residuals["passes"] == 1
