@@ -43,9 +43,6 @@ class State:
     u: np.ndarray
     z: np.ndarray
 
-    def copy(self) -> "State":
-        return State(self.t, self.u.copy(), self.z.copy())
-
 
 class _ElementData:
     """Per-mesh quadrature cache."""
@@ -147,17 +144,6 @@ def lumped_weights(mesh: Mesh) -> np.ndarray:
 
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     return element_data(mesh).mass(mesh)
-
-
-def laplacian_matrix(mesh: Mesh) -> sp.csr_matrix:
-    return element_data(mesh).laplacian(mesh)
-
-
-def gauss_interp(mesh: Mesh):
-    """(P, w): P maps nodal scalars to all Gauss points, w are the matching
-    quadrature weights (including det J)."""
-    data = element_data(mesh)
-    return data.P, data.wq
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +276,17 @@ def field_norm_V(dz: np.ndarray, mesh: Mesh, norm: NormSpec) -> float:
         return float(np.sum(data.wq * np.abs(vq) ** norm.alpha) ** (1.0 / norm.alpha))
     G = data.mass(mesh) + data.laplacian(mesh)
     return float(np.sqrt(dz @ (G @ dz)))
+
+
+def dual_norm_lumped(d: np.ndarray, weights: np.ndarray, norm: NormSpec) -> float:
+    """Lumped dual norm of a nodal density ``d``: ``(sum_i w_i |d_i|^alpha')
+    ^(1/alpha')`` with ``alpha' = alpha / (alpha - 1)`` for the L^alpha
+    ball, an L^2 surrogate for the H1 ball.  A functional vector ``g``
+    has the density ``g / weights``."""
+    if norm.kind == "lalpha":
+        ap = norm.alpha / (norm.alpha - 1.0)
+        return float(np.sum(weights * np.abs(d) ** ap) ** (1.0 / ap))
+    return float(np.sqrt(np.sum(weights * d ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import State, grad_z, lumped_weights
+from .assembly import State, dual_norm_lumped, grad_z, lumped_weights
 from .driver import Trace
 from .mesh import Mesh
 from .model import DIRICHLET_RAMP, LoadProgram, MaterialModel, NormSpec
@@ -34,10 +34,7 @@ def stable_set_distance(density: np.ndarray, weights: np.ndarray,
     the L^alpha ball, an L^2 surrogate for H1).
     """
     excess = np.maximum(np.asarray(density) - kappa, 0.0)
-    if norm.kind == "lalpha":
-        ap = norm.alpha / (norm.alpha - 1.0)
-        return float(np.sum(weights * excess ** ap) ** (1.0 / ap))
-    return float(np.sqrt(np.sum(weights * excess ** 2)))
+    return dual_norm_lumped(excess, weights, norm)
 
 
 def dual_distance(state: State, mesh: Mesh, model: MaterialModel,
@@ -162,15 +159,6 @@ class InterpolantView:
     def z_upper(self, s: float) -> np.ndarray:
         return self._fields(self._locate(s, closed_right=True))[1]
 
-    def u_lower(self, s: float) -> np.ndarray:
-        k = self._locate(s, closed_right=False)
-        if s >= self.s_final:
-            k += 1
-        return self._fields(k - 1)[0]
-
-    def u_upper(self, s: float) -> np.ndarray:
-        return self._fields(self._locate(s, closed_right=True))[0]
-
 
 def sample_interpolants(trace: Trace, s_values) -> dict:
     """Evaluate all interpolants at the given artificial times.
@@ -276,10 +264,15 @@ def energy_balance(trace: Trace, load: LoadProgram) -> BalanceReport:
 
 @dataclass
 class InvariantReport:
+    """Measured structural properties of a trace.  The damage-field
+    figures ``z_min``, ``z_max`` and ``irreversibility_violation`` are None
+    for a trace without fields (``trace.z0`` is None), such as one read
+    back from ``trace.csv``."""
+
     rho: float
-    z_min: float
-    z_max: float
-    irreversibility_violation: float
+    z_min: float | None
+    z_max: float | None
+    irreversibility_violation: float | None
     dz_over_rho_max: float
     dt_min: float
     dt_max: float
@@ -287,58 +280,59 @@ class InvariantReport:
     normalization_max_error: float
     last_normalization_le_one: bool
 
+    def verdicts(self, tol_z: float = 1e-8, tol_norm: float = 1e-8) -> dict:
+        """Pass (True) or fail (False) per property, by name; None for the
+        field checks of a trace without fields."""
+        fields = self.z_min is not None
+        return {
+            "z within [0, 1]": (self.z_min >= -tol_z
+                                and self.z_max <= 1.0 + tol_z) if fields else None,
+            "irreversibility": (self.irreversibility_violation <= tol_z
+                                if fields else None),
+            "dt within [0, rho]": (self.dt_min >= 0.0
+                                   and self.dt_max <= self.rho * (1.0 + 1e-12)),
+            "dz within ball": self.dz_over_rho_max <= 1.0 + 1e-6,
+            "final time reached": self.final_time_error == 0.0,
+            "normalization identity": self.normalization_max_error <= tol_norm,
+            "last step bounded": self.last_normalization_le_one,
+        }
+
     def ok(self, tol_z: float = 1e-8, tol_norm: float = 1e-8) -> bool:
-        rho_slack = 1.0 + 1e-6
-        return (self.z_min >= -tol_z
-                and self.z_max <= 1.0 + tol_z
-                and self.irreversibility_violation <= tol_z
-                and self.dz_over_rho_max <= rho_slack
-                and self.dt_min >= 0.0
-                and self.dt_max <= self.rho * (1.0 + 1e-12)
-                and self.final_time_error == 0.0
-                and self.normalization_max_error <= tol_norm
-                and self.last_normalization_le_one)
+        """No property fails (unchecked field properties do not count)."""
+        return False not in self.verdicts(tol_z, tol_norm).values()
 
 
 def check_trace_invariants(trace: Trace) -> InvariantReport:
     """Verify the proven structural properties on a stored trace.
 
     Needs all snapshots (run with ``store_all_snapshots=True``) for the
-    bound and irreversibility checks.
+    bound and irreversibility checks; a trace without fields skips them.
     """
     recs = trace.records
     rho = trace.scheme.rho
-    z_min, z_max = math.inf, -math.inf
-    irr = -math.inf
-    z_prev = trace.z0
-    for r in recs:
-        _, z = trace.snapshot(r.k)
-        z_min = min(z_min, float(z.min()))
-        z_max = max(z_max, float(z.max()))
-        irr = max(irr, float((z - z_prev).max()))
-        z_prev = z
-    dz_over_rho = max(r.dz_norm_V / rho for r in recs)
-    dt_min = min(r.dt for r in recs)
-    dt_max = max(r.dt for r in recs)
-    norm_err = 0.0
-    last_le_one = True
-    for k in range(1, len(recs)):
-        val = (recs[k].dt + recs[k - 1].dz_norm_V) / rho
-        if k < len(recs) - 1:
-            norm_err = max(norm_err, abs(val - 1.0))
-        else:
-            last_le_one = val <= 1.0 + 1e-8
+    z_min = z_max = irr = None
+    if trace.z0 is not None:
+        z_min, z_max, irr = math.inf, -math.inf, -math.inf
+        z_prev = trace.z0
+        for r in recs:
+            _, z = trace.snapshot(r.k)
+            z_min = min(z_min, float(z.min()))
+            z_max = max(z_max, float(z.max()))
+            irr = max(irr, float((z - z_prev).max()))
+            z_prev = z
+    last = (recs[-1].dt + recs[-2].dz_norm_V) / rho if len(recs) > 1 else 0.0
     return InvariantReport(
         rho=rho,
         z_min=z_min,
         z_max=z_max,
         irreversibility_violation=irr,
-        dz_over_rho_max=dz_over_rho,
-        dt_min=dt_min,
-        dt_max=dt_max,
+        dz_over_rho_max=max(r.dz_norm_V / rho for r in recs),
+        dt_min=min(r.dt for r in recs),
+        dt_max=max(r.dt for r in recs),
         final_time_error=abs(recs[-1].t - trace.scheme.T),
-        normalization_max_error=norm_err,
-        last_normalization_le_one=last_le_one,
+        normalization_max_error=float(
+            np.abs(normalization_residuals(trace)).max(initial=0.0)),
+        last_normalization_le_one=last <= 1.0 + 1e-8,
     )
 
 

@@ -1,17 +1,31 @@
-"""Outer structure of the adaptive scheme: the staggered inner loop,
-fixpoint detection and the arc-length time update.
+"""The evolution loop of the adaptive scheme and its finite-element
+subproblem.
 
 Each outer step alternates the displacement and damage minimizations at a
-frozen time until the iterates stop moving, then advances the physical time
-by ``rho - ||z_k - z_{k-1}||_V`` (clamped to ``[0, rho]`` and to the final
-time).  Vanishing time increments signal jumps: the evolution switches to
-the artificial arc-length parameterization while the crack advances.
+frozen time until the iterates stop moving (``am_loop``), then advances the
+physical time by ``rho - ||z_k - z_{k-1}||_V`` (clamped to ``[0, rho]`` and
+to the final time).  Vanishing time increments signal jumps: the evolution
+switches to the artificial arc-length parameterization while the crack
+advances.
+
+``evolve`` is the one outer loop behind every run: the adaptive field run
+(``run``), the staggered baseline on a prescribed time grid
+(``run_pure_am``, the same loop with ``rho = inf``) and the scalar model
+(``zerodim.run_zero_dim``).  It sees the model only through a subproblem:
+``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(t, u, z_prev, rho)
+-> (z, report)``, ``energy(t, u, z)``, ``dissipation(dz)``,
+``load_power(u)``, the sup-norm ``sup(x)`` of the AM stopping rule, the
+per-step ``record(k, t, dt, res, z_prev) -> StepRecord``, which carries
+``||z - z_prev||_V`` for the time update, and ``fields(u, z)``, the
+snapshot of one step as a pair of arrays.
+``FieldProblem`` is the finite-element implementation and
+``zerodim.ScalarProblem`` the closed-form scalar one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +38,7 @@ from .model import (
     SchemeParams,
     dissipation_R,
 )
-from .solvers import SolverFailure, ZSolveReport, solve_u, solve_z
+from .solvers import SolverFailure, solve_u, solve_z
 
 
 @dataclass
@@ -86,57 +100,55 @@ class Trace:
 
 @dataclass(eq=False)
 class AMResult:
+    """Outcome of one AM loop; ``z_report`` is the subproblem's report of
+    the last damage solve."""
+
     u: np.ndarray
     z: np.ndarray
     iters: int
     first_u: np.ndarray
-    z_report: ZSolveReport
+    z_report: object
     energy_history: list
     converged: bool
 
 
-def am_loop(t: float, z_km1: np.ndarray, mesh: Mesh, model: MaterialModel,
-            load: LoadProgram, params: SchemeParams,
-            u_prev: np.ndarray | None = None) -> AMResult:
+def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
+            keep_history: bool = False) -> AMResult:
     """Alternate displacement/damage minimization at frozen time ``t``.
 
     Starts from the previous damage field and iterates to a Cauchy-type
     stopping rule; the returned pair is a fixpoint of the staggered map to
     tolerance.  The loop ends on a damage solve, so the damage KKT
-    certificates hold exactly for the returned displacement.
+    certificates hold exactly for the returned displacement.  With
+    ``keep_history`` the result carries energy plus dissipation after each
+    iteration.
     """
-    z_i = z_km1
-    u_ref = u_prev
-    first_u = None
+    sup = problem.sup
+    tol = problem.params.tol_am
+    z_i, u_ref = z_prev, u_prev
+    first_u = report = None
     # energy+dissipation along the iterates; the sequence starts at i = 1
     # (the previous step's displacement is inadmissible at the new time)
     hist = []
-    weights = lumped_weights(mesh)
-    report = None
     converged = False
-    iters = 0
-    for i in range(1, params.max_am_iters + 1):
-        iters = i
-        u_i = solve_u(t, z_i, mesh, model, load, params)
-        if first_u is None:
+    i = 0
+    for i in range(1, problem.params.max_am_iters + 1):
+        u_i = problem.solve_u(t, z_i)
+        if i == 1:
             first_u = u_i
-        report = solve_z(t, u_i, z_km1, params.rho, mesh, model, params)
-        z_new = report.z
-        hist.append(
-            total_energy(State(t, u_i, z_new), mesh, model, load)
-            + dissipation_R(z_new - z_km1, model, weights,
-                            tol=params.tol_constraint)
-        )
-        u_scale = max(float(np.abs(u_i).max(initial=0.0)), 1e-12)
-        du = (float(np.abs(u_i - u_ref).max()) / u_scale
+        z_new, report = problem.solve_z(t, u_i, z_prev, rho)
+        if keep_history:
+            hist.append(problem.energy(t, u_i, z_new)
+                        + problem.dissipation(z_new - z_prev))
+        du = (sup(u_i - u_ref) / max(sup(u_i), 1e-12)
               if u_ref is not None else math.inf)
-        dz = float(np.abs(z_new - z_i).max())
+        dz = sup(z_new - z_i)
         u_ref, z_i = u_i, z_new
-        if max(du, dz) <= params.tol_am:
+        if max(du, dz) <= tol:
             converged = True
             break
-    return AMResult(u=u_ref, z=z_i, iters=iters, first_u=first_u,
-                    z_report=report, energy_history=hist, converged=converged)
+    # positional: the scalar model runs this once per step
+    return AMResult(u_ref, z_i, i, first_u, report, hist, converged)
 
 
 def time_update(t_k: float, dz_norm_V: float, rho: float, T: float) -> float:
@@ -154,11 +166,6 @@ def time_update(t_k: float, dz_norm_V: float, rho: float, T: float) -> float:
     return min(t_k + (rho - dz), T)
 
 
-def _dual_distance(state, mesh, model, norm):
-    from .diagnostics import dual_distance
-    return dual_distance(state, mesh, model, norm)
-
-
 def _store_snapshot(k: int, dt: float, prev_dt: float, is_final: bool,
                     params: SchemeParams) -> bool:
     if params.store_all_snapshots:
@@ -168,88 +175,134 @@ def _store_snapshot(k: int, dt: float, prev_dt: float, is_final: bool,
     return k == 0 or is_final or onset or (k % stride == 0)
 
 
-def _check_z0(z0: np.ndarray):
-    if z0.min(initial=1.0) < 0.0 or z0.max(initial=0.0) > 1.0:
-        raise ValueError("initial damage field must lie in [0, 1]")
+def evolve(problem, z0, times: np.ndarray | None = None, record_hook=None,
+           keep_am_histories: bool = False) -> Trace:
+    """Evolution from ``t = 0`` until the step at the final time is done.
+
+    Without ``times`` the steps are adaptive (radius ``params.rho``, time
+    update ``time_update``).  With ``times`` the ball is switched off
+    (``rho = inf``) and step k runs at ``times[k]``.  The first step (k = 0)
+    re-minimizes at the initial time against ``z0``, so a jump at the
+    initial time is detected.  A ``SolverFailure`` aborts the run with the
+    partial trace attached as ``partial_trace``.
+    """
+    if not (np.min(z0) >= 0.0 and np.max(z0) <= 1.0):
+        raise ValueError("initial damage must lie in [0, 1]")
+    params = problem.params
+    adaptive = times is None
+    rho = params.rho if adaptive else math.inf
+    max_steps = params.max_steps or (10 * math.ceil(params.T / params.rho)
+                                     + 100000)
+    trace = Trace(scheme=params, z0=np.array(z0, ndmin=1),
+                  load_mode=problem.load_mode,
+                  dual_surrogate=params.norm_V.dual_is_surrogate)
+    z_prev, u_prev = z0, None
+    t = t_prev = 0.0 if adaptive else times[0]
+    k = 0
+    try:
+        while True:
+            res = am_loop(problem, t, z_prev, rho, u_prev, keep_am_histories)
+            if k == 0:
+                trace.u_init = np.array(res.first_u, ndmin=1)
+                trace.energy_init = problem.energy(0.0, res.first_u, z0)
+                trace.load_power_init = problem.load_power(res.first_u)
+            record = problem.record(k, t, t - t_prev if k else 0.0, res, z_prev)
+            prev_dt = trace.records[-1].dt if trace.records else 1.0
+            is_final = t >= params.T if adaptive else k == len(times) - 1
+            if _store_snapshot(k, record.dt, prev_dt, is_final, params):
+                trace.snapshots[k] = problem.fields(res.u, res.z)
+            if keep_am_histories:
+                trace.am_energy_histories[k] = res.energy_history
+            trace.records.append(record)
+            if record_hook is not None:
+                record_hook(record)
+            if is_final:
+                return trace
+            if not adaptive:
+                t_next = times[k + 1]
+            elif k + 1 > max_steps:
+                raise SolverFailure("step budget exhausted before reaching T",
+                                    steps=k, t=t)
+            else:
+                t_next = time_update(t, record.dz_norm_V, params.rho, params.T)
+            z_prev, u_prev = res.z, res.u
+            t_prev, t = t, t_next
+            k += 1
+    except SolverFailure as exc:
+        trace.aborted = True
+        exc.partial_trace = trace
+        raise
+
+
+class FieldProblem:
+    """The finite-element subproblem of ``evolve``: mesh, material and
+    load program."""
+
+    def __init__(self, mesh: Mesh, model: MaterialModel, load: LoadProgram,
+                 params: SchemeParams):
+        self.mesh, self.model, self.load, self.params = mesh, model, load, params
+        self.load_mode = load.mode
+        self.weights = lumped_weights(mesh)
+        self.f1 = load.force_rate_vector(mesh)
+
+    def solve_u(self, t, z):
+        return solve_u(t, z, self.mesh, self.model, self.load, self.params)
+
+    def solve_z(self, t, u, z_prev, rho):
+        report = solve_z(t, u, z_prev, rho, self.mesh, self.model, self.params)
+        return report.z, report
+
+    def energy(self, t, u, z) -> float:
+        return total_energy(State(t, u, z), self.mesh, self.model, self.load)
+
+    def dissipation(self, dz) -> float:
+        return dissipation_R(dz, self.model, self.weights,
+                             tol=self.params.tol_constraint)
+
+    def load_power(self, u) -> float:
+        return float(self.f1 @ u)
+
+    @staticmethod
+    def sup(x) -> float:
+        return float(np.abs(x).max(initial=0.0))
+
+    @staticmethod
+    def fields(u, z):
+        return u.copy(), z.copy()
+
+    def record(self, k, t, dt, res: AMResult, z_prev) -> StepRecord:
+        from .diagnostics import dual_distance  # diagnostics imports Trace
+
+        state = State(t, res.u, res.z)
+        dz = res.z - z_prev
+        rep = res.z_report
+        return StepRecord(
+            k=k,
+            t=t,
+            dt=dt,
+            dz_norm_V=field_norm_V(dz, self.mesh, self.params.norm_V),
+            am_iters=res.iters,
+            energy=self.energy(t, res.u, res.z),
+            R_increment=self.dissipation(dz),
+            reaction=(reaction_force(state, self.mesh, self.model, self.load)
+                      if self.load.mode == DIRICHLET_RAMP else 0.0),
+            dual_distance=dual_distance(state, self.mesh, self.model,
+                                        self.params.norm_V),
+            xi_norm=rep.xi_norm_dual,
+            ball_active=rep.constraint_active,
+            load_power=self.load_power(res.u),
+            am_converged=res.converged,
+            stationarity=rep.stationarity_residual,
+        )
 
 
 def run(mesh: Mesh, model: MaterialModel, load: LoadProgram,
         params: SchemeParams, z0: np.ndarray, record_hook=None,
         keep_am_histories: bool = False) -> Trace:
     """Full adaptive evolution from ``t = 0`` until the final time is
-    reached and the step at ``T`` is completed.
-
-    The first step (k = 0) re-minimizes at ``t = 0`` against the initial
-    field, so a jump at the initial time is detected.  Solver failures
-    abort the run with the partial trace attached to the raised error.
-    """
-    _check_z0(z0)
-    weights = lumped_weights(mesh)
-    trace = Trace(scheme=params, z0=z0.copy(),
-                  load_mode=load.mode,
-                  dual_surrogate=params.norm_V.dual_is_surrogate)
-    f1 = load.force_rate_vector(mesh)
-    z_prev = z0.copy()
-    u_prev = None
-    t = 0.0
-    t_prev = 0.0
-    k = 0
-    max_steps = params.max_steps or (10 * math.ceil(params.T / params.rho) + 10000)
-    while True:
-        try:
-            res = am_loop(t, z_prev, mesh, model, load, params, u_prev=u_prev)
-        except SolverFailure as exc:
-            trace.aborted = True
-            exc.partial_trace = trace
-            raise
-        if k == 0:
-            trace.u_init = res.first_u.copy()
-            trace.energy_init = total_energy(State(0.0, res.first_u, z0),
-                                             mesh, model, load)
-            trace.load_power_init = float(f1 @ res.first_u)
-        state = State(t, res.u, res.z)
-        dz_norm = field_norm_V(res.z - z_prev, mesh, params.norm_V)
-        dt = t - t_prev if k > 0 else 0.0
-        record = StepRecord(
-            k=k,
-            t=t,
-            dt=dt,
-            dz_norm_V=dz_norm,
-            am_iters=res.iters,
-            energy=total_energy(state, mesh, model, load),
-            R_increment=dissipation_R(res.z - z_prev, model, weights,
-                                      tol=params.tol_constraint),
-            reaction=(reaction_force(state, mesh, model, load)
-                      if load.mode == DIRICHLET_RAMP else 0.0),
-            dual_distance=_dual_distance(state, mesh, model, params.norm_V),
-            xi_norm=res.z_report.xi_norm_dual,
-            ball_active=res.z_report.constraint_active,
-            load_power=float(f1 @ res.u),
-            am_converged=res.converged,
-            stationarity=res.z_report.stationarity_residual,
-        )
-        prev_dt = trace.records[-1].dt if trace.records else 1.0
-        is_final = t >= params.T
-        if _store_snapshot(k, dt, prev_dt, is_final, params):
-            trace.snapshots[k] = (res.u.copy(), res.z.copy())
-        if keep_am_histories:
-            trace.am_energy_histories[k] = list(res.energy_history)
-        trace.records.append(record)
-        if record_hook is not None:
-            record_hook(record)
-        if is_final:
-            break
-        if k + 1 > max_steps:
-            trace.aborted = True
-            exc = SolverFailure("step budget exhausted before reaching T",
-                                steps=k, t=t)
-            exc.partial_trace = trace
-            raise exc
-        t_next = time_update(t, dz_norm, params.rho, params.T)
-        z_prev, u_prev = res.z, res.u
-        t_prev, t = t, t_next
-        k += 1
-    return trace
+    reached and the step at ``T`` is completed (see ``evolve``)."""
+    return evolve(FieldProblem(mesh, model, load, params), z0,
+                  record_hook=record_hook, keep_am_histories=keep_am_histories)
 
 
 def run_pure_am(mesh: Mesh, model: MaterialModel, load: LoadProgram,
@@ -262,51 +315,10 @@ def run_pure_am(mesh: Mesh, model: MaterialModel, load: LoadProgram,
     ``times`` overrides the uniform grid; it must start at 0.  Useful to
     replay the adaptive scheme's grid for step-by-step comparisons.
     """
-    _check_z0(z0)
     if times is None:
         times = np.linspace(0.0, params.T, n_steps + 1)
     times = np.asarray(times, dtype=float)
     if abs(times[0]) > 0:
         raise ValueError("time grid must start at 0")
-    pure = replace(params, rho=math.inf)
-    weights = lumped_weights(mesh)
-    trace = Trace(scheme=params, z0=z0.copy(), load_mode=load.mode,
-                  dual_surrogate=params.norm_V.dual_is_surrogate)
-    f1 = load.force_rate_vector(mesh)
-    z_prev = z0.copy()
-    u_prev = None
-    for k, t in enumerate(times):
-        res = am_loop(t, z_prev, mesh, model, load, pure, u_prev=u_prev)
-        if k == 0:
-            trace.u_init = res.first_u.copy()
-            trace.energy_init = total_energy(State(0.0, res.first_u, z0),
-                                             mesh, model, load)
-            trace.load_power_init = float(f1 @ res.first_u)
-        state = State(t, res.u, res.z)
-        record = StepRecord(
-            k=k,
-            t=t,
-            dt=t - times[k - 1] if k > 0 else 0.0,
-            dz_norm_V=field_norm_V(res.z - z_prev, mesh, params.norm_V),
-            am_iters=res.iters,
-            energy=total_energy(state, mesh, model, load),
-            R_increment=dissipation_R(res.z - z_prev, model, weights,
-                                      tol=params.tol_constraint),
-            reaction=(reaction_force(state, mesh, model, load)
-                      if load.mode == DIRICHLET_RAMP else 0.0),
-            dual_distance=_dual_distance(state, mesh, model, params.norm_V),
-            xi_norm=0.0,
-            ball_active=False,
-            load_power=float(f1 @ res.u),
-            am_converged=res.converged,
-            stationarity=res.z_report.stationarity_residual,
-        )
-        trace.records.append(record)
-        if _store_snapshot(k, record.dt, 1.0, k == len(times) - 1, params):
-            trace.snapshots[k] = (res.u.copy(), res.z.copy())
-        if keep_am_histories:
-            trace.am_energy_histories[k] = list(res.energy_history)
-        if record_hook is not None:
-            record_hook(record)
-        z_prev, u_prev = res.z, res.u
-    return trace
+    return evolve(FieldProblem(mesh, model, load, params), z0, times=times,
+                  record_hook=record_hook, keep_am_histories=keep_am_histories)

@@ -100,16 +100,6 @@ class Mesh:
     def area(self) -> float:
         return float(self.element_areas().sum())
 
-    def jacobians_at_gauss(self) -> np.ndarray:
-        """det(J) at the 2x2 Gauss points of every element, (n_elements, 4)."""
-        xy = self.element_coords()
-        dets = np.empty((self.n_elements, 4))
-        for q, (xi, eta) in enumerate(GAUSS_POINTS_2X2):
-            dN = shape_gradients(xi, eta)  # (4, 2)
-            J = np.einsum("eni,nj->eij", xy, dN)  # (nel, 2, 2)
-            dets[:, q] = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        return dets
-
     def notch_node_pairs(self) -> list:
         """Distinct (original, duplicate) node pairs along the slit."""
         pairs = set()

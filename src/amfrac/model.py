@@ -203,8 +203,9 @@ class NormSpec:
     def __post_init__(self):
         if self.kind not in ("lalpha", "h1"):
             raise ModelConfigError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "lalpha" and self.alpha < 1.0:
-            raise ModelConfigError(f"alpha = {self.alpha} must be >= 1")
+        # alpha = 1 would make the dual exponent alpha / (alpha - 1) infinite
+        if self.kind == "lalpha" and not 1.0 < self.alpha < math.inf:
+            raise ModelConfigError(f"alpha = {self.alpha} must lie in (1, inf)")
 
     @property
     def dual_is_surrogate(self) -> bool:
@@ -235,6 +236,8 @@ class SchemeParams:
         for name in ("tol_am", "tol_newton", "tol_constraint"):
             if getattr(self, name) <= 0:
                 raise ModelConfigError(f"{name} must be positive")
+        if self.max_am_iters < 1:
+            raise ModelConfigError("max_am_iters must be at least 1")
 
 
 def degradation(z, eta: float):

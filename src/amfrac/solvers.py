@@ -25,6 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (
+    dual_norm_lumped,
     element_data,
     field_norm_V,
     lumped_weights,
@@ -43,19 +44,6 @@ class SolverFailure(RuntimeError):
     def __init__(self, message: str, **residuals):
         super().__init__(message + (f" ({residuals})" if residuals else ""))
         self.residuals = residuals
-
-
-def dual_norm_lumped(g: np.ndarray, weights: np.ndarray, norm: NormSpec) -> float:
-    """Discrete dual norm of a functional vector via nodal densities.
-
-    For the L^alpha ball this is the lumped L^{alpha'} norm of g_i / w_i;
-    for the H1 ball an L^2 surrogate is used.
-    """
-    d = g / weights
-    if norm.kind == "lalpha" and np.isfinite(norm.alpha):
-        ap = norm.alpha / (norm.alpha - 1.0)
-        return float(np.sum(weights * np.abs(d) ** ap) ** (1.0 / ap))
-    return float(np.sqrt(np.sum(weights * d ** 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +205,7 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     ball = _Ball(mesh, norm) if has_ball else None
 
     g0 = Q @ z_prev - btot
-    stat_scale = max(1.0, dual_norm_lumped(g0, w, norm))
+    stat_scale = max(1.0, dual_norm_lumped(g0 / w, w, norm))
     feas_tol = params.tol_constraint
     ball_tol = params.tol_constraint * max(1.0, rho) if has_ball else 0.0
     # a free node re-enters the active set only above round-off, so a node
@@ -285,7 +273,7 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
             r += mu * gN
         lam = np.where(active, -r, 0.0)
         new_active = np.where(active, lam >= 0.0, v > enter_tol)
-        stat = dual_norm_lumped(r + lam, w, norm)
+        stat = dual_norm_lumped((r + lam) / w, w, norm)
         new_pass = not (np.array_equal(new_active, active) and ball_on == was_on)
         if not new_pass and (not ball_on or (
                 stat <= params.tol_newton * stat_scale
@@ -318,7 +306,7 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
         lam=lam,
         mu=mu,
         xi=xi,
-        xi_norm_dual=dual_norm_lumped(xi, w, norm) if np.any(xi) else 0.0,
+        xi_norm_dual=dual_norm_lumped(xi / w, w, norm) if np.any(xi) else 0.0,
         constraint_active=bool(has_ball and
                                dz_norm >= rho - 10 * max(feas_tol, ball_tol)),
         stationarity_residual=stat,

@@ -4,10 +4,12 @@ system with an exhaustive brute-force oracle.
 The energy is ``E(t, u, z) = 1/2 (z^2 + eta) a u^2 - ell(t) u
 + 1/2 kappa_E z^2`` with the unidirectional dissipation
 ``R(v) = kappa_R |v|`` on ``v <= 0`` and the absolute value as ball norm.
-It preserves the separately-quadratic structure of the field model, so
-every code path of the adaptive scheme (staggered loop, ball constraint,
-irreversibility bound, dual distance) is exercised against closed forms
-and against grid search.
+It preserves the separately-quadratic structure of the field model.
+``ScalarProblem`` implements the subproblem interface of ``driver.evolve``,
+so a scalar run goes through the same evolution loop and AM loop as a
+field run, and every code path of the adaptive scheme (staggered loop,
+ball constraint, irreversibility bound, time update, dual distance) is
+exercised against closed forms and against grid search.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import StepRecord, Trace
-from .model import SchemeParams, NormSpec
+from .driver import StepRecord, Trace, evolve
+from .model import TRACTION_RAMP, ModelConfigError, SchemeParams
 from .solvers import SolverFailure
 
 
@@ -37,7 +39,7 @@ class ZeroDimModel:
 
     def __post_init__(self):
         if self.a <= 0 or self.eta <= 0:
-            raise ValueError("stiffness a and floor eta must be positive")
+            raise ModelConfigError("stiffness a and floor eta must be positive")
 
     def ell(self, t: float) -> float:
         return self.ell_rate * t
@@ -100,83 +102,77 @@ def brute_force_z_step(t: float, u: float, z_prev: float, rho: float,
     return float(grid[int(np.argmin(vals))])
 
 
-def run_zero_dim(model: ZeroDimModel, params: SchemeParams,
-                 z0: float = 1.0, check_oracle: bool = False,
-                 grid_step: float = 1e-4) -> Trace:
-    """Full adaptive evolution of the scalar system.
+class ScalarProblem:
+    """The scalar system as the subproblem of ``driver.evolve``.
 
-    With ``check_oracle`` every damage solve is cross-checked against the
-    exhaustive grid oracle (within one grid cell); a mismatch raises.
+    Both solves are closed form and every quantity is a Python float, so
+    the AM iteration makes no numpy call; ``check_oracle`` cross-checks
+    every damage solve against the exhaustive grid oracle (within one grid
+    cell) and raises on a mismatch.
     """
-    if not 0.0 <= z0 <= 1.0:
-        raise ValueError("z0 must lie in [0, 1]")
-    rho, T = params.rho, params.T
-    norm = NormSpec(kind="lalpha", alpha=2.0)  # |.| on scalars
-    trace = Trace(scheme=params, z0=np.array([z0]), load_mode="TRACTION_RAMP",
-                  dual_surrogate=False)
-    z_prev = z0
-    u_prev = None
-    t = 0.0
-    t_prev = 0.0
-    k = 0
-    max_steps = params.max_steps or (10 * math.ceil(T / rho) + 100000)
-    while True:
-        # staggered loop with closed-form substeps
-        z_i, u_ref = z_prev, u_prev
-        first_u = None
-        iters = 0
-        mu = lam = 0.0
-        for i in range(1, params.max_am_iters + 1):
-            iters = i
-            u_i = model.u_min(t, z_i)
-            if first_u is None:
-                first_u = u_i
-            z_new, mu, lam = z_step(t, u_i, z_prev, rho, model)
-            if check_oracle:
-                z_ref = brute_force_z_step(t, u_i, z_prev, rho, model,
-                                           grid_step)
-                if abs(z_new - z_ref) > 2.0 * grid_step:
-                    raise SolverFailure("scalar damage step disagrees with "
-                                        "the grid oracle",
-                                        z=z_new, oracle=z_ref)
-            du = (abs(u_i - u_ref) / max(abs(u_i), 1e-12)
-                  if u_ref is not None else math.inf)
-            dz = abs(z_new - z_i)
-            u_ref, z_i = u_i, z_new
-            if max(du, dz) <= params.tol_am:
-                break
-        u, z = u_ref, z_i
-        if k == 0:
-            trace.u_init = np.array([first_u])
-            trace.energy_init = model.energy(0.0, first_u, z0)
-            trace.load_power_init = model.ell_rate * first_u
+
+    sup = staticmethod(abs)
+    load_mode = TRACTION_RAMP
+
+    def __init__(self, model: ZeroDimModel, params: SchemeParams,
+                 check_oracle: bool = False, grid_step: float = 1e-4):
+        self.model, self.params = model, params
+        self.check_oracle, self.grid_step = check_oracle, grid_step
+        self.solve_u = model.u_min
+        self.energy = model.energy
+
+    def solve_z(self, t, u, z_prev, rho):
+        """The damage value and, as the report, its ball multiplier."""
+        z, mu, _ = z_step(t, u, z_prev, rho, self.model)
+        if self.check_oracle:
+            z_ref = brute_force_z_step(t, u, z_prev, rho, self.model,
+                                       self.grid_step)
+            if abs(z - z_ref) > 2.0 * self.grid_step:
+                raise SolverFailure("scalar damage step disagrees with "
+                                    "the grid oracle", z=z, oracle=z_ref)
+        return z, mu
+
+    def dissipation(self, dz: float) -> float:
+        # damage increments are non-positive: R(dz) = kappa_R |dz|
+        return self.model.kappa_R * abs(dz)
+
+    def load_power(self, u: float) -> float:
+        return self.model.ell_rate * u
+
+    @staticmethod
+    def fields(u: float, z: float):
+        return np.array([u]), np.array([z])
+
+    def record(self, k, t, dt, res, z_prev) -> StepRecord:
+        model = self.model
+        u, z = res.u, res.z
         dz_norm = abs(z - z_prev)
-        record = StepRecord(
+        return StepRecord(
             k=k,
             t=t,
-            dt=t - t_prev if k > 0 else 0.0,
+            dt=dt,
             dz_norm_V=dz_norm,
-            am_iters=iters,
+            am_iters=res.iters,
             energy=model.energy(t, u, z),
             R_increment=model.kappa_R * dz_norm,
             reaction=0.0,
             dual_distance=model.dual_distance(u, z),
-            xi_norm=mu,
-            ball_active=(z_prev - z) >= rho - 1e-12,
+            xi_norm=res.z_report,
+            ball_active=(z_prev - z) >= self.params.rho - 1e-12,
             load_power=model.ell_rate * u,
-            am_converged=iters < params.max_am_iters,
-            stationarity=abs(min(0.0, lam)),
+            am_converged=res.converged,
+            # the closed-form damage solve meets its KKT conditions exactly
+            stationarity=0.0,
         )
-        trace.records.append(record)
-        trace.snapshots[k] = (np.array([u]), np.array([z]))
-        if t >= T:
-            break
-        if k + 1 > max_steps:
-            trace.aborted = True
-            raise SolverFailure("step budget exhausted before reaching T",
-                                steps=k, t=t)
-        dz_clamped = min(dz_norm, rho)
-        t_prev, t = t, min(t + (rho - dz_clamped), T)
-        z_prev, u_prev = z, u
-        k += 1
-    return trace
+
+
+def run_zero_dim(model: ZeroDimModel, params: SchemeParams,
+                 z0: float = 1.0, check_oracle: bool = False,
+                 grid_step: float = 1e-4, record_hook=None) -> Trace:
+    """Full adaptive evolution of the scalar system (see ``driver.evolve``).
+
+    With ``check_oracle`` every damage solve is cross-checked against the
+    exhaustive grid oracle (within one grid cell); a mismatch raises.
+    """
+    return evolve(ScalarProblem(model, params, check_oracle, grid_step), z0,
+                  record_hook=record_hook)

@@ -1,5 +1,6 @@
 """Config parsing, presets, execution artifacts and the verify verb."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -186,6 +187,39 @@ class TestExecute:
         assert verify_dir(out) != 0
         assert "FAIL" in capsys.readouterr().out
 
+    def test_verify_flags_shifted_interior_step(self, tmp_path, capsys):
+        # dt stays inside [0, rho]; only the normalization identity sees it
+        out = tmp_path / "zd"
+        cfg = load_config(write(tmp_path, ZERODIM_CFG.format(out=out)))
+        execute(cfg)
+        rows = (out / "trace.csv").read_text().splitlines()
+        cells = rows[3].split(",")  # k = 2, a full elastic step
+        cells[2] = repr(float(cells[2]) - 1e-6 * cfg.scheme.rho)
+        rows[3] = ",".join(cells)
+        (out / "trace.csv").write_text("\n".join(rows) + "\n")
+        assert verify_dir(out) != 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert "FAIL normalization identity" in lines
+        assert "PASS dt within [0, rho]" in lines
+        assert "not checked: irreversibility" in captured.err
+
+    def test_verify_fails_on_trace_without_steps(self, tmp_path, capsys):
+        out = tmp_path / "zd"
+        execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
+        (out / "trace.csv").write_text(TRACE_HEADER + "\n")
+        assert verify_dir(out) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_zerodim_trace_written_incrementally(self, tmp_path):
+        out = tmp_path / "zd"
+        cfg = load_config(write(tmp_path, ZERODIM_CFG.format(out=out)))
+        cfg.scheme = dataclasses.replace(cfg.scheme, max_steps=5)
+        assert execute(cfg) == 1
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert rows[0] == TRACE_HEADER
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(6))
+
 
 class TestMain:
     def test_run_verb(self, tmp_path):
@@ -212,3 +246,25 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         bad = write(tmp_path, "[experiment]\nname = nope\n")
         assert main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("extra, sweep", [
+        ("[scheme]\nrho = -1\n", None),
+        ("[scheme]\nnorm_v = h2\n", None),
+        ("[scheme]\nalpha = 1\n", None),
+        ("[scheme]\nmax_am_iters = 0\n", None),
+        ("[zerodim]\na = -1\n", None),
+        ("[zerodim]\nz0 = 1.5\n", None),
+        ("", "rho=0"),
+        ("", "rho=abc"),
+        ("", "alpha=1"),
+    ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
+            "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
+            "sweep_alpha=1"])
+    def test_invalid_input_is_config_error(self, tmp_path, capsys, extra,
+                                           sweep):
+        cfg_path = write(tmp_path, ZERODIM_CFG.format(out=tmp_path / "zd")
+                         + extra)
+        argv = (["sweep", str(cfg_path), "--param", sweep] if sweep
+                else ["run", str(cfg_path)])
+        assert main(argv) == 2
+        assert "config error" in capsys.readouterr().err

@@ -7,6 +7,7 @@ import pytest
 
 import amfrac as af
 from amfrac.diagnostics import check_trace_invariants
+from amfrac.driver import FieldProblem
 from amfrac.solvers import SolverFailure
 
 
@@ -36,10 +37,10 @@ class TestAMLoop:
         mesh, model, load, params = ct_coarse_setup
         z0 = np.ones(mesh.n_nodes)
         t = 0.15
-        res1 = af.am_loop(t, z0, mesh, model, load, params)
+        problem = FieldProblem(mesh, model, load, params)
+        res1 = af.am_loop(problem, t, z0, params.rho)
         assert not res1.z_report.constraint_active, "need a relaxed state"
-        res2 = af.am_loop(t, res1.z, mesh, model, load, params,
-                          u_prev=res1.u)
+        res2 = af.am_loop(problem, t, res1.z, params.rho, u_prev=res1.u)
         assert res2.iters == 1
         assert np.abs(res2.z - res1.z).max() <= params.tol_am
         assert np.abs(res2.u - res1.u).max() <= \
@@ -58,7 +59,8 @@ class TestAMLoop:
     def test_fixpoint_conditions_hold(self, ct_coarse_setup):
         mesh, model, load, params = ct_coarse_setup
         t = 0.6
-        res = af.am_loop(t, np.ones(mesh.n_nodes), mesh, model, load, params)
+        res = af.am_loop(FieldProblem(mesh, model, load, params), t,
+                         np.ones(mesh.n_nodes), params.rho)
         # damage KKT is exact for the returned displacement
         assert res.z_report.stationarity_residual <= 10 * params.tol_newton
         # displacement equilibrium holds to the staggered tolerance

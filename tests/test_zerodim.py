@@ -1,5 +1,7 @@
 """Scalar toy system: closed-form solves against the exhaustive oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,42 @@ class TestRunZeroDim:
             diffs = np.diff(window)
             assert (diffs > 1e-15).any() and (diffs < -1e-15).any(), \
                 "onset region oscillates"
+
+    def test_am_converged_is_the_stopping_rule(self):
+        # with two AM iterations allowed, a step that meets the stopping
+        # rule on its second iteration is converged
+        zm = ZeroDimModel()
+        params = af.SchemeParams(rho=0.02, T=1.0,
+                                 norm_V=af.NormSpec("lalpha", 2.0),
+                                 max_am_iters=2, store_all_snapshots=True)
+        trace = run_zero_dim(zm, params)
+        expected = []
+        u_prev, z_prev = None, 1.0
+        for r in trace.records:
+            u_ref, z_i, converged = u_prev, z_prev, False
+            for _ in range(params.max_am_iters):
+                u = zm.u_min(r.t, z_i)
+                z, _, _ = z_step(r.t, u, z_prev, params.rho, zm)
+                du = (abs(u - u_ref) / max(abs(u), 1e-12)
+                      if u_ref is not None else math.inf)
+                converged = max(du, abs(z - z_i)) <= params.tol_am
+                u_ref, z_i = u, z
+                if converged:
+                    break
+            expected.append(converged)
+            (u_prev,), (z_prev,) = trace.snapshot(r.k)
+            assert (u_prev, z_prev) == (u_ref, z_i)
+        assert [r.am_converged for r in trace.records] == expected
+        assert sum(r.am_iters == 2 and r.am_converged
+                   for r in trace.records) == 49
+
+    def test_partial_trace_on_step_budget(self):
+        params = af.SchemeParams(rho=0.02, T=1.0, max_steps=3)
+        with pytest.raises(af.SolverFailure) as err:
+            run_zero_dim(ZeroDimModel(), params)
+        partial = err.value.partial_trace
+        assert partial.aborted
+        assert len(partial.records) == 4
 
     def test_z0_validation(self):
         with pytest.raises(ValueError):
