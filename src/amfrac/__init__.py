@@ -10,6 +10,7 @@ from .assembly import (
     field_norm_V,
     grad_u,
     grad_z,
+    norm_quadrature_weights,
     reaction_force,
     total_energy,
 )
@@ -24,7 +25,7 @@ from .diagnostics import (
     sample_interpolants,
 )
 from .driver import StepRecord, Trace, am_loop, run, run_pure_am, time_update
-from .mesh import Mesh, build_ct_mesh, build_lshape_mesh, norm_quadrature_weights
+from .mesh import Mesh, build_ct_mesh, build_lshape_mesh
 from .model import (
     LoadProgram,
     MaterialModel,

@@ -4,23 +4,41 @@ operators and field norms.
 All integrals use the 2x2 Gauss rule; the same quadrature backs the total
 energy, its partial gradients, the stiffness/damage operators and the
 L^alpha field norm, so the staggered solvers minimize exactly the assembled
-energy.  Per-mesh geometric data is cached on first use (meshes are
-immutable after construction).
+energy.
+
+Per-mesh data is cached on first use (meshes are immutable after
+construction), in ``element_data(mesh)``:
+
+- built with the cache: Gauss-point shape values, Jacobian weights,
+  gradients and strain matrices, the Gauss interpolation operator ``P`` and
+  the lumped nodal weights;
+- built when first needed: one ``SparsePattern`` for the 2n-dof operators
+  and one for the n-node operators, each with the map from element entries
+  to CSR data slots.  Every operator is then a data vector on its pattern:
+  assembly is one ``np.bincount`` and ``Q = H + c1 M + c2 L`` is arithmetic
+  on data vectors.  Also the mass and Laplacian data, ``P'`` and the H1
+  Gram matrix;
+- per pattern, one fill-reducing order (SuperLU's ``MMD_AT_PLUS_A``) for
+  each principal block that is factored: the free dofs of each Dirichlet
+  mask, and all nodes.  ``OrderedBlock`` gathers the block in that order.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+# the ordering probe is part of the pattern, not a solve: it is imported
+# under its own name so that a replacement of ``solvers.splu`` never sees it
+from scipy.sparse.linalg import splu as _splu_probe
 
 from .mesh import (
     GAUSS_POINTS_2X2,
     GAUSS_WEIGHTS_2X2,
     Mesh,
-    norm_quadrature_weights,
     shape_functions,
     shape_gradients,
 )
@@ -42,6 +60,106 @@ class State:
     t: float
     u: np.ndarray
     z: np.ndarray
+
+
+def _fill_reducing_order(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """SuperLU's ``MMD_AT_PLUS_A`` order of a symmetric pattern, as the
+    sequence of old indices.  It is read off one factorization of a strictly
+    diagonally dominant matrix on the pattern, which needs no pivoting."""
+    n = indptr.size - 1
+    counts = np.diff(indptr)
+    row = np.repeat(np.arange(n), counts)
+    vals = np.where(row == indices, counts[row].astype(float), -1.0)
+    A = sp.csc_matrix((vals, indices.copy(), indptr.copy()), shape=(n, n))
+    lu = _splu_probe(A, permc_spec="MMD_AT_PLUS_A",
+                     options=dict(SymmetricMode=True))
+    return np.argsort(lu.perm_c)
+
+
+class SparsePattern:
+    """CSR pattern of a symmetric operator assembled from element matrices.
+
+    ``slot`` maps each element entry to its slot in the CSR data vector, so
+    an assembly is one ``np.bincount`` (``fill``) and a sum of operators is
+    a sum of data vectors.  Column indices are sorted; because the operator
+    is symmetric, the CSR arrays read as CSC arrays of the same matrix.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
+        keys, self.slot = np.unique(rows.ravel() * n + cols.ravel(),
+                                    return_inverse=True)
+        self.n = n
+        self.nnz = keys.size
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
+        self._blocks = {}
+
+    def fill(self, vals: np.ndarray) -> np.ndarray:
+        """Data vector of the operator with element entries ``vals``."""
+        return np.bincount(self.slot, weights=vals.ravel(), minlength=self.nnz)
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The operator with data vector ``data`` (shared, not copied)."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=(self.n, self.n))
+
+    def block(self, free: np.ndarray) -> "OrderedBlock":
+        """The principal block on the rows of the mask ``free``, in a
+        fill-reducing order computed once per mask."""
+        key = free.tobytes()
+        blk = self._blocks.get(key)
+        if blk is None:
+            blk = self._blocks[key] = OrderedBlock(self, free)
+        return blk
+
+
+class OrderedBlock:
+    """A principal block ``A[F][:, F]`` of a pattern's operator, with rows
+    and columns in a fill-reducing order: row ``i`` of the block is row
+    ``perm[i]`` of the operator.
+
+    The block is gathered from the operator's data vector through
+    ``gather``; its arrays are CSC with sorted row indices, sorted here once
+    because SuperLU sorts unsorted indices in place and would corrupt the
+    shared arrays.
+    """
+
+    def __init__(self, pattern: SparsePattern, free: np.ndarray):
+        rows = np.flatnonzero(free)
+        # slot numbers shifted by one: slicing must not meet a stored zero
+        slots = pattern.matrix(np.arange(1, pattern.nnz + 1))
+        sub = slots[rows][:, rows]
+        self.perm = rows[_fill_reducing_order(sub.indptr, sub.indices)]
+        slots = slots[self.perm][:, self.perm].tocsc()
+        slots.sort_indices()
+        self.size = self.perm.size
+        self.gather = slots.data - 1
+        self.indices = slots.indices.astype(np.int32)
+        self.indptr = slots.indptr.astype(np.int32)
+        self.cols = np.repeat(np.arange(self.size), np.diff(self.indptr))
+
+    def matrix(self, data: np.ndarray) -> sp.csc_matrix:
+        """The block of the operator with data vector ``data``."""
+        return sp.csc_matrix((data[self.gather], self.indices, self.indptr),
+                             shape=(self.size, self.size))
+
+    def principal(self, data: np.ndarray, keep: np.ndarray):
+        """The sub-block on the block rows ``keep`` (a mask in block order),
+        still in block order, and its rows' indices in the operator.  The
+        fill of such a sub-block never exceeds that of the whole block."""
+        if keep.all():
+            return self.matrix(data), self.perm
+        inside = keep[self.cols] & keep[self.indices]
+        m = int(np.count_nonzero(keep))
+        indptr = np.zeros(m + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.cols[inside], minlength=self.size)[keep],
+                  out=indptr[1:])
+        renumber = (np.cumsum(keep) - 1).astype(np.int32)
+        A = sp.csc_matrix((data[self.gather[inside]],
+                           renumber[self.indices[inside]], indptr),
+                          shape=(m, m))
+        return A, self.perm[keep]
 
 
 class _ElementData:
@@ -77,14 +195,11 @@ class _ElementData:
         self.B[:, :, 2, 1::2] = self.dNdx[:, :, :, 0]
 
         conn = mesh.elements
+        self.conn = conn
+        self.n_nodes = mesh.n_nodes
         self.udofs = np.empty((nel, 8), dtype=np.int64)
         self.udofs[:, 0::2] = 2 * conn
         self.udofs[:, 1::2] = 2 * conn + 1
-
-        self.krows = np.repeat(self.udofs, 8, axis=1).ravel()
-        self.kcols = np.tile(self.udofs, (1, 8)).ravel()
-        self.mrows = np.repeat(conn, 4, axis=1).ravel()
-        self.mcols = np.tile(conn, (1, 4)).ravel()
 
         # Gauss-point interpolation operator for scalar nodal fields
         rows = np.repeat(np.arange(nel * nq), 4)
@@ -95,30 +210,53 @@ class _ElementData:
         )
         self.wq = self.wdet.ravel()
 
-        self.lumped = norm_quadrature_weights(mesh)
-        self._mass = None
-        self._laplacian = None
+        # w_i = integral of the i-th hat function
+        self.lumped = np.bincount(conn.ravel(),
+                                  weights=(self.wdet @ self.N).ravel(),
+                                  minlength=mesh.n_nodes)
+        self.lumped.flags.writeable = False
         self._btcb = {}
 
-    def mass(self, mesh: Mesh) -> sp.csr_matrix:
-        if self._mass is None:
-            vals = np.einsum("eq,qab->eab", self.wdet, self.NN)
-            self._mass = sp.csr_matrix(
-                (vals.ravel(), (self.mrows, self.mcols)),
-                shape=(mesh.n_nodes, mesh.n_nodes),
-            )
-        return self._mass
+    # The patterns and what is filled into them are built on first use: a
+    # mesh that is only measured never pays for them.
+    @cached_property
+    def dof_pattern(self) -> SparsePattern:
+        """Pattern of the 2n-dof operators (stiffness)."""
+        return SparsePattern(np.repeat(self.udofs, 8, axis=1),
+                             np.tile(self.udofs, (1, 8)), 2 * self.n_nodes)
 
-    def laplacian(self, mesh: Mesh) -> sp.csr_matrix:
-        if self._laplacian is None:
-            vals = np.einsum(
-                "eq,eqai,eqbi->eab", self.wdet, self.dNdx, self.dNdx
-            )
-            self._laplacian = sp.csr_matrix(
-                (vals.ravel(), (self.mrows, self.mcols)),
-                shape=(mesh.n_nodes, mesh.n_nodes),
-            )
-        return self._laplacian
+    @cached_property
+    def node_pattern(self) -> SparsePattern:
+        """Pattern of the n-node operators (mass, Laplacian, damage Hessian,
+        ball curvature)."""
+        return SparsePattern(np.repeat(self.conn, 4, axis=1),
+                             np.tile(self.conn, (1, 4)), self.n_nodes)
+
+    def node_operator(self, gauss_coef: np.ndarray) -> np.ndarray:
+        """Node-pattern data of ``sum_q c_eq N_qa N_qb`` over the elements,
+        i.e. ``P' diag(c) P`` for Gauss-point coefficients ``c``."""
+        nq = self.NN.shape[0]
+        return self.node_pattern.fill(
+            np.reshape(gauss_coef, (-1, nq)) @ self.NN.reshape(nq, -1))
+
+    @cached_property
+    def PT(self) -> sp.csr_matrix:
+        """``P'`` as a CSR matrix: the ball gradient applies it each step."""
+        return self.P.T.tocsr()
+
+    @cached_property
+    def mass(self) -> sp.csr_matrix:
+        return self.node_pattern.matrix(self.node_operator(self.wdet))
+
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        vals = np.einsum("eq,eqai,eqbi->eab", self.wdet, self.dNdx, self.dNdx)
+        return self.node_pattern.matrix(self.node_pattern.fill(vals))
+
+    @cached_property
+    def h1_gram(self) -> sp.csr_matrix:
+        """Gram matrix M + L of the H1 norm."""
+        return self.node_pattern.matrix(self.mass.data + self.laplacian.data)
 
     def btcb(self, C: np.ndarray) -> np.ndarray:
         key = C.tobytes()
@@ -139,11 +277,17 @@ def element_data(mesh: Mesh) -> _ElementData:
 
 
 def lumped_weights(mesh: Mesh) -> np.ndarray:
+    """Per-node lumped weights w_i = integral of the i-th hat function with
+    the 2x2 Gauss rule.  They are positive and sum to the mesh area.  The
+    array is cached per mesh and read-only."""
     return element_data(mesh).lumped
 
 
+norm_quadrature_weights = lumped_weights  # public name, exported by amfrac
+
+
 def mass_matrix(mesh: Mesh) -> sp.csr_matrix:
-    return element_data(mesh).mass(mesh)
+    return element_data(mesh).mass
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +354,7 @@ def assemble_K(z: np.ndarray, mesh: Mesh, model: MaterialModel) -> sp.csr_matrix
     zq = np.einsum("qa,ea->eq", data.N, z[mesh.elements])
     coef = data.wdet * (zq ** 2 + model.eta)
     vals = np.einsum("eq,eqab->eab", coef, data.btcb(model.C))
-    n = 2 * mesh.n_nodes
-    return sp.csr_matrix((vals.ravel(), (data.krows, data.kcols)), shape=(n, n))
+    return data.dof_pattern.matrix(data.dof_pattern.fill(vals))
 
 
 def grad_u(state: State, mesh: Mesh, model: MaterialModel,
@@ -232,23 +375,21 @@ def z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
     _check_state_dims(mesh, u, None)
     data = element_data(mesh)
     psi = elastic_density_at_gauss(u, mesh, model)
-    hvals = np.einsum("eq,qab->eab", data.wdet * psi, data.NN)
+    h = data.node_operator(data.wdet * psi)
+    M, Klap = data.mass.data, data.laplacian.data
     n = mesh.n_nodes
-    H = sp.csr_matrix((hvals.ravel(), (data.mrows, data.mcols)), shape=(n, n))
-    M = data.mass(mesh)
-    Klap = data.laplacian(mesh)
     area = float(data.wdet.sum())
     e0 = 0.5 * model.eta * float(np.sum(data.wdet * psi))
     if model.preset == PRESET_AT:
         gc, th = model.g_c, model.theta
-        Q = H + (gc / (2.0 * th)) * M + (2.0 * gc * th) * Klap
-        b = (gc / (2.0 * th)) * (M @ np.ones(n))
+        q = h + (gc / (2.0 * th)) * M + (2.0 * gc * th) * Klap
+        b = (gc / (2.0 * th)) * (data.mass @ np.ones(n))
         c0 = gc / (4.0 * th) * area + e0
     else:
-        Q = H + model.kappa_E * (M + Klap)
+        q = h + model.kappa_E * (M + Klap)
         b = np.zeros(n)
         c0 = e0
-    return Q.tocsr(), b, c0
+    return data.node_pattern.matrix(q), b, c0
 
 
 def grad_z(state: State, mesh: Mesh, model: MaterialModel):
@@ -274,8 +415,7 @@ def field_norm_V(dz: np.ndarray, mesh: Mesh, norm: NormSpec) -> float:
     if norm.kind == "lalpha":
         vq = data.P @ dz
         return float(np.sum(data.wq * np.abs(vq) ** norm.alpha) ** (1.0 / norm.alpha))
-    G = data.mass(mesh) + data.laplacian(mesh)
-    return float(np.sqrt(dz @ (G @ dz)))
+    return float(np.sqrt(dz @ (data.h1_gram @ dz)))
 
 
 def dual_norm_lumped(d: np.ndarray, weights: np.ndarray, norm: NormSpec) -> float:

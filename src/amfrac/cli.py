@@ -42,7 +42,8 @@ from .solvers import SolverFailure
 from .vtkio import write_vtk
 from .zerodim import ZeroDimModel, run_zero_dim
 
-TRACE_HEADER = "k,t,dt,dz_norm_V,am_iters,energy,R_inc,reaction,dual_distance,ball_active"
+TRACE_HEADER = ("k,t,dt,dz_norm_V,am_iters,energy,R_inc,reaction,dual_distance,"
+                "ball_active,am_converged")
 BALANCE_HEADER = "k,dE,R_inc,visc,work,residual,cum_residual"
 
 
@@ -309,7 +310,7 @@ def trace_row(r) -> str:
     return ",".join([
         _fmt(r.k), _fmt(r.t), _fmt(r.dt), _fmt(r.dz_norm_V), _fmt(r.am_iters),
         _fmt(r.energy), _fmt(r.R_increment), _fmt(r.reaction),
-        _fmt(r.dual_distance), _fmt(r.ball_active),
+        _fmt(r.dual_distance), _fmt(r.ball_active), _fmt(r.am_converged),
     ])
 
 
@@ -412,13 +413,14 @@ def read_trace(rows: list, scheme: dict) -> Trace:
         **{k: scheme[k] for k in _MANIFEST_SCHEME})
     records = []
     for line in rows:
-        k, t, dt, dz, iters, energy, R_inc, reaction, dual, ball = line.split(",")
+        (k, t, dt, dz, iters, energy, R_inc, reaction, dual, ball,
+         converged) = line.split(",")
         records.append(StepRecord(
             k=int(k), t=float(t), dt=float(dt), dz_norm_V=float(dz),
             am_iters=int(iters), energy=float(energy),
             R_increment=float(R_inc), reaction=float(reaction),
             dual_distance=float(dual), xi_norm=math.nan,
-            ball_active=ball == "1"))
+            ball_active=ball == "1", am_converged=converged == "1"))
     return Trace(records=records, scheme=params)
 
 

@@ -279,6 +279,7 @@ class InvariantReport:
     final_time_error: float
     normalization_max_error: float
     last_normalization_le_one: bool
+    am_unconverged_steps: int
 
     def verdicts(self, tol_z: float = 1e-8, tol_norm: float = 1e-8) -> dict:
         """Pass (True) or fail (False) per property, by name; None for the
@@ -295,6 +296,7 @@ class InvariantReport:
             "final time reached": self.final_time_error == 0.0,
             "normalization identity": self.normalization_max_error <= tol_norm,
             "last step bounded": self.last_normalization_le_one,
+            "AM converged": self.am_unconverged_steps == 0,
         }
 
     def ok(self, tol_z: float = 1e-8, tol_norm: float = 1e-8) -> bool:
@@ -333,6 +335,7 @@ def check_trace_invariants(trace: Trace) -> InvariantReport:
         normalization_max_error=float(
             np.abs(normalization_residuals(trace)).max(initial=0.0)),
         last_normalization_le_one=last <= 1.0 + 1e-8,
+        am_unconverged_steps=sum(not r.am_converged for r in recs),
     )
 
 

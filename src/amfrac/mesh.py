@@ -324,18 +324,3 @@ def build_lshape_mesh(leg_len: float, coarse_h: float, fine_h: float,
         notch_faces=[],
     )
 
-
-def norm_quadrature_weights(mesh: Mesh) -> np.ndarray:
-    """Per-node lumped weights w_i = integral of the i-th hat function,
-    accumulated element-wise with the 2x2 Gauss rule.  They are positive and
-    sum to the mesh area."""
-    xy = mesh.element_coords()
-    w = np.zeros(mesh.n_nodes)
-    for q, (xi, eta) in enumerate(GAUSS_POINTS_2X2):
-        N = shape_functions(xi, eta)
-        dN = shape_gradients(xi, eta)
-        J = np.einsum("eni,nj->eij", xy, dN)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        contrib = np.outer(det * GAUSS_WEIGHTS_2X2[q], N)  # (nel, 4)
-        np.add.at(w, mesh.elements, contrib)
-    return w

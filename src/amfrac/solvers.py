@@ -13,6 +13,14 @@ free values and the ball multiplier take over, the active set being updated
 after each step.  On the feasible cone the L^alpha ball is smooth; its
 gradient singularity at ``z = z_prev`` is removed by a negligible
 regularization of the alpha-th power sum.
+
+Every factorization is of a block in a fill-reducing order that is computed
+once per mesh (``assembly.OrderedBlock``), so SuperLU factors it in the
+natural order with diagonal pivots preferred.  The displacement system is
+the free-dof block of the stiffness pattern, gathered in the order of its
+Dirichlet mask.  A damage system on the free nodes ``F`` is the principal
+sub-block of the full node order restricted to ``F``; its fill never
+exceeds that of the full matrix.  Solutions are scattered back by index.
 """
 
 from __future__ import annotations
@@ -50,6 +58,13 @@ class SolverFailure(RuntimeError):
 # Displacement solve
 # ---------------------------------------------------------------------------
 
+def _factor(A: sp.csc_matrix):
+    """LU of a block that is already in its fill-reducing order
+    (``assembly.OrderedBlock``): SuperLU keeps the order and prefers
+    diagonal pivots."""
+    return splu(A, permc_spec="NATURAL", options=dict(SymmetricMode=True))
+
+
 def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
             load: LoadProgram, params: SchemeParams | None = None) -> np.ndarray:
     """Equilibrium displacement at fixed damage: the unique minimizer of the
@@ -57,19 +72,19 @@ def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
     K = assemble_K(z, mesh, model)
     f = load.force_vector(mesh, t)
     mask, values = load.dirichlet_dofs(mesh)
-    u = values(t)
-    free = ~mask
-    Kff = K[free][:, free].tocsc()
-    rhs = f[free] - K[free][:, mask] @ u[mask]
+    u = values(t)  # zero on the free dofs
+    block = element_data(mesh).dof_pattern.block(~mask)
+    Kff = block.matrix(K.data)
+    rhs = (f - K @ u)[block.perm]
     try:
-        lu = splu(Kff)
+        lu = _factor(Kff)
     except RuntimeError as exc:  # pragma: no cover - guarded by eta > 0
         raise SolverFailure(f"singular displacement system: {exc}") from exc
     x = lu.solve(rhs)
     # one step of iterative refinement keeps the equilibrium residual at
     # round-off even on badly graded meshes
     x += lu.solve(rhs - Kff @ x)
-    u[free] = x
+    u[block.perm] = x
     return u
 
 
@@ -82,46 +97,48 @@ class _Ball:
 
     def __init__(self, mesh: Mesh, norm: NormSpec):
         self.norm = norm
-        data = element_data(mesh)
+        self.data = data = element_data(mesh)
         if norm.kind == "lalpha":
-            self.P = data.P
+            self.P, self.PT = data.P, data.PT
             self.w = data.wq
         else:
-            self.G = (data.mass(mesh) + data.laplacian(mesh)).tocsr()
+            self.G = data.h1_gram
+
+    def _power_sum(self, v: np.ndarray):
+        """``S = sum_q w_q |v_q|^alpha`` (regularized), the Gauss-point
+        weights ``D = w |v_q|^(alpha-2)`` and ``P' (D v_q) = grad S / alpha``."""
+        a = self.norm.alpha
+        vq = self.P @ v
+        absq = np.abs(vq)
+        S = float(np.sum(self.w * absq ** a)) + _EPS_REG
+        D = self.w * absq ** (a - 2.0)
+        return S, D, self.PT @ (D * vq)  # zero where vq == 0
 
     def grad(self, v: np.ndarray):
         """Returns (N, gradN) at v."""
         if self.norm.kind == "lalpha":
             a = self.norm.alpha
-            vq = self.P @ v
-            absq = np.abs(vq)
-            S = float(np.sum(self.w * absq ** a)) + _EPS_REG
-            N = S ** (1.0 / a)
-            gS_q = self.w * absq ** (a - 2.0) * vq  # zero where vq == 0
-            gN = S ** (1.0 / a - 1.0) * (self.P.T @ gS_q)
-            return N, gN
+            S, _, pg = self._power_sum(v)
+            return S ** (1.0 / a), S ** (1.0 / a - 1.0) * pg
         Gv = self.G @ v
         N = math.sqrt(float(v @ Gv) + _EPS_REG)
         return N, Gv / N
 
-    def hess_parts(self, v: np.ndarray, mult: float):
-        """Curvature of ``mult * N(v)`` split as a sparse matrix plus
-        ``c * a a^T``; returns (sparse, a, c)."""
+    def newton_parts(self, v: np.ndarray, mult: float):
+        """``N`` and ``gradN`` at v, and the curvature of ``mult * N(v)``
+        split as node-pattern data plus ``c a a^T``; returns
+        (N, gradN, data, a, c)."""
         if self.norm.kind == "lalpha":
             a_exp = self.norm.alpha
-            vq = self.P @ v
-            absq = np.abs(vq)
-            S = float(np.sum(self.w * absq ** a_exp)) + _EPS_REG
-            D = self.w * absq ** (a_exp - 2.0)
-            Hs = (mult * (a_exp - 1.0) * S ** (1.0 / a_exp - 1.0)) * (
-                self.P.T @ sp.diags(D) @ self.P
-            )
-            gS = a_exp * (self.P.T @ (D * vq))
+            S, D, pg = self._power_sum(v)
+            curv = (mult * (a_exp - 1.0) * S ** (1.0 / a_exp - 1.0)) * (
+                self.data.node_operator(D))
             c = mult * (1.0 / a_exp) * (1.0 / a_exp - 1.0) * S ** (1.0 / a_exp - 2.0)
-            return Hs.tocsr(), gS, c
+            return (S ** (1.0 / a_exp), S ** (1.0 / a_exp - 1.0) * pg, curv,
+                    a_exp * pg, c)
         Gv = self.G @ v
         N = math.sqrt(float(v @ Gv) + _EPS_REG)
-        return ((mult / N) * self.G).tocsr(), Gv, -mult / N ** 3
+        return N, Gv / N, (mult / N) * self.G.data, Gv, -mult / N ** 3
 
 
 def _solve_with_rank1(lu, c: float, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -137,22 +154,22 @@ def _solve_with_rank1(lu, c: float, a: np.ndarray, rhs: np.ndarray) -> np.ndarra
     return x - np.multiply.outer(y, (c / denom) * (a @ x))
 
 
-def _bordered_step(Q, btot, z, z_prev, mu, free, ball: _Ball, rho):
+def _bordered_step(Q, btot, z, z_prev, mu, block, keep, ball: _Ball, rho):
     """One Newton step on the ball-active KKT equalities in ``(z_F, mu)``:
 
         (Q z - btot + mu gN(v))_F = 0,   N(v) = rho,   v = z - z_prev,
 
-    with the box-active nodes held at ``z_prev``.  Updates ``z`` in place
-    and returns the new multiplier."""
-    v = z - z_prev
-    N, gN = ball.grad(v)
-    Hs, a, c = ball.hess_parts(v, mu)
-    lu = splu((Q + Hs)[free][:, free].tocsc())
-    g = gN[free]
-    r = (Q @ z - btot + mu * gN)[free]
-    s = _solve_with_rank1(lu, c, a[free], np.column_stack([r, g]))
+    with the box-active nodes held at ``z_prev``; ``keep`` marks the free
+    nodes in the order of ``block``.  Updates ``z`` in place and returns the
+    new multiplier."""
+    N, gN, curv, a, c = ball.newton_parts(z - z_prev, mu)
+    A, idx = block.principal(Q.data + curv, keep)
+    lu = _factor(A)
+    g = gN[idx]
+    r = (Q @ z - btot + mu * gN)[idx]
+    s = _solve_with_rank1(lu, c, a[idx], np.column_stack([r, g]))
     dmu = (N - rho - float(g @ s[:, 0])) / float(g @ s[:, 1])
-    z[free] -= s[:, 0] + dmu * s[:, 1]
+    z[idx] -= s[:, 0] + dmu * s[:, 1]
     return mu + dmu
 
 
@@ -203,6 +220,9 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     norm = params.norm_V
     has_ball = np.isfinite(rho)
     ball = _Ball(mesh, norm) if has_ball else None
+    # Q's data vector lives on the node pattern; every free block is
+    # factored in the one order of the full pattern, restricted to it
+    block = element_data(mesh).node_pattern.block(np.ones(n, dtype=bool))
 
     g0 = Q @ z_prev - btot
     stat_scale = max(1.0, dual_norm_lumped(g0 / w, w, norm))
@@ -231,10 +251,12 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     for _ in range(_MAX_ITERATIONS):
         passes += new_pass
         free = ~active
+        keep = free[block.perm]
         z[active] = z_prev[active]
         if ball_on:
             if free.any():
-                mu = _bordered_step(Q, btot, z, z_prev, mu, free, ball, rho)
+                mu = _bordered_step(Q, btot, z, z_prev, mu, block, keep, ball,
+                                    rho)
                 solves += 1
         else:
             # a box pass depends on the active set alone: a repeat is a cycle
@@ -243,8 +265,9 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
                 raise failure("damage active set cycles")
             box_sets.add(key)
             if free.any():
-                rhs = btot[free] - Q[free][:, active] @ z_prev[active]
-                z[free] = splu(Q[free][:, free].tocsc()).solve(rhs)
+                A, idx = block.principal(Q.data, keep)
+                rhs = btot - Q @ np.where(active, z_prev, 0.0)
+                z[idx] = _factor(A).solve(rhs[idx])
                 solves += 1
 
         was_on = ball_on

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import amfrac as af
-from amfrac.assembly import elastic_density_at_gauss, mass_matrix
+from amfrac.assembly import (
+    element_data,
+    elastic_density_at_gauss,
+    mass_matrix,
+    z_quadratic,
+)
 
 from oracles import (
     fd_gradient,
@@ -333,3 +338,93 @@ class TestInternalConsistency:
         rng = np.random.default_rng(41)
         u = rng.normal(0, 1, 2 * mesh.n_nodes)
         assert elastic_density_at_gauss(u, mesh, model).min() >= 0.0
+
+
+def coo_operator(rows, cols, vals, n):
+    """Reference assembly: element entries summed by a COO -> CSR build."""
+    import scipy.sparse as sp
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(n, n)).tocsr()
+
+
+def assert_same_operator(A, ref, rtol=1e-13):
+    scale = abs(ref).max()
+    assert A.shape == ref.shape
+    assert abs(A - ref).max() <= rtol * scale
+
+
+PATTERN_MESHES = {
+    "ct": lambda: af.build_ct_mesh(1.0, 0.25, 0.125),
+    "lshape": lambda: af.build_lshape_mesh(250.0, 50.0, 25.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_MESHES))
+class TestPatternAssembly:
+    """Operators filled into the cached patterns equal a COO assembly of
+    the same element matrices."""
+
+    def test_stiffness(self, name):
+        mesh = PATTERN_MESHES[name]()
+        model = af.MaterialModel(young_E=7.0, poisson_nu=0.3, eta=1e-3)
+        data = element_data(mesh)
+        z = np.random.default_rng(1).uniform(0.0, 1.0, mesh.n_nodes)
+        zq = np.einsum("qa,ea->eq", data.N, z[mesh.elements])
+        vals = np.einsum("eq,eqab->eab", data.wdet * (zq ** 2 + model.eta),
+                         data.btcb(model.C))
+        rows = np.repeat(data.udofs, 8, axis=1)
+        cols = np.tile(data.udofs, (1, 8))
+        ref = coo_operator(rows, cols, vals, 2 * mesh.n_nodes)
+        assert_same_operator(af.assemble_K(z, mesh, model), ref)
+
+    @pytest.mark.parametrize("preset", ["AT", "ANALYSIS"])
+    def test_mass_laplacian_and_damage_hessian(self, name, preset):
+        mesh = PATTERN_MESHES[name]()
+        model = af.MaterialModel(young_E=7.0, poisson_nu=0.3, eta=1e-3,
+                                 preset=preset, g_c=0.7, theta=0.2,
+                                 kappa_E=0.9)
+        data = element_data(mesh)
+        n, conn = mesh.n_nodes, mesh.elements
+        rows, cols = np.repeat(conn, 4, axis=1), np.tile(conn, (1, 4))
+        M = coo_operator(rows, cols,
+                         np.einsum("eq,qab->eab", data.wdet, data.NN), n)
+        L = coo_operator(rows, cols, np.einsum(
+            "eq,eqai,eqbi->eab", data.wdet, data.dNdx, data.dNdx), n)
+        assert_same_operator(mass_matrix(mesh), M)
+        assert_same_operator(data.laplacian, L)
+        u = 0.01 * np.random.default_rng(3).normal(size=2 * n)
+        psi = elastic_density_at_gauss(u, mesh, model)
+        H = coo_operator(rows, cols,
+                         np.einsum("eq,qab->eab", data.wdet * psi, data.NN), n)
+        if preset == "AT":
+            ref = H + (0.7 / 0.4) * M + (2 * 0.7 * 0.2) * L
+        else:
+            ref = H + 0.9 * (M + L)
+        Q, _, _ = z_quadratic(u, mesh, model)
+        assert_same_operator(Q, ref)
+
+    @pytest.mark.parametrize("kind", ["lalpha", "h1"])
+    def test_ball_curvature(self, name, kind):
+        import scipy.sparse as sp
+        from amfrac.solvers import _Ball
+
+        mesh = PATTERN_MESHES[name]()
+        data = element_data(mesh)
+        norm = af.NormSpec(kind, 3.0)
+        v = -np.random.default_rng(2).uniform(0.0, 0.1, mesh.n_nodes)
+        mult = 0.7
+        ball = _Ball(mesh, norm)
+        N, gN, curv, _, _ = ball.newton_parts(v, mult)
+        N_ref, gN_ref = ball.grad(v)
+        assert N == N_ref and np.array_equal(gN, gN_ref)
+        if kind == "lalpha":
+            vq = data.P @ v
+            S = np.sum(data.wq * np.abs(vq) ** 3.0)
+            D = data.wq * np.abs(vq)
+            ref = (mult * 2.0 * S ** (1 / 3 - 1)) * (
+                data.P.T @ sp.diags(D) @ data.P)
+            assert N == pytest.approx(S ** (1 / 3), rel=1e-14)
+        else:
+            G = data.mass + data.laplacian
+            ref = (mult / N) * G
+        assert_same_operator(data.node_pattern.matrix(curv), ref.tocsr())

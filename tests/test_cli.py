@@ -211,6 +211,22 @@ class TestExecute:
         assert verify_dir(out) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_verify_fails_on_unconverged_am_step(self, tmp_path, capsys):
+        # two AM iterations are too few for some steps of the scalar run;
+        # the run itself goes on, verify must not
+        out = tmp_path / "zd"
+        cfg = load_config(write(tmp_path, ZERODIM_CFG.format(out=out)
+                                + "[scheme]\nrho = 0.02\nmax_am_iters = 2\n"))
+        assert execute(cfg) == 0
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert rows[0].endswith(",am_converged")
+        assert {r.rsplit(",", 1)[1] for r in rows[1:]} == {"0", "1"}
+        assert verify_dir(out) == 1
+        assert "FAIL AM converged" in capsys.readouterr().out.splitlines()
+        execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
+        assert verify_dir(out) == 0
+        assert "PASS AM converged" in capsys.readouterr().out.splitlines()
+
     def test_zerodim_trace_written_incrementally(self, tmp_path):
         out = tmp_path / "zd"
         cfg = load_config(write(tmp_path, ZERODIM_CFG.format(out=out)))

@@ -4,10 +4,12 @@ certificates."""
 import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
+from scipy.sparse.linalg import spsolve
 
 import amfrac as af
+import amfrac.assembly
 import amfrac.solvers
-from amfrac.assembly import z_quadratic, lumped_weights
+from amfrac.assembly import element_data, z_quadratic, lumped_weights
 from amfrac.mesh import Mesh
 from amfrac.solvers import SolverFailure
 
@@ -249,7 +251,7 @@ class TestSolveZ:
         calls = []
         splu = amfrac.solvers.splu
         monkeypatch.setattr(amfrac.solvers, "splu",
-                            lambda A: calls.append(A.shape) or splu(A))
+                            lambda A, **kw: calls.append(A.shape) or splu(A, **kw))
         # every node is free from the start and stays free
         mesh, model, u = one_element_problem()
         params = default_params(rho=1e6)
@@ -275,3 +277,69 @@ class TestSolveZ:
             af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
         assert "stationarity" in err.value.residuals
         assert err.value.residuals["passes"] == 1
+
+
+class TestOrderedSolves:
+    """Solves through the cached fill-reducing orders agree with a plain
+    sparse solve of the sliced system."""
+
+    @pytest.mark.parametrize("mode", ["DIRICHLET_RAMP", "TRACTION_RAMP"])
+    def test_solve_u_matches_spsolve(self, mode):
+        mesh = af.build_lshape_mesh(250.0, 50.0, 25.0)
+        model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02)
+        load = af.LoadProgram(mode=mode, T=1.0, direction=(0, 1),
+                              ubar_rate=0.5, traction_rate=2.0)
+        z = np.random.default_rng(4).uniform(0.2, 1.0, mesh.n_nodes)
+        t = 0.7
+        u = af.solve_u(t, z, mesh, model, load)
+        K = af.assemble_K(z, mesh, model)
+        mask, values = load.dirichlet_dofs(mesh)
+        free = ~mask
+        ref = values(t)
+        ref[free] = spsolve(K[free][:, free].tocsc(),
+                            load.force_vector(mesh, t)[free]
+                            - K[free][:, mask] @ ref[mask])
+        assert np.abs(ref).max() > 0
+        assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("which", ["random", "all", "one"])
+    def test_restricted_order_factorization(self, which):
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.125)
+        model = af.MaterialModel(young_E=100.0, poisson_nu=0.3, eta=1e-4,
+                                 preset="AT", g_c=1.0, theta=0.1)
+        rng = np.random.default_rng(5)
+        n = mesh.n_nodes
+        Q, _, _ = z_quadratic(0.05 * rng.normal(size=2 * n), mesh, model)
+        free = {"random": rng.random(n) < 0.5,
+                "all": np.ones(n, dtype=bool),
+                "one": np.arange(n) == n // 2}[which]
+        block = element_data(mesh).node_pattern.block(np.ones(n, dtype=bool))
+        A, idx = block.principal(Q.data, free[block.perm])
+        assert np.array_equal(np.sort(idx), np.flatnonzero(free))
+        rhs = rng.normal(size=n)
+        x = np.zeros(n)
+        x[idx] = amfrac.solvers._factor(A).solve(rhs[idx])
+        ref = np.zeros(n)
+        ref[free] = spsolve(Q[free][:, free].tocsc(), rhs[free])
+        assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_each_order_is_computed_once_per_run(self, monkeypatch):
+        sizes = []
+        order = amfrac.assembly._fill_reducing_order
+
+        def counting(indptr, indices):
+            sizes.append(indptr.size - 1)
+            return order(indptr, indices)
+
+        monkeypatch.setattr(amfrac.assembly, "_fill_reducing_order", counting)
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+        model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02,
+                                 preset="ANALYSIS", kappa_E=0.15, kappa_R=0.08)
+        params = af.SchemeParams(rho=0.05, T=1.0,
+                                 norm_V=af.NormSpec("lalpha", 4.0))
+        load = af.LoadProgram(mode="TRACTION_RAMP", T=1.0, direction=(1, 0),
+                              traction_rate=3.0)
+        trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
+        assert any(r.ball_active for r in trace.records)
+        mask, _ = load.dirichlet_dofs(mesh)
+        assert sorted(sizes) == sorted([mesh.n_nodes, int((~mask).sum())])
