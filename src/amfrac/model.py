@@ -16,6 +16,7 @@ Units are mm / N / MPa throughout; time is a dimensionless ramp parameter.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,6 +106,7 @@ class LoadProgram:
     direction: tuple = (0.0, 1.0)
     ubar_rate: float = 0.0
     traction_rate: float = 0.0
+    _f1_cache: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in (DIRICHLET_RAMP, TRACTION_RAMP):
@@ -162,7 +164,18 @@ class LoadProgram:
         The traction line density is spread over the edges of the "loaded"
         boundary chain with the trapezoidal (edge-lumped) rule, which is
         consistent for the bilinear elements' linear edge restriction.
+        The array is read-only and kept for the last mesh; a change of the
+        mesh, the mode, the direction or the rate rebuilds it.
         """
+        key = (self.mode, self.direction, self.traction_rate)
+        cache = self._f1_cache
+        if not (cache and cache[0]() is mesh and cache[1] == key):
+            f1 = self._build_f1(mesh)
+            f1.flags.writeable = False
+            cache = self._f1_cache = (weakref.ref(mesh), key, f1)
+        return cache[2]
+
+    def _build_f1(self, mesh: Mesh) -> np.ndarray:
         f1 = np.zeros(2 * mesh.n_nodes)
         if self.mode != TRACTION_RAMP or self.traction_rate == 0.0:
             return f1

@@ -6,33 +6,37 @@ quadratic under the nodal irreversibility bound ``z <= z_prev`` and the
 arc-length ball ``||z - z_prev||_V <= rho``.  The box is handled by a
 primal-dual active-set method, i.e. semismooth Newton on its
 complementarity conditions (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
-2002): each pass pins the active nodes to ``z_prev`` and solves the free
-block exactly.  When the box solution leaves the ball it is retracted onto
+2002): each pass pins the active nodes to ``z_prev`` and solves for the
+free ones exactly.  When the box solution leaves the ball it is retracted onto
 the sphere along the ray from ``z_prev``, and bordered Newton steps on the
 free values and the ball multiplier take over, the active set being updated
 after each step.  On the feasible cone the L^alpha ball is smooth; its
 gradient singularity at ``z = z_prev`` is removed by a negligible
 regularization of the alpha-th power sum.
 
-Every factorization is of a block in a fill-reducing order that is computed
-once per mesh (``assembly.OrderedBlock``), so SuperLU factors it in the
-natural order with diagonal pivots preferred.  The displacement system is
-the free-dof block of the stiffness pattern, gathered in the order of its
-Dirichlet mask.  A damage system on the free nodes ``F`` is the principal
-sub-block of the full node order restricted to ``F``; its fill never
-exceeds that of the full matrix.  Solutions are scattered back by index.
+Every system factored here is symmetric positive definite (the stiffness
+because ``eta > 0``; ``Q = H + c1 M + c2 L`` with ``c1 > 0`` plus the ball
+curvature ``mu P' D P``, ``mu >= 0``; the negative rank-one part of the
+L^alpha curvature goes through Sherman-Morrison), so ``splu`` factors it by
+LAPACK band Cholesky in the one reverse Cuthill-McKee order of its pattern
+(``assembly.BandLayout``).  Constrained values are not sliced out: their
+rows are pinned to identity rows with zero coupling, so the free values
+solve the free block's system and the pinned ones equal their right-hand
+side.  This beats SuperLU's pivoting LU on the meshes here (break-even at
+6.6k nodes or more, see ``assembly``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .assembly import (
+    BandLayout,
     dual_norm_lumped,
     element_data,
     field_norm_V,
@@ -58,11 +62,30 @@ class SolverFailure(RuntimeError):
 # Displacement solve
 # ---------------------------------------------------------------------------
 
-def _factor(A: sp.csc_matrix):
-    """LU of a block that is already in its fill-reducing order
-    (``assembly.OrderedBlock``): SuperLU keeps the order and prefers
-    diagonal pivots."""
-    return splu(A, permc_spec="NATURAL", options=dict(SymmetricMode=True))
+def splu(ab: np.ndarray) -> SimpleNamespace:
+    """Cholesky factor of the symmetric positive definite matrix whose lower
+    band is ``ab`` (LAPACK storage, overwritten); its ``solve`` takes one
+    right-hand side or several as columns.  Raises ``SolverFailure`` with
+    the order of the first leading minor that is not positive definite."""
+    c, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise SolverFailure("band Cholesky failed: matrix is not positive "
+                            "definite", leading_minor=int(info))
+    return SimpleNamespace(solve=lambda b: dpbtrs(c, b, lower=1)[0])
+
+
+def _factor(band: BandLayout, data: np.ndarray, pinned: np.ndarray):
+    """Solver of the operator with data vector ``data`` on the pattern of
+    ``band``, the rows ``pinned`` replaced by identity rows.  Right-hand
+    sides and solutions are in the operator's numbering."""
+    lu = splu(band.fill(data, pinned))
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = np.empty_like(b)
+        x[band.perm] = lu.solve(b[band.perm])
+        return x
+
+    return solve
 
 
 def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
@@ -73,18 +96,11 @@ def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
     f = load.force_vector(mesh, t)
     mask, values = load.dirichlet_dofs(mesh)
     u = values(t)  # zero on the free dofs
-    block = element_data(mesh).dof_pattern.block(~mask)
-    Kff = block.matrix(K.data)
-    rhs = (f - K @ u)[block.perm]
-    try:
-        lu = _factor(Kff)
-    except RuntimeError as exc:  # pragma: no cover - guarded by eta > 0
-        raise SolverFailure(f"singular displacement system: {exc}") from exc
-    x = lu.solve(rhs)
+    solve = _factor(element_data(mesh).dof_pattern.band, K.data, mask)
+    u = solve(np.where(mask, u, f - K @ u))
     # one step of iterative refinement keeps the equilibrium residual at
     # round-off even on badly graded meshes
-    x += lu.solve(rhs - Kff @ x)
-    u[block.perm] = x
+    u += solve(np.where(mask, 0.0, f - K @ u))
     return u
 
 
@@ -141,35 +157,36 @@ class _Ball:
         return N, Gv / N, (mult / N) * self.G.data, Gv, -mult / N ** 3
 
 
-def _solve_with_rank1(lu, c: float, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (H + c a a') x = rhs given a factorization of H; ``rhs`` may
-    hold several right-hand sides as columns."""
-    x = lu.solve(rhs)
+def _solve_with_rank1(solve, c: float, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (H + c a a') x = rhs given a solver of H; ``rhs`` may hold
+    several right-hand sides as columns.  Raises ``SolverFailure`` when the
+    update makes the matrix singular."""
+    x = solve(rhs)
     if c == 0.0:
         return x
-    y = lu.solve(a)
+    y = solve(a)
     denom = 1.0 + c * float(a @ y)
     if abs(denom) < 1e-14:
-        return x
+        raise SolverFailure("rank-one update makes the bordered system "
+                            "singular", denominator=denom)
     return x - np.multiply.outer(y, (c / denom) * (a @ x))
 
 
-def _bordered_step(Q, btot, z, z_prev, mu, block, keep, ball: _Ball, rho):
+def _bordered_step(Q, btot, z, z_prev, mu, band, active, ball: _Ball, rho):
     """One Newton step on the ball-active KKT equalities in ``(z_F, mu)``:
 
         (Q z - btot + mu gN(v))_F = 0,   N(v) = rho,   v = z - z_prev,
 
-    with the box-active nodes held at ``z_prev``; ``keep`` marks the free
-    nodes in the order of ``block``.  Updates ``z`` in place and returns the
-    new multiplier."""
+    with the box-active nodes (mask ``active``) held at ``z_prev`` by
+    pinned rows.  Updates ``z`` in place and returns the new multiplier."""
     N, gN, curv, a, c = ball.newton_parts(z - z_prev, mu)
-    A, idx = block.principal(Q.data + curv, keep)
-    lu = _factor(A)
-    g = gN[idx]
-    r = (Q @ z - btot + mu * gN)[idx]
-    s = _solve_with_rank1(lu, c, a[idx], np.column_stack([r, g]))
+    solve = _factor(band, Q.data + curv, active)
+    g = np.where(active, 0.0, gN)
+    r = np.where(active, 0.0, Q @ z - btot + mu * gN)
+    s = _solve_with_rank1(solve, c, np.where(active, 0.0, a),
+                          np.column_stack([r, g]))
     dmu = (N - rho - float(g @ s[:, 0])) / float(g @ s[:, 1])
-    z[idx] -= s[:, 0] + dmu * s[:, 1]
+    z -= s[:, 0] + dmu * s[:, 1]
     return mu + dmu
 
 
@@ -220,9 +237,7 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     norm = params.norm_V
     has_ball = np.isfinite(rho)
     ball = _Ball(mesh, norm) if has_ball else None
-    # Q's data vector lives on the node pattern; every free block is
-    # factored in the one order of the full pattern, restricted to it
-    block = element_data(mesh).node_pattern.block(np.ones(n, dtype=bool))
+    band = element_data(mesh).node_pattern.band
 
     g0 = Q @ z_prev - btot
     stat_scale = max(1.0, dual_norm_lumped(g0 / w, w, norm))
@@ -251,11 +266,10 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     for _ in range(_MAX_ITERATIONS):
         passes += new_pass
         free = ~active
-        keep = free[block.perm]
         z[active] = z_prev[active]
         if ball_on:
             if free.any():
-                mu = _bordered_step(Q, btot, z, z_prev, mu, block, keep, ball,
+                mu = _bordered_step(Q, btot, z, z_prev, mu, band, active, ball,
                                     rho)
                 solves += 1
         else:
@@ -265,9 +279,8 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
                 raise failure("damage active set cycles")
             box_sets.add(key)
             if free.any():
-                A, idx = block.principal(Q.data, keep)
                 rhs = btot - Q @ np.where(active, z_prev, 0.0)
-                z[idx] = _factor(A).solve(rhs[idx])
+                z = _factor(band, Q.data, active)(np.where(active, z_prev, rhs))
                 solves += 1
 
         was_on = ball_on

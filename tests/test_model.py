@@ -1,5 +1,6 @@
 """Material data, the two energy presets and the dissipation potential."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -166,6 +167,29 @@ class TestForceRateVector:
                 expected[2 * node + 1] += 0.5 * seg * load.traction_rate * d[1]
         assert np.any(expected)
         assert np.array_equal(load.force_rate_vector(mesh), expected)
+
+    def test_cached_vector_follows_the_load_and_mesh(self):
+        """f1 is built once per load and mesh, and a changed mesh, rate,
+        direction or mode never returns the stale vector."""
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+        load = af.LoadProgram(mode="TRACTION_RAMP", T=1.0, direction=(1, 0),
+                              traction_rate=2.0)
+        f1 = load.force_rate_vector(mesh)
+        assert load.force_rate_vector(mesh) is f1 and not f1.flags.writeable
+        assert np.array_equal(load.force_vector(mesh, 0.3), 0.3 * f1)
+
+        def fresh(**changes):
+            return dataclasses.replace(load, **changes).force_rate_vector(mesh)
+
+        other = af.build_ct_mesh(1.0, 0.125, 0.125, notch=False)
+        assert np.array_equal(load.force_rate_vector(other),
+                              dataclasses.replace(load).force_rate_vector(other))
+        load.traction_rate = 3.0
+        assert np.array_equal(load.force_rate_vector(mesh), fresh())
+        load.direction = (0.0, 1.0)
+        assert np.array_equal(load.force_rate_vector(mesh), fresh())
+        load.mode = "DIRICHLET_RAMP"
+        assert not load.force_rate_vector(mesh).any()
 
 
 class TestCoercivity:

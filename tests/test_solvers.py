@@ -242,6 +242,8 @@ class TestSolveZ:
         dz = rep.z - z_prev
         assert rep.lam.min() >= 0.0 and np.count_nonzero(rep.lam) > 0
         assert rep.mu > 0.0 and rep.constraint_active
+        # pinned rows return the box-active nodes bit-equal to z_prev
+        assert np.array_equal(rep.z[rep.lam > 0], z_prev[rep.lam > 0])
         assert np.max(rep.lam * np.abs(dz)) <= params.tol_constraint
         assert rep.mu * abs(params.rho - rep.dz_norm_V) <= \
             10 * params.tol_constraint * rep.mu
@@ -280,8 +282,8 @@ class TestSolveZ:
 
 
 class TestOrderedSolves:
-    """Solves through the cached fill-reducing orders agree with a plain
-    sparse solve of the sliced system."""
+    """Solves through the band layout, in the one cached order of each
+    pattern, agree with a plain sparse solve of the sliced system."""
 
     @pytest.mark.parametrize("mode", ["DIRICHLET_RAMP", "TRACTION_RAMP"])
     def test_solve_u_matches_spsolve(self, mode):
@@ -302,36 +304,86 @@ class TestOrderedSolves:
         assert np.abs(ref).max() > 0
         assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("which", ["random", "all", "one"])
-    def test_restricted_order_factorization(self, which):
+    @pytest.mark.parametrize("which", ["random", "all", "one", "dirichlet"])
+    def test_pinned_rows_match_free_block(self, which):
+        """Pinned rows leave the free values the solution of the free block
+        ``A[F][:, F]`` and return the pinned values as given."""
         mesh = af.build_ct_mesh(1.0, 0.25, 0.125)
         model = af.MaterialModel(young_E=100.0, poisson_nu=0.3, eta=1e-4,
                                  preset="AT", g_c=1.0, theta=0.1)
         rng = np.random.default_rng(5)
         n = mesh.n_nodes
-        Q, _, _ = z_quadratic(0.05 * rng.normal(size=2 * n), mesh, model)
-        free = {"random": rng.random(n) < 0.5,
-                "all": np.ones(n, dtype=bool),
-                "one": np.arange(n) == n // 2}[which]
-        block = element_data(mesh).node_pattern.block(np.ones(n, dtype=bool))
-        A, idx = block.principal(Q.data, free[block.perm])
-        assert np.array_equal(np.sort(idx), np.flatnonzero(free))
-        rhs = rng.normal(size=n)
-        x = np.zeros(n)
-        x[idx] = amfrac.solvers._factor(A).solve(rhs[idx])
-        ref = np.zeros(n)
-        ref[free] = spsolve(Q[free][:, free].tocsc(), rhs[free])
+        data = element_data(mesh)
+        if which == "dirichlet":
+            A = af.assemble_K(rng.uniform(0.2, 1.0, n), mesh, model)
+            load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0,
+                                  direction=(0, 1), ubar_rate=0.5)
+            pinned, _ = load.dirichlet_dofs(mesh)
+            band = data.dof_pattern.band
+        else:
+            A, _, _ = z_quadratic(0.05 * rng.normal(size=2 * n), mesh, model)
+            pinned = {"random": rng.random(n) < 0.5,
+                      "all": np.zeros(n, dtype=bool),
+                      "one": np.arange(n) != n // 2}[which]
+            band = data.node_pattern.band
+        free = ~pinned
+        rhs = rng.normal(size=A.shape[0])
+        x = amfrac.solvers._factor(band, A.data, pinned)(rhs)
+        ref = rhs.copy()
+        ref[free] = spsolve(A[free][:, free].tocsc(), rhs[free])
+        assert np.array_equal(x[pinned], rhs[pinned])
         assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_each_order_is_computed_once_per_run(self, monkeypatch):
+    @pytest.mark.parametrize("pattern", ["node", "dof"])
+    def test_band_round_trip(self, pattern):
+        """The band array read back densely is the pattern's operator, and
+        a pinned row is an identity row with zero coupling."""
+        mesh = af.build_lshape_mesh(250.0, 50.0, 25.0)
+        model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02)
+        rng = np.random.default_rng(8)
+        data = element_data(mesh)
+        if pattern == "node":
+            A, _, _ = z_quadratic(rng.normal(size=2 * mesh.n_nodes), mesh,
+                                  model)
+            band = data.node_pattern.band
+        else:
+            A = af.assemble_K(rng.uniform(0.2, 1.0, mesh.n_nodes), mesh, model)
+            band = data.dof_pattern.band
+        n = A.shape[0]
+
+        def lower(ab):
+            """The lower triangle held by ``ab``, in band order."""
+            L = np.zeros((n, n))
+            for d in range(band.kd + 1):
+                i = np.arange(n - d)
+                L[i + d, i] = ab[d, :n - d]
+            return L
+
+        def in_band_order(M):
+            return np.tril(M[np.ix_(band.perm, band.perm)])
+
+        # the stiffness is symmetric up to round-off; the band holds the
+        # lower triangle of the band order
+        assert band.kd < n - 1
+        assert np.array_equal(lower(band.fill(A.data, np.zeros(n, dtype=bool))),
+                              in_band_order(A.toarray()))
+        pinned = rng.random(n) < 0.3
+        expected = A.toarray()
+        expected[pinned] = 0.0
+        expected[:, pinned] = 0.0
+        expected[pinned, pinned] = 1.0
+        assert np.array_equal(lower(band.fill(A.data, pinned)),
+                              in_band_order(expected))
+
+    def test_one_order_per_pattern_per_run(self, monkeypatch):
         sizes = []
-        order = amfrac.assembly._fill_reducing_order
+        order = amfrac.assembly.reverse_cuthill_mckee
 
-        def counting(indptr, indices):
-            sizes.append(indptr.size - 1)
-            return order(indptr, indices)
+        def counting(A, **kw):
+            sizes.append(A.shape[0])
+            return order(A, **kw)
 
-        monkeypatch.setattr(amfrac.assembly, "_fill_reducing_order", counting)
+        monkeypatch.setattr(amfrac.assembly, "reverse_cuthill_mckee", counting)
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
         model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02,
                                  preset="ANALYSIS", kappa_E=0.15, kappa_R=0.08)
@@ -341,5 +393,32 @@ class TestOrderedSolves:
                               traction_rate=3.0)
         trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
         assert any(r.ball_active for r in trace.records)
-        mask, _ = load.dirichlet_dofs(mesh)
-        assert sorted(sizes) == sorted([mesh.n_nodes, int((~mask).sum())])
+        assert sorted(sizes) == [mesh.n_nodes, 2 * mesh.n_nodes]
+
+
+class TestFactorFailures:
+    """The factorization and the rank-one update raise instead of returning
+    a wrong solution."""
+
+    def test_indefinite_band_matrix_raises(self):
+        # [[1, 2, 0], [2, 1, 0], [0, 0, 1]]: the 2x2 leading minor is -3
+        ab = np.array([[1.0, 1.0, 1.0], [2.0, 0.0, 0.0]], order="F")
+        with pytest.raises(SolverFailure) as err:
+            amfrac.solvers.splu(ab)
+        assert err.value.residuals["leading_minor"] == 2
+
+    def test_singular_rank_one_update_raises(self):
+        n = 6
+        H = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        ab = np.zeros((2, n), order="F")
+        ab[0], ab[1, :-1] = 4.0, -1.0
+        solve = amfrac.solvers.splu(ab).solve
+        a = np.random.default_rng(2).normal(size=n)
+        rhs = np.ones(n)
+        c = 0.5
+        x = amfrac.solvers._solve_with_rank1(solve, c, a, rhs)
+        assert np.allclose((H + c * np.outer(a, a)) @ x, rhs, atol=1e-12)
+        c = -1.0 / float(a @ np.linalg.solve(H, a))
+        with pytest.raises(SolverFailure) as err:
+            amfrac.solvers._solve_with_rank1(solve, c, a, rhs)
+        assert abs(err.value.residuals["denominator"]) < 1e-14
