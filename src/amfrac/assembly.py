@@ -30,6 +30,7 @@ construction), in ``element_data(mesh)``:
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -51,8 +52,11 @@ from .model import (
     MaterialModel,
     NormSpec,
     PRESET_AT,
+    degradation,
     fracture_density,
 )
+
+_EPS_REG = 1e-30  # removes the norm kink exactly at the inactive point
 
 
 @dataclass(eq=False)
@@ -312,7 +316,8 @@ def total_energy(state: State, mesh: Mesh, model: MaterialModel,
     zq = np.einsum("qa,ea->eq", data.N, ze)
     gz = np.einsum("eqni,en->eqi", data.dNdx, ze)
     gz_sq = np.einsum("eqi,eqi->eq", gz, gz)
-    dens = 0.5 * (zq ** 2 + model.eta) * psi + fracture_density(zq, gz_sq, model)
+    dens = (0.5 * degradation(zq, model.eta) * psi
+            + fracture_density(zq, gz_sq, model))
     energy = float(np.sum(data.wdet * dens))
     f = load.force_vector(mesh, state.t)
     return energy - float(f @ state.u)
@@ -324,7 +329,7 @@ def assemble_K(z: np.ndarray, mesh: Mesh, model: MaterialModel) -> sp.csr_matrix
     _check_state_dims(mesh, None, z)
     data = element_data(mesh)
     zq = np.einsum("qa,ea->eq", data.N, z[mesh.elements])
-    coef = data.wdet * (zq ** 2 + model.eta)
+    coef = data.wdet * degradation(zq, model.eta)
     vals = np.einsum("eq,eqab->eab", coef, data.btcb(model.C))
     return data.dof_pattern.matrix(data.dof_pattern.fill(vals))
 
@@ -380,14 +385,76 @@ def grad_z(state: State, mesh: Mesh, model: MaterialModel):
 # Field norms
 # ---------------------------------------------------------------------------
 
+class VNorm:
+    """The arc-length norm ``v -> ||v||_V`` of nodal fields on one mesh.
+
+    ``value`` is exact.  ``grad`` and ``newton_parts``, for the damage
+    solve, add ``_EPS_REG`` to the power sum (L^alpha) or to ``v' G v``
+    (H1), which removes the gradient singularity at ``v = 0``.
+    """
+
+    def __init__(self, mesh: Mesh, norm: NormSpec):
+        self.norm = norm
+        self.data = data = element_data(mesh)
+        if norm.kind == "lalpha":
+            self.P, self.PT, self.w = data.P, data.PT, data.wq
+        else:
+            self.G = data.h1_gram
+
+    def _form(self, v: np.ndarray):
+        """``S = sum_q w_q |v_q|^alpha`` and ``(v_q, |v_q|)`` (L^alpha), or
+        ``S = v' G v`` and ``G v`` (H1)."""
+        if self.norm.kind == "lalpha":
+            vq = self.P @ v
+            absq = np.abs(vq)
+            return float(np.sum(self.w * absq ** self.norm.alpha)), (vq, absq)
+        Gv = self.G @ v
+        return float(v @ Gv), Gv
+
+    def value(self, v: np.ndarray) -> float:
+        S, _ = self._form(v)
+        if self.norm.kind == "lalpha":
+            return S ** (1.0 / self.norm.alpha)
+        return math.sqrt(S)
+
+    def _first_order(self, v: np.ndarray):
+        """Regularized ``N`` and ``gradN`` at v, and what the curvature
+        needs: ``S``, ``D = w |v_q|^(alpha-2)`` at the Gauss points and
+        ``P' (D v_q)`` (L^alpha), or ``G v`` (H1)."""
+        S, parts = self._form(v)
+        S += _EPS_REG
+        if self.norm.kind == "lalpha":
+            a = self.norm.alpha
+            vq, absq = parts
+            D = self.w * absq ** (a - 2.0)
+            pg = self.PT @ (D * vq)  # grad S / alpha; zero where vq == 0
+            return S ** (1.0 / a), S ** (1.0 / a - 1.0) * pg, (S, D, pg)
+        N = math.sqrt(S)
+        return N, parts / N, parts
+
+    def grad(self, v: np.ndarray):
+        """Returns (N, gradN) at v."""
+        return self._first_order(v)[:2]
+
+    def newton_parts(self, v: np.ndarray, mult: float):
+        """``N`` and ``gradN`` at v, and the curvature of ``mult * N(v)``
+        split as node-pattern data plus ``c a a^T``; returns
+        (N, gradN, data, a, c)."""
+        N, gN, parts = self._first_order(v)
+        if self.norm.kind == "lalpha":
+            a_exp = self.norm.alpha
+            S, D, pg = parts
+            curv = (mult * (a_exp - 1.0) * S ** (1.0 / a_exp - 1.0)) * (
+                self.data.node_operator(D))
+            c = mult * (1.0 / a_exp) * (1.0 / a_exp - 1.0) * S ** (1.0 / a_exp - 2.0)
+            return N, gN, curv, a_exp * pg, c
+        return N, gN, (mult / N) * self.G.data, parts, -mult / N ** 3
+
+
 def field_norm_V(dz: np.ndarray, mesh: Mesh, norm: NormSpec) -> float:
     """Norm of a nodal increment field used by the arc-length ball."""
     _check_state_dims(mesh, None, dz)
-    data = element_data(mesh)
-    if norm.kind == "lalpha":
-        vq = data.P @ dz
-        return float(np.sum(data.wq * np.abs(vq) ** norm.alpha) ** (1.0 / norm.alpha))
-    return float(np.sqrt(dz @ (data.h1_gram @ dz)))
+    return VNorm(mesh, norm).value(dz)
 
 
 def dual_norm_lumped(d: np.ndarray, weights: np.ndarray, norm: NormSpec) -> float:

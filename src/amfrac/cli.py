@@ -19,7 +19,6 @@ import configparser
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -241,13 +240,12 @@ def load_config(path) -> RunConfig:
     cfg.notch = str(mesh_cfg.pop("notch", "slit"))
     if cfg.notch not in ("slit", "damage", "none"):
         raise ConfigError(f"unknown notch style {cfg.notch!r}")
-    band = None
-    if all(f"band_{c}" in mesh_cfg for c in ("x0", "x1", "y0", "y1")):
-        band = ((mesh_cfg.pop("band_x0"), mesh_cfg.pop("band_x1")),
-                (mesh_cfg.pop("band_y0"), mesh_cfg.pop("band_y1")))
-    for stray in ("band_x0", "band_x1", "band_y0", "band_y1"):
-        mesh_cfg.pop(stray, None)
-    mesh_cfg["refine_band"] = band
+    band_keys = [f"band_{c}" for c in ("x0", "x1", "y0", "y1")]
+    missing = [k for k in band_keys if k not in mesh_cfg]
+    if 0 < len(missing) < len(band_keys):
+        raise ConfigError(f"[mesh] refinement band lacks {', '.join(missing)}")
+    x0, x1, y0, y1 = (mesh_cfg.pop(k, None) for k in band_keys)
+    mesh_cfg["refine_band"] = None if missing else ((x0, x1), (y0, y1))
     cfg.mesh_args = mesh_cfg
 
     mode = str(load_cfg.get("mode", "dirichlet")).lower()
@@ -431,9 +429,13 @@ def verify_dir(trace_dir) -> int:
     ``trace.csv`` holds none.
     """
     trace_dir = Path(trace_dir)
-    manifest = json.loads((trace_dir / "manifest.json").read_text())
-    rows = (trace_dir / "trace.csv").read_text().strip().splitlines()
-    if rows[0] != TRACE_HEADER:
+    try:
+        manifest = json.loads((trace_dir / "manifest.json").read_text())
+        rows = (trace_dir / "trace.csv").read_text().strip().splitlines()
+    except FileNotFoundError as exc:
+        print(f"FAIL {Path(exc.filename).name} is missing")
+        return 1
+    if rows[:1] != [TRACE_HEADER]:
         print("FAIL trace.csv header mismatch")
         return 1
     if len(rows) < 2:
@@ -493,12 +495,6 @@ def sweep_point(config_path, name: str, val: float) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("AMFRAC_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     ap = argparse.ArgumentParser(prog="amfrac",
                                  description="adaptive phase-field fracture runs")
     sub = ap.add_subparsers(dest="verb", required=True)

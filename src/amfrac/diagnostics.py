@@ -58,21 +58,19 @@ class ComplementarityViolation:
     preceding_distance: float
 
 
-def complementarity_check(trace: Trace, dist_tol: float | None = None,
-                          dt_tol: float = 1e-10) -> list:
+def complementarity_check(trace: Trace) -> list:
     """Flags steps that advanced physical time although the preceding
     iterate was not locally stable.
 
     A positive time increment at step k requires an inactive ball at step
-    k-1, hence a vanishing dual distance there; jump steps (dt = 0) are
-    exempt regardless of the distance.
+    k-1, hence a dual distance there within ``10 * tol_newton``; jump steps
+    (dt = 0) are exempt regardless of the distance.
     """
-    if dist_tol is None:
-        dist_tol = 10.0 * trace.scheme.tol_newton
+    dist_tol = 10.0 * trace.scheme.tol_newton
     out = []
     recs = trace.records
     for k in range(1, len(recs)):
-        if recs[k].dt > dt_tol and recs[k - 1].dual_distance > dist_tol:
+        if recs[k].dt > 1e-10 and recs[k - 1].dual_distance > dist_tol:
             out.append(ComplementarityViolation(
                 k=recs[k].k, dt=recs[k].dt,
                 preceding_distance=recs[k - 1].dual_distance))
@@ -136,19 +134,19 @@ class InterpolantView:
         """(u, z) of outer step k, with k = -1 the virtual initial entry."""
         return self.trace.snapshot(k)
 
-    def z_hat(self, s: float) -> np.ndarray:
+    def _affine(self, s: float, i: int) -> np.ndarray:
+        """Affine interpolant of field ``i`` (0: u, 1: z) at s."""
         k = self._locate(s, closed_right=False)
-        _, z0 = self._fields(k - 1)
-        _, z1 = self._fields(k)
+        f0 = self._fields(k - 1)[i]
+        f1 = self._fields(k)[i]
         lam = (s - self.s_grid[k]) / self.rho
-        return (1.0 - lam) * z0 + lam * z1
+        return (1.0 - lam) * f0 + lam * f1
+
+    def z_hat(self, s: float) -> np.ndarray:
+        return self._affine(s, 1)
 
     def u_hat(self, s: float) -> np.ndarray:
-        k = self._locate(s, closed_right=False)
-        u0, _ = self._fields(k - 1)
-        u1, _ = self._fields(k)
-        lam = (s - self.s_grid[k]) / self.rho
-        return (1.0 - lam) * u0 + lam * u1
+        return self._affine(s, 0)
 
     def z_lower(self, s: float) -> np.ndarray:
         k = self._locate(s, closed_right=False)
@@ -281,27 +279,28 @@ class InvariantReport:
     last_normalization_le_one: bool
     am_unconverged_steps: int
 
-    def verdicts(self, tol_z: float = 1e-8, tol_norm: float = 1e-8) -> dict:
+    def verdicts(self) -> dict:
         """Pass (True) or fail (False) per property, by name; None for the
         field checks of a trace without fields."""
+        tol = 1e-8
         fields = self.z_min is not None
         return {
-            "z within [0, 1]": (self.z_min >= -tol_z
-                                and self.z_max <= 1.0 + tol_z) if fields else None,
-            "irreversibility": (self.irreversibility_violation <= tol_z
+            "z within [0, 1]": (self.z_min >= -tol
+                                and self.z_max <= 1.0 + tol) if fields else None,
+            "irreversibility": (self.irreversibility_violation <= tol
                                 if fields else None),
             "dt within [0, rho]": (self.dt_min >= 0.0
                                    and self.dt_max <= self.rho * (1.0 + 1e-12)),
             "dz within ball": self.dz_over_rho_max <= 1.0 + 1e-6,
             "final time reached": self.final_time_error == 0.0,
-            "normalization identity": self.normalization_max_error <= tol_norm,
+            "normalization identity": self.normalization_max_error <= tol,
             "last step bounded": self.last_normalization_le_one,
             "AM converged": self.am_unconverged_steps == 0,
         }
 
-    def ok(self, tol_z: float = 1e-8, tol_norm: float = 1e-8) -> bool:
+    def ok(self) -> bool:
         """No property fails (unchecked field properties do not count)."""
-        return False not in self.verdicts(tol_z, tol_norm).values()
+        return False not in self.verdicts().values()
 
 
 def check_trace_invariants(trace: Trace) -> InvariantReport:

@@ -75,7 +75,6 @@ class Trace:
     load_mode: str = DIRICHLET_RAMP
     dual_surrogate: bool = False
     aborted: bool = False
-    am_energy_histories: dict = field(default_factory=dict)
 
     @property
     def n_steps(self) -> int:
@@ -108,28 +107,21 @@ class AMResult:
     iters: int
     first_u: np.ndarray
     z_report: object
-    energy_history: list
     converged: bool
 
 
-def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
-            keep_history: bool = False) -> AMResult:
+def am_loop(problem, t: float, z_prev, rho: float, u_prev=None) -> AMResult:
     """Alternate displacement/damage minimization at frozen time ``t``.
 
     Starts from the previous damage field and iterates to a Cauchy-type
     stopping rule; the returned pair is a fixpoint of the staggered map to
     tolerance.  The loop ends on a damage solve, so the damage KKT
-    certificates hold exactly for the returned displacement.  With
-    ``keep_history`` the result carries energy plus dissipation after each
-    iteration.
+    certificates hold exactly for the returned displacement.
     """
     sup = problem.sup
     tol = problem.params.tol_am
     z_i, u_ref = z_prev, u_prev
     first_u = report = None
-    # energy+dissipation along the iterates; the sequence starts at i = 1
-    # (the previous step's displacement is inadmissible at the new time)
-    hist = []
     converged = False
     i = 0
     for i in range(1, problem.params.max_am_iters + 1):
@@ -137,9 +129,6 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
         if i == 1:
             first_u = u_i
         z_new, report = problem.solve_z(t, u_i, z_prev, rho)
-        if keep_history:
-            hist.append(problem.energy(t, u_i, z_new)
-                        + problem.dissipation(z_new - z_prev))
         du = (sup(u_i - u_ref) / max(sup(u_i), 1e-12)
               if u_ref is not None else math.inf)
         dz = sup(z_new - z_i)
@@ -148,7 +137,7 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
             converged = True
             break
     # positional: the scalar model runs this once per step
-    return AMResult(u_ref, z_i, i, first_u, report, hist, converged)
+    return AMResult(u_ref, z_i, i, first_u, report, converged)
 
 
 def time_update(t_k: float, dz_norm_V: float, rho: float, T: float) -> float:
@@ -175,8 +164,8 @@ def _store_snapshot(k: int, dt: float, prev_dt: float, is_final: bool,
     return k == 0 or is_final or onset or (k % stride == 0)
 
 
-def evolve(problem, z0, times: np.ndarray | None = None, record_hook=None,
-           keep_am_histories: bool = False) -> Trace:
+def evolve(problem, z0, times: np.ndarray | None = None,
+           record_hook=None) -> Trace:
     """Evolution from ``t = 0`` until the step at the final time is done.
 
     Without ``times`` the steps are adaptive (radius ``params.rho``, time
@@ -201,7 +190,7 @@ def evolve(problem, z0, times: np.ndarray | None = None, record_hook=None,
     k = 0
     try:
         while True:
-            res = am_loop(problem, t, z_prev, rho, u_prev, keep_am_histories)
+            res = am_loop(problem, t, z_prev, rho, u_prev)
             if k == 0:
                 trace.u_init = np.array(res.first_u, ndmin=1)
                 trace.energy_init = problem.energy(0.0, res.first_u, z0)
@@ -211,8 +200,6 @@ def evolve(problem, z0, times: np.ndarray | None = None, record_hook=None,
             is_final = t >= params.T if adaptive else k == len(times) - 1
             if _store_snapshot(k, record.dt, prev_dt, is_final, params):
                 trace.snapshots[k] = problem.fields(res.u, res.z)
-            if keep_am_histories:
-                trace.am_energy_histories[k] = res.energy_history
             trace.records.append(record)
             if record_hook is not None:
                 record_hook(record)
@@ -246,7 +233,7 @@ class FieldProblem:
         self.f1 = load.force_rate_vector(mesh)
 
     def solve_u(self, t, z):
-        return solve_u(t, z, self.mesh, self.model, self.load, self.params)
+        return solve_u(t, z, self.mesh, self.model, self.load)
 
     def solve_z(self, t, u, z_prev, rho):
         report = solve_z(t, u, z_prev, rho, self.mesh, self.model, self.params)
@@ -297,18 +284,16 @@ class FieldProblem:
 
 
 def run(mesh: Mesh, model: MaterialModel, load: LoadProgram,
-        params: SchemeParams, z0: np.ndarray, record_hook=None,
-        keep_am_histories: bool = False) -> Trace:
+        params: SchemeParams, z0: np.ndarray, record_hook=None) -> Trace:
     """Full adaptive evolution from ``t = 0`` until the final time is
     reached and the step at ``T`` is completed (see ``evolve``)."""
     return evolve(FieldProblem(mesh, model, load, params), z0,
-                  record_hook=record_hook, keep_am_histories=keep_am_histories)
+                  record_hook=record_hook)
 
 
 def run_pure_am(mesh: Mesh, model: MaterialModel, load: LoadProgram,
                 params: SchemeParams, z0: np.ndarray, n_steps: int,
-                times: np.ndarray | None = None,
-                record_hook=None, keep_am_histories: bool = False) -> Trace:
+                times: np.ndarray | None = None, record_hook=None) -> Trace:
     """Staggered baseline on a prescribed time grid without the arc-length
     ball (infinite-radius behavior).
 
@@ -321,4 +306,4 @@ def run_pure_am(mesh: Mesh, model: MaterialModel, load: LoadProgram,
     if abs(times[0]) > 0:
         raise ValueError("time grid must start at 0")
     return evolve(FieldProblem(mesh, model, load, params), z0, times=times,
-                  record_hook=record_hook, keep_am_histories=keep_am_histories)
+                  record_hook=record_hook)

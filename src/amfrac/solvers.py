@@ -12,7 +12,7 @@ the sphere along the ray from ``z_prev``, and bordered Newton steps on the
 free values and the ball multiplier take over, the active set being updated
 after each step.  On the feasible cone the L^alpha ball is smooth; its
 gradient singularity at ``z = z_prev`` is removed by a negligible
-regularization of the alpha-th power sum.
+regularization of the alpha-th power sum (``assembly.VNorm``).
 
 Every system factored here is symmetric positive definite (the stiffness
 because ``eta > 0``; ``Q = H + c1 M + c2 L`` with ``c1 > 0`` plus the ball
@@ -37,17 +37,15 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .assembly import (
     BandLayout,
+    VNorm,
     dual_norm_lumped,
     element_data,
-    field_norm_V,
     lumped_weights,
     assemble_K,
     z_quadratic,
 )
 from .mesh import Mesh
-from .model import LoadProgram, MaterialModel, NormSpec, SchemeParams
-
-_EPS_REG = 1e-30  # removes the norm kink exactly at the inactive point
+from .model import LoadProgram, MaterialModel, SchemeParams
 
 
 class SolverFailure(RuntimeError):
@@ -89,7 +87,7 @@ def _factor(band: BandLayout, data: np.ndarray, pinned: np.ndarray):
 
 
 def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
-            load: LoadProgram, params: SchemeParams | None = None) -> np.ndarray:
+            load: LoadProgram) -> np.ndarray:
     """Equilibrium displacement at fixed damage: the unique minimizer of the
     displacement-quadratic energy under the current Dirichlet data."""
     K = assemble_K(z, mesh, model)
@@ -108,55 +106,6 @@ def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
 # Ball-constraint machinery
 # ---------------------------------------------------------------------------
 
-class _Ball:
-    """Value and derivatives of v -> ||v||_V for the two norm choices."""
-
-    def __init__(self, mesh: Mesh, norm: NormSpec):
-        self.norm = norm
-        self.data = data = element_data(mesh)
-        if norm.kind == "lalpha":
-            self.P, self.PT = data.P, data.PT
-            self.w = data.wq
-        else:
-            self.G = data.h1_gram
-
-    def _power_sum(self, v: np.ndarray):
-        """``S = sum_q w_q |v_q|^alpha`` (regularized), the Gauss-point
-        weights ``D = w |v_q|^(alpha-2)`` and ``P' (D v_q) = grad S / alpha``."""
-        a = self.norm.alpha
-        vq = self.P @ v
-        absq = np.abs(vq)
-        S = float(np.sum(self.w * absq ** a)) + _EPS_REG
-        D = self.w * absq ** (a - 2.0)
-        return S, D, self.PT @ (D * vq)  # zero where vq == 0
-
-    def grad(self, v: np.ndarray):
-        """Returns (N, gradN) at v."""
-        if self.norm.kind == "lalpha":
-            a = self.norm.alpha
-            S, _, pg = self._power_sum(v)
-            return S ** (1.0 / a), S ** (1.0 / a - 1.0) * pg
-        Gv = self.G @ v
-        N = math.sqrt(float(v @ Gv) + _EPS_REG)
-        return N, Gv / N
-
-    def newton_parts(self, v: np.ndarray, mult: float):
-        """``N`` and ``gradN`` at v, and the curvature of ``mult * N(v)``
-        split as node-pattern data plus ``c a a^T``; returns
-        (N, gradN, data, a, c)."""
-        if self.norm.kind == "lalpha":
-            a_exp = self.norm.alpha
-            S, D, pg = self._power_sum(v)
-            curv = (mult * (a_exp - 1.0) * S ** (1.0 / a_exp - 1.0)) * (
-                self.data.node_operator(D))
-            c = mult * (1.0 / a_exp) * (1.0 / a_exp - 1.0) * S ** (1.0 / a_exp - 2.0)
-            return (S ** (1.0 / a_exp), S ** (1.0 / a_exp - 1.0) * pg, curv,
-                    a_exp * pg, c)
-        Gv = self.G @ v
-        N = math.sqrt(float(v @ Gv) + _EPS_REG)
-        return N, Gv / N, (mult / N) * self.G.data, Gv, -mult / N ** 3
-
-
 def _solve_with_rank1(solve, c: float, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (H + c a a') x = rhs given a solver of H; ``rhs`` may hold
     several right-hand sides as columns.  Raises ``SolverFailure`` when the
@@ -172,7 +121,7 @@ def _solve_with_rank1(solve, c: float, a: np.ndarray, rhs: np.ndarray) -> np.nda
     return x - np.multiply.outer(y, (c / denom) * (a @ x))
 
 
-def _bordered_step(Q, btot, z, z_prev, mu, band, active, ball: _Ball, rho):
+def _bordered_step(Q, btot, z, z_prev, mu, band, active, ball: VNorm, rho):
     """One Newton step on the ball-active KKT equalities in ``(z_F, mu)``:
 
         (Q z - btot + mu gN(v))_F = 0,   N(v) = rho,   v = z - z_prev,
@@ -216,7 +165,6 @@ class ZSolveReport:
     stationarity_residual: float
     al_iters: int
     newton_iters: int
-    objective: float
     dz_norm_V: float
     lower_clamps: int = 0
     converged: bool = True
@@ -236,7 +184,7 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     n = z_prev.size
     norm = params.norm_V
     has_ball = np.isfinite(rho)
-    ball = _Ball(mesh, norm) if has_ball else None
+    ball = VNorm(mesh, norm)
     band = element_data(mesh).node_pattern.band
 
     g0 = Q @ z_prev - btot
@@ -330,7 +278,7 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     if clamps:
         z = np.maximum(z, 0.0)
 
-    dz_norm = field_norm_V(z - z_prev, mesh, norm)
+    dz_norm = ball.value(z - z_prev)
 
     if ball_on and mu > 0.0:
         _, gN = ball.grad(z - z_prev)
@@ -348,7 +296,6 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
         stationarity_residual=stat,
         al_iters=passes,
         newton_iters=solves,
-        objective=0.5 * float(z @ (Q @ z)) - float(btot @ z),
-        dz_norm_V=float(dz_norm),
+        dz_norm_V=dz_norm,
         lower_clamps=clamps,
     )

@@ -8,7 +8,7 @@ from .mesh import Mesh
 
 
 def write_vtk(path, mesh: Mesh, point_scalars: dict | None = None,
-              point_vectors: dict | None = None, title: str = "amfrac fields"):
+              point_vectors: dict | None = None):
     """Write the mesh and nodal fields as a legacy VTK file.
 
     ``point_scalars`` maps names to (n_nodes,) arrays, ``point_vectors`` to
@@ -19,7 +19,7 @@ def write_vtk(path, mesh: Mesh, point_scalars: dict | None = None,
     n, m = mesh.n_nodes, mesh.n_elements
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 2.0\n")
-        f.write(f"{title}\n")
+        f.write("amfrac fields\n")
         f.write("ASCII\n")
         f.write("DATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {n} double\n")

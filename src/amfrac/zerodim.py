@@ -23,6 +23,10 @@ from .driver import StepRecord, Trace, evolve
 from .model import TRACTION_RAMP, ModelConfigError, SchemeParams
 from .solvers import SolverFailure
 
+_Z_TOL = 1e-14  # relative step size at which the damage Newton stops
+_Z_MAX_ITER = 50
+_GRID_STEP = 1e-4  # cell of the grid oracle behind check_oracle
+
 
 @dataclass(eq=False)
 class ZeroDimModel:
@@ -61,8 +65,7 @@ class ZeroDimModel:
 
 
 def z_step(t: float, u: float, z_prev: float, rho: float,
-           model: ZeroDimModel, tol: float = 1e-14,
-           max_iter: int = 50):
+           model: ZeroDimModel):
     """Bounded scalar Newton for the damage step.
 
     Minimizes ``E(t, u, .) + R(. - z_prev)`` over
@@ -74,22 +77,23 @@ def z_step(t: float, u: float, z_prev: float, rho: float,
     hi = z_prev
     c = model.a * u * u + model.kappa_E
     z = z_prev
-    for _ in range(max_iter):
+    for _ in range(_Z_MAX_ITER):
         g = c * z - model.kappa_R
         z_new = min(max(z - g / c, lo), hi)
-        if abs(z_new - z) <= tol * max(1.0, abs(z)):
+        if abs(z_new - z) <= _Z_TOL * max(1.0, abs(z)):
             z = z_new
             break
         z = z_new
     g = c * z - model.kappa_R
-    ball_side = z_prev - rho >= 0.0 and z <= lo + tol
+    ball_side = z_prev - rho >= 0.0 and z <= lo + _Z_TOL
     mu = max(0.0, g) if ball_side else 0.0  # ball pushes from below
-    lam = max(0.0, -g) if z >= hi - tol else 0.0
+    lam = max(0.0, -g) if z >= hi - _Z_TOL else 0.0
     return z, mu, lam
 
 
 def brute_force_z_step(t: float, u: float, z_prev: float, rho: float,
-                       model: ZeroDimModel, grid_step: float = 1e-4) -> float:
+                       model: ZeroDimModel,
+                       grid_step: float = _GRID_STEP) -> float:
     """Exhaustive grid minimization of the damage step objective."""
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
@@ -115,9 +119,9 @@ class ScalarProblem:
     load_mode = TRACTION_RAMP
 
     def __init__(self, model: ZeroDimModel, params: SchemeParams,
-                 check_oracle: bool = False, grid_step: float = 1e-4):
+                 check_oracle: bool = False):
         self.model, self.params = model, params
-        self.check_oracle, self.grid_step = check_oracle, grid_step
+        self.check_oracle = check_oracle
         self.solve_u = model.u_min
         self.energy = model.energy
 
@@ -126,8 +130,8 @@ class ScalarProblem:
         z, mu, _ = z_step(t, u, z_prev, rho, self.model)
         if self.check_oracle:
             z_ref = brute_force_z_step(t, u, z_prev, rho, self.model,
-                                       self.grid_step)
-            if abs(z - z_ref) > 2.0 * self.grid_step:
+                                       _GRID_STEP)
+            if abs(z - z_ref) > 2.0 * _GRID_STEP:
                 raise SolverFailure("scalar damage step disagrees with "
                                     "the grid oracle", z=z, oracle=z_ref)
         return z, mu
@@ -168,11 +172,11 @@ class ScalarProblem:
 
 def run_zero_dim(model: ZeroDimModel, params: SchemeParams,
                  z0: float = 1.0, check_oracle: bool = False,
-                 grid_step: float = 1e-4, record_hook=None) -> Trace:
+                 record_hook=None) -> Trace:
     """Full adaptive evolution of the scalar system (see ``driver.evolve``).
 
     With ``check_oracle`` every damage solve is cross-checked against the
     exhaustive grid oracle (within one grid cell); a mismatch raises.
     """
-    return evolve(ScalarProblem(model, params, check_oracle, grid_step), z0,
+    return evolve(ScalarProblem(model, params, check_oracle), z0,
                   record_hook=record_hook)

@@ -28,8 +28,7 @@ def ct_coarse_setup():
 @pytest.fixture(scope="session")
 def ct_coarse_trace(ct_coarse_setup):
     mesh, model, load, params = ct_coarse_setup
-    trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes),
-                   keep_am_histories=True)
+    trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
     return mesh, model, load, params, trace
 
 
@@ -51,8 +50,7 @@ def analysis_traction_setup():
 @pytest.fixture(scope="session")
 def analysis_traction_trace(analysis_traction_setup):
     mesh, model, load, params = analysis_traction_setup
-    trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes),
-                   keep_am_histories=True)
+    trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
     return mesh, model, load, params, trace
 
 

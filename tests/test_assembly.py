@@ -277,9 +277,8 @@ class TestReactionForce:
     def test_uniform_stretch_hand_formula(self):
         # nu = 0 decouples: F = E * strain * edge length
         mesh, model, load = self.make(nu=0.0)
-        params = af.SchemeParams(rho=0.1, T=1.0)
         t = 1.0
-        u = af.solve_u(t, np.ones(mesh.n_nodes), mesh, model, load, params)
+        u = af.solve_u(t, np.ones(mesh.n_nodes), mesh, model, load)
         st = af.State(t, u, np.ones(mesh.n_nodes))
         expected = 10.0 * load.ubar(t) / 1.0 * 1.0 * (1 + model.eta)
         assert af.reaction_force(st, mesh, model, load) == pytest.approx(
@@ -287,9 +286,8 @@ class TestReactionForce:
 
     def test_force_balance_between_faces(self):
         mesh, model, load = self.make(nu=0.3)
-        params = af.SchemeParams(rho=0.1, T=1.0)
         z = np.random.default_rng(31).uniform(0.5, 1.0, mesh.n_nodes)
-        u = af.solve_u(0.7, z, mesh, model, load, params)
+        u = af.solve_u(0.7, z, mesh, model, load)
         st = af.State(0.7, u, z)
         f_loaded = af.reaction_force(st, mesh, model, load, "loaded")
         f_clamped = af.reaction_force(st, mesh, model, load, "clamped")
@@ -406,14 +404,14 @@ class TestPatternAssembly:
     @pytest.mark.parametrize("kind", ["lalpha", "h1"])
     def test_ball_curvature(self, name, kind):
         import scipy.sparse as sp
-        from amfrac.solvers import _Ball
+        from amfrac.assembly import VNorm
 
         mesh = PATTERN_MESHES[name]()
         data = element_data(mesh)
         norm = af.NormSpec(kind, 3.0)
         v = -np.random.default_rng(2).uniform(0.0, 0.1, mesh.n_nodes)
         mult = 0.7
-        ball = _Ball(mesh, norm)
+        ball = VNorm(mesh, norm)
         N, gN, curv, _, _ = ball.newton_parts(v, mult)
         N_ref, gN_ref = ball.grad(v)
         assert N == N_ref and np.array_equal(gN, gN_ref)

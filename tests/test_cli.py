@@ -92,6 +92,11 @@ fine_h = 0.05
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.cfg")
 
+    def test_partial_refinement_band_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="band_y0, band_y1"):
+            load_config(write(tmp_path, "[experiment]\nname = custom\n[mesh]\n"
+                              "band_x0 = 0.4\nband_x1 = 1.0\n"))
+
     def test_invalid_value_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="scheme.rho"):
             load_config(write(tmp_path, "[experiment]\nname = ct\n[scheme]\nrho = abc\n"))
@@ -145,10 +150,12 @@ class TestExecute:
         assert manifest["scheme"]["rho"] == 0.02
         assert "zerodim" in manifest
 
-    def test_determinism(self, tmp_path):
+    @pytest.mark.parametrize("text", [ZERODIM_CFG, CUSTOM_CFG],
+                             ids=["zerodim", "custom"])
+    def test_determinism(self, tmp_path, text):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        cfg1 = load_config(write(tmp_path, ZERODIM_CFG.format(out=out1), "a.cfg"))
-        cfg2 = load_config(write(tmp_path, ZERODIM_CFG.format(out=out2), "b.cfg"))
+        cfg1 = load_config(write(tmp_path, text.format(out=out1), "a.cfg"))
+        cfg2 = load_config(write(tmp_path, text.format(out=out2), "b.cfg"))
         execute(cfg1)
         execute(cfg2)
         assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
@@ -205,11 +212,20 @@ class TestExecute:
         assert "not checked: irreversibility" in captured.err
 
     def test_verify_fails_on_trace_without_steps(self, tmp_path, capsys):
-        out = tmp_path / "zd"
-        execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
-        (out / "trace.csv").write_text(TRACE_HEADER + "\n")
-        assert verify_dir(out) == 1
-        assert "FAIL" in capsys.readouterr().out
+        # a header-only trace, an empty trace and a missing manifest each
+        # give one FAIL line
+        cases = [("trace.csv", TRACE_HEADER + "\n"), ("trace.csv", ""),
+                 ("manifest.json", None)]
+        for i, (name, text) in enumerate(cases):
+            out = tmp_path / f"zd{i}"
+            execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
+            if text is None:
+                (out / name).unlink()
+            else:
+                (out / name).write_text(text)
+            assert verify_dir(out) == 1
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("FAIL"), lines
 
     def test_verify_fails_on_unconverged_am_step(self, tmp_path, capsys):
         # two AM iterations are too few for some steps of the scalar run;

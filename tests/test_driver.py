@@ -7,7 +7,7 @@ import pytest
 
 import amfrac as af
 from amfrac.diagnostics import check_trace_invariants
-from amfrac.driver import FieldProblem
+from amfrac.driver import FieldProblem, evolve
 from amfrac.solvers import SolverFailure
 
 
@@ -46,10 +46,30 @@ class TestAMLoop:
         assert np.abs(res2.u - res1.u).max() <= \
             params.tol_am * max(1.0, np.abs(res1.u).max())
 
-    def test_monotone_energy_dissipation(self, ct_coarse_trace):
-        *_, trace = ct_coarse_trace
-        assert trace.am_energy_histories, "fixture must keep histories"
-        for hist in trace.am_energy_histories.values():
+    def test_monotone_energy_dissipation(self, ct_coarse_setup):
+        # energy plus dissipation after each damage solve of an AM loop; the
+        # sequence starts at the first solve (the previous step's
+        # displacement is inadmissible at the new time)
+        class Recording(FieldProblem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.histories, self.current = {}, []
+
+            def solve_z(self, t, u, z_prev, rho):
+                z, report = super().solve_z(t, u, z_prev, rho)
+                self.current.append(self.energy(t, u, z)
+                                    + self.dissipation(z - z_prev))
+                return z, report
+
+            def record(self, k, *args):
+                self.histories[k], self.current = self.current, []
+                return super().record(k, *args)
+
+        mesh, model, load, params = ct_coarse_setup
+        problem = Recording(mesh, model, load, params)
+        evolve(problem, np.ones(mesh.n_nodes))
+        assert problem.histories
+        for hist in problem.histories.values():
             h = np.array(hist)
             if len(h) < 2:
                 continue
@@ -92,6 +112,25 @@ class TestRun:
         assert all(r.dt == params.rho for r in trace.records[1:])
         _, z_final = trace.snapshot(trace.n_steps)
         assert np.array_equal(z_final, z0)
+
+    def test_second_run_on_warm_caches_is_identical(self):
+        # the first run builds the per-mesh quadrature, patterns and band
+        # orders and the load's force vector; the second reuses them all
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+        model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02,
+                                 preset="ANALYSIS", kappa_E=0.15, kappa_R=0.08)
+        params = af.SchemeParams(rho=0.1, T=1.0, store_all_snapshots=True)
+        load = af.LoadProgram(mode="TRACTION_RAMP", T=1.0, direction=(1, 0),
+                              traction_rate=3.0)
+        z0 = np.ones(mesh.n_nodes)
+        first = af.run(mesh, model, load, params, z0)
+        second = af.run(mesh, model, load, params, z0)
+        assert any(r.ball_active for r in first.records)
+        assert second.records == first.records
+        assert second.snapshots.keys() == first.snapshots.keys()
+        for k, fields in first.snapshots.items():
+            for a, b in zip(fields, second.snapshots[k]):
+                assert np.array_equal(a, b)
 
     def test_invariants_on_adaptive_trace(self, ct_coarse_trace):
         *_, trace = ct_coarse_trace

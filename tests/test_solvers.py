@@ -25,8 +25,7 @@ class TestSolveU:
         model = af.MaterialModel(young_E=50.0, poisson_nu=0.3)
         load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(0, 1),
                               ubar_rate=0.5)
-        u = af.solve_u(0.0, np.ones(mesh.n_nodes), mesh, model, load,
-                       default_params())
+        u = af.solve_u(0.0, np.ones(mesh.n_nodes), mesh, model, load)
         assert np.abs(u).max() == 0.0
 
     def test_uniform_uniaxial_strain(self):
@@ -36,8 +35,7 @@ class TestSolveU:
         load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(1, 0),
                               ubar_rate=0.25)
         t = 0.8
-        u = af.solve_u(t, np.ones(mesh.n_nodes), mesh, model, load,
-                       default_params())
+        u = af.solve_u(t, np.ones(mesh.n_nodes), mesh, model, load)
         expected = load.ubar(t) * mesh.nodes[:, 0]
         assert np.allclose(u[0::2], expected, atol=1e-12)
         assert np.allclose(u[1::2], 0.0, atol=1e-12)
@@ -50,7 +48,7 @@ class TestSolveU:
         params = default_params()
         z = np.random.default_rng(1).uniform(0.2, 1.0, mesh.n_nodes)
         t = 0.6
-        u = af.solve_u(t, z, mesh, model, load, params)
+        u = af.solve_u(t, z, mesh, model, load)
         r = af.grad_u(af.State(t, u, z), mesh, model, load)
         mask, values = load.dirichlet_dofs(mesh)
         f = load.force_vector(mesh, t)
@@ -188,7 +186,7 @@ class TestSolveZ:
         load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(0, 1),
                               ubar_rate=0.4)
         z_prev = np.ones(mesh.n_nodes)
-        u = af.solve_u(0.9, z_prev, mesh, model, load, params)
+        u = af.solve_u(0.9, z_prev, mesh, model, load)
         rep = af.solve_z(0.9, 3 * u, z_prev, params.rho, mesh, model, params)
         assert rep.constraint_active
         assert rep.lam.max() == 0.0, "driving must keep the box inactive"
