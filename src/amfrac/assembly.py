@@ -18,14 +18,23 @@ construction), in ``element_data(mesh)``:
   assembly is one ``np.bincount`` and ``Q = H + c1 M + c2 L`` is arithmetic
   on data vectors.  Also the mass and Laplacian data, ``P'`` and the H1
   Gram matrix;
-- per pattern, one ``BandLayout``: a reverse Cuthill-McKee order and the
-  map from the lower-triangle data slots into a LAPACK band array.  Every
-  system the solvers factor is symmetric positive definite, so band
-  Cholesky in that order applies.  Measured against SuperLU's LU, it
-  breaks even at about 6.6k nodes on a uniform grid and beyond 12.7k on a
-  graded CT mesh.  A constrained system pins its rows to identity rows
-  instead of gathering a sub-block, so the one order serves every
-  Dirichlet mask and every damage active set.
+- per pattern, one ``BandLayout``: the order of least half-bandwidth among
+  scipy's reverse Cuthill-McKee and the two coordinate sweeps of the nodes
+  (x-major and y-major; a dof order takes both dofs of a node in turn),
+  and the map from the lower-triangle data slots into a LAPACK band array.
+  On the CT meshes a sweep line by line about halves the half-bandwidth
+  of RCM's diagonal fronts (Gibbs, Poole & Stockmeyer, SIAM J. Numer.
+  Anal. 13, 1976); on ties RCM is kept.  Every system the solvers factor
+  is symmetric positive definite, so band Cholesky in that order applies.
+  In RCM order it broke even with SuperLU's LU at about 6.6k nodes on a
+  uniform grid and beyond 12.7k on a graded CT mesh; a narrower band can
+  only move these points up.  A constrained system pins its rows to
+  identity rows instead of gathering a sub-block, so the one order serves
+  every Dirichlet mask and every damage active set;
+- for the last displacement only: the Gauss-point elastic density and the
+  damage quadratic ``z_quadratic``, keyed on the bytes of ``u`` and on the
+  material fields they read.  The damage solve, the energy and the dual
+  distance of one step then share one evaluation.
 """
 
 from __future__ import annotations
@@ -74,10 +83,13 @@ class SparsePattern:
 
     ``slot`` maps each element entry to its slot in the CSR data vector, so
     an assembly is one ``np.bincount`` (``fill``) and a sum of operators is
-    a sum of data vectors.  Column indices are sorted.
+    a sum of data vectors.  Column indices are sorted.  ``sweeps`` are
+    candidate orders of the rows for the band layout, besides reverse
+    Cuthill-McKee.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int,
+                 sweeps: tuple):
         keys, self.slot = np.unique(rows.ravel() * n + cols.ravel(),
                                     return_inverse=True)
         self.n = n
@@ -85,6 +97,7 @@ class SparsePattern:
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
+        self.sweeps = sweeps
 
     def fill(self, vals: np.ndarray) -> np.ndarray:
         """Data vector of the operator with element entries ``vals``."""
@@ -95,29 +108,41 @@ class SparsePattern:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
 
+    def half_bandwidth(self, perm: np.ndarray) -> int:
+        """Half-bandwidth of the operator in the order ``perm``: row ``i``
+        of the reordered operator is row ``perm[i]``."""
+        pos = np.empty(self.n, dtype=np.intp)
+        pos[perm] = np.arange(self.n)
+        rows = np.repeat(pos, np.diff(self.indptr))
+        return int(np.abs(rows - pos[self.indices]).max(initial=0))
+
     @cached_property
     def band(self) -> "BandLayout":
-        """The band layout of the operator, built on first use."""
-        return BandLayout(self)
+        """The band layout in the order of least half-bandwidth among
+        reverse Cuthill-McKee and the ``sweeps`` (the first on ties), built
+        on first use."""
+        rcm = reverse_cuthill_mckee(self.matrix(np.ones(self.nnz)),
+                                    symmetric_mode=True)
+        return BandLayout(self, min((rcm, *self.sweeps),
+                                    key=self.half_bandwidth))
 
 
 class BandLayout:
     """A pattern's operator as a band matrix in LAPACK lower band storage,
-    in the pattern's reverse Cuthill-McKee order: row ``i`` of the band
-    matrix is row ``perm[i]`` of the operator, and ``kd`` is its
-    half-bandwidth.  ``where`` maps the lower-triangle data slots ``slots``
-    into the column-major ``(kd + 1, n)`` band array, which holds entry
-    ``(i, j)``, ``i >= j``, at ``[i - j, j]``.
+    in the order ``perm``: row ``i`` of the band matrix is row ``perm[i]``
+    of the operator, and ``kd`` is its half-bandwidth.  ``where`` maps the
+    lower-triangle data slots ``slots`` into the column-major
+    ``(kd + 1, n)`` band array, which holds entry ``(i, j)``, ``i >= j``,
+    at ``[i - j, j]``.
     """
 
-    def __init__(self, pattern: SparsePattern):
+    def __init__(self, pattern: SparsePattern, perm: np.ndarray):
         n = self.n = pattern.n
         rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
         cols = pattern.indices
-        self.perm = reverse_cuthill_mckee(
-            pattern.matrix(np.ones(pattern.nnz)), symmetric_mode=True)
+        self.perm = perm
         pos = np.empty(n, dtype=np.intp)
-        pos[self.perm] = np.arange(n)
+        pos[perm] = np.arange(n)
         lower = pos[rows] >= pos[cols]
         self.slots = np.flatnonzero(lower)
         self.rows, self.cols = rows[lower], cols[lower]
@@ -173,6 +198,7 @@ class _ElementData:
         conn = mesh.elements
         self.conn = conn
         self.n_nodes = mesh.n_nodes
+        self.node_xy = mesh.nodes
         self.udofs = np.empty((nel, 8), dtype=np.int64)
         self.udofs[:, 0::2] = 2 * conn
         self.udofs[:, 1::2] = 2 * conn + 1
@@ -192,21 +218,34 @@ class _ElementData:
                                   minlength=mesh.n_nodes)
         self.lumped.flags.writeable = False
         self._btcb = {}
+        self._last = {}
 
     # The patterns and what is filled into them are built on first use: a
     # mesh that is only measured never pays for them.
     @cached_property
+    def sweeps(self) -> tuple:
+        """Coordinate sweeps of the nodes, x-major and y-major: on a
+        tensor-product grid each orders the nodes line by line, so a node
+        couples only to the neighbouring lines."""
+        x, y = self.node_xy.T
+        return np.lexsort((y, x)), np.lexsort((x, y))
+
+    @cached_property
     def dof_pattern(self) -> SparsePattern:
         """Pattern of the 2n-dof operators (stiffness)."""
-        return SparsePattern(np.repeat(self.udofs, 8, axis=1),
-                             np.tile(self.udofs, (1, 8)), 2 * self.n_nodes)
+        return SparsePattern(
+            np.repeat(self.udofs, 8, axis=1), np.tile(self.udofs, (1, 8)),
+            2 * self.n_nodes,
+            tuple(np.column_stack([2 * s, 2 * s + 1]).ravel()
+                  for s in self.sweeps))
 
     @cached_property
     def node_pattern(self) -> SparsePattern:
         """Pattern of the n-node operators (mass, Laplacian, damage Hessian,
         ball curvature)."""
         return SparsePattern(np.repeat(self.conn, 4, axis=1),
-                             np.tile(self.conn, (1, 4)), self.n_nodes)
+                             np.tile(self.conn, (1, 4)), self.n_nodes,
+                             self.sweeps)
 
     def node_operator(self, gauss_coef: np.ndarray) -> np.ndarray:
         """Node-pattern data of ``sum_q c_eq N_qa N_qb`` over the elements,
@@ -233,6 +272,15 @@ class _ElementData:
     def h1_gram(self) -> sp.csr_matrix:
         """Gram matrix M + L of the H1 norm."""
         return self.node_pattern.matrix(self.mass.data + self.laplacian.data)
+
+    def memo(self, name: str, key: tuple, build):
+        """``build()``, remembered under ``name`` for the last ``key``
+        only: a one-entry cache for values that each step asks for again
+        with the same inputs."""
+        last = self._last.get(name)
+        if last is None or last[0] != key:
+            last = self._last[name] = (key, build())
+        return last[1]
 
     def btcb(self, C: np.ndarray) -> np.ndarray:
         key = C.tobytes()
@@ -293,9 +341,17 @@ def strains_at_gauss(u: np.ndarray, mesh: Mesh) -> np.ndarray:
 
 def elastic_density_at_gauss(u: np.ndarray, mesh: Mesh,
                              model: MaterialModel) -> np.ndarray:
-    """Undegraded elastic energy density (C eps):eps at Gauss points."""
-    eps = strains_at_gauss(u, mesh)
-    return np.einsum("eqi,ij,eqj->eq", eps, model.C, eps)
+    """Undegraded elastic energy density (C eps):eps at Gauss points,
+    (nel, nq).  Evaluated once for each distinct ``u`` and ``C`` in turn;
+    the array is read-only."""
+    def build():
+        eps = strains_at_gauss(u, mesh)
+        psi = ((eps @ model.C) * eps).sum(-1)
+        psi.flags.writeable = False
+        return psi
+
+    return element_data(mesh).memo(
+        "psi", (u.tobytes(), model.C.tobytes()), build)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +369,7 @@ def total_energy(state: State, mesh: Mesh, model: MaterialModel,
     data = element_data(mesh)
     psi = elastic_density_at_gauss(state.u, mesh, model)
     ze = state.z[mesh.elements]
-    zq = np.einsum("qa,ea->eq", data.N, ze)
+    zq = ze @ data.N.T
     gz = np.einsum("eqni,en->eqi", data.dNdx, ze)
     gz_sq = np.einsum("eqi,eqi->eq", gz, gz)
     dens = (0.5 * degradation(zq, model.eta) * psi
@@ -328,9 +384,10 @@ def assemble_K(z: np.ndarray, mesh: Mesh, model: MaterialModel) -> sp.csr_matrix
     elimination because the degradation factor is bounded below by eta."""
     _check_state_dims(mesh, None, z)
     data = element_data(mesh)
-    zq = np.einsum("qa,ea->eq", data.N, z[mesh.elements])
-    coef = data.wdet * degradation(zq, model.eta)
-    vals = np.einsum("eq,eqab->eab", coef, data.btcb(model.C))
+    coef = data.wdet * degradation(z[mesh.elements] @ data.N.T, model.eta)
+    btcb = data.btcb(model.C)
+    nel, nq = coef.shape
+    vals = coef[:, None, :] @ btcb.reshape(nel, nq, -1)
     return data.dof_pattern.matrix(data.dof_pattern.fill(vals))
 
 
@@ -347,9 +404,18 @@ def z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
 
         energy(z; u) = 1/2 z' Q z - b' z + c0
 
-    (load term excluded; it does not involve z).
+    (load term excluded; it does not involve z).  Assembled once for each
+    distinct ``u`` and material in turn: the damage solve and the step's
+    diagnostics share it.  ``Q``'s data and ``b`` are read-only.
     """
     _check_state_dims(mesh, u, None)
+    key = (u.tobytes(), model.C.tobytes(), model.preset, model.eta,
+           model.g_c, model.theta, model.kappa_E)
+    return element_data(mesh).memo(
+        "z_quadratic", key, lambda: _z_quadratic(u, mesh, model))
+
+
+def _z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
     data = element_data(mesh)
     psi = elastic_density_at_gauss(u, mesh, model)
     h = data.node_operator(data.wdet * psi)
@@ -366,6 +432,8 @@ def z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
         q = h + model.kappa_E * (M + Klap)
         b = np.zeros(n)
         c0 = e0
+    q.flags.writeable = False
+    b.flags.writeable = False
     return data.node_pattern.matrix(q), b, c0
 
 

@@ -402,13 +402,10 @@ def execute(cfg: RunConfig) -> int:
 # Verification of stored artifacts
 # ---------------------------------------------------------------------------
 
-def read_trace(rows: list, scheme: dict) -> Trace:
+def read_trace(rows: list, params: SchemeParams) -> Trace:
     """A ``Trace`` without fields from the data rows of ``trace.csv`` and
-    the ``scheme`` section of ``manifest.json``.  ``xi_norm`` is not
-    stored and reads NaN."""
-    params = SchemeParams(
-        norm_V=NormSpec(kind=scheme["norm_V"], alpha=scheme["alpha"]),
-        **{k: scheme[k] for k in _MANIFEST_SCHEME})
+    the scheme of ``manifest.json``.  ``xi_norm`` is not stored and reads
+    NaN.  Raises ``ValueError`` on a malformed row."""
     records = []
     for line in rows:
         (k, t, dt, dz, iters, energy, R_inc, reaction, dual, ball,
@@ -422,34 +419,55 @@ def read_trace(rows: list, scheme: dict) -> Trace:
     return Trace(records=records, scheme=params)
 
 
+def _malformed(name: str) -> int:
+    print(f"FAIL {name} is malformed")
+    return 1
+
+
 def verify_dir(trace_dir) -> int:
     """Re-run the trace-level diagnostics on stored artifacts.
 
     The checks that need the damage fields are reported as not checked:
-    ``trace.csv`` holds none.
+    ``trace.csv`` holds none.  A missing or malformed artifact gives one
+    FAIL line that names it.
     """
     trace_dir = Path(trace_dir)
     try:
-        manifest = json.loads((trace_dir / "manifest.json").read_text())
+        manifest = (trace_dir / "manifest.json").read_text()
         rows = (trace_dir / "trace.csv").read_text().strip().splitlines()
     except FileNotFoundError as exc:
         print(f"FAIL {Path(exc.filename).name} is missing")
         return 1
+    try:
+        scheme = json.loads(manifest)["scheme"]
+        params = SchemeParams(
+            norm_V=NormSpec(kind=scheme["norm_V"], alpha=scheme["alpha"]),
+            **{k: scheme[k] for k in _MANIFEST_SCHEME})
+    except (ValueError, KeyError, TypeError):
+        return _malformed("manifest.json")
     if rows[:1] != [TRACE_HEADER]:
         print("FAIL trace.csv header mismatch")
         return 1
     if len(rows) < 2:
         print("FAIL trace.csv holds no steps")
         return 1
-    trace = read_trace(rows[1:], manifest["scheme"])
+    try:
+        trace = read_trace(rows[1:], params)
+    except ValueError:
+        return _malformed("trace.csv")
     checks = [("monotone time", bool(np.all(np.diff(trace.times()) >= 0)))]
     checks += check_trace_invariants(trace).verdicts().items()
     checks.append(("complementarity", not complementarity_check(trace)))
     bal_path = trace_dir / "balance.csv"
     if bal_path.exists():
         rows = bal_path.read_text().strip().splitlines()
-        bal = np.array([[float(v) for v in line.split(",")]
-                        for line in rows[1:]])
+        try:
+            bal = np.array([[float(v) for v in line.split(",")]
+                            for line in rows[1:]])
+        except ValueError:
+            return _malformed("balance.csv")
+        if bal.ndim != 2 or bal.shape[1] != BALANCE_HEADER.count(",") + 1:
+            return _malformed("balance.csv")
         ident = bal[:, 1] + bal[:, 2] + bal[:, 3] - bal[:, 4] - bal[:, 5]
         checks.append(("balance rows close",
                        bool(np.all(np.abs(ident) <= 1e-10 * (1 + np.abs(bal[:, 1]).max())))))

@@ -99,6 +99,7 @@ class InterpolantView:
         self.t_grid = np.concatenate([[recs[0].t], [r.t for r in recs]])
         self.s_grid = self.rho * np.arange(-1, len(recs))
         self.s_final = self.s_grid[-1]
+        self._s_list = self.s_grid.tolist()  # bisect needs a sequence
 
     def _locate(self, s: float, closed_right: bool) -> int:
         """Index k >= 0 such that s lies in the k-th interval
@@ -107,9 +108,9 @@ class InterpolantView:
             raise ValueError(f"s = {s} outside [{self.s_grid[0]}, {self.s_final}]")
         s = min(max(s, self.s_grid[0]), self.s_final)
         if closed_right:
-            k = bisect.bisect_left(list(self.s_grid), s) - 1
+            k = bisect.bisect_left(self._s_list, s) - 1
         else:
-            k = bisect.bisect_right(list(self.s_grid), s) - 1
+            k = bisect.bisect_right(self._s_list, s) - 1
         return int(min(max(k, 0), len(self.s_grid) - 2))
 
     # -- time ---------------------------------------------------------------

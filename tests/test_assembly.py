@@ -301,6 +301,65 @@ class TestReactionForce:
             af.reaction_force(st, mesh, model, no_load())
 
 
+class TestPerDisplacementCache:
+    """The elastic density and the damage quadratic are evaluated once for
+    each distinct displacement and material, and handed out read-only."""
+
+    @staticmethod
+    def evaluate(u, mesh, model):
+        Q, b, c0 = z_quadratic(u, mesh, model)
+        return elastic_density_at_gauss(u, mesh, model), Q, b, c0
+
+    def assert_fresh(self, got, u, model):
+        # a new mesh has empty caches
+        psi, Q, b, c0 = self.evaluate(u.copy(), small_mesh(), model)
+        assert np.array_equal(got[0], psi)
+        assert np.array_equal(got[1].toarray(), Q.toarray())
+        assert np.array_equal(got[2], b) and got[3] == c0
+
+    def test_same_inputs_reuse_the_arrays(self):
+        mesh = small_mesh()
+        model = af.MaterialModel(young_E=6.0, poisson_nu=0.2)
+        u = np.random.default_rng(4).normal(0, 0.1, 2 * mesh.n_nodes)
+        first = self.evaluate(u, mesh, model)
+        again = self.evaluate(u.copy(), mesh, model)
+        assert all(a is b for a, b in zip(first[:3], again[:3]))
+
+    def test_mutated_displacement_gives_new_values(self):
+        mesh = small_mesh()
+        model = af.MaterialModel(young_E=6.0, poisson_nu=0.2)
+        u = np.random.default_rng(5).normal(0, 0.1, 2 * mesh.n_nodes)
+        before = self.evaluate(u, mesh, model)
+        psi_before, Q_before = before[0].copy(), before[1].toarray()
+        u[::3] *= 1.5
+        after = self.evaluate(u, mesh, model)
+        assert not np.array_equal(after[0], psi_before)
+        assert not np.array_equal(after[1].toarray(), Q_before)
+        self.assert_fresh(after, u, model)
+
+    @pytest.mark.parametrize("change", [dict(young_E=9.0), dict(kappa_E=0.4)])
+    def test_other_material_gives_new_values(self, change):
+        mesh = small_mesh()
+        base = dict(young_E=6.0, poisson_nu=0.2, preset="ANALYSIS",
+                    kappa_E=0.7)
+        u = np.random.default_rng(6).normal(0, 0.1, 2 * mesh.n_nodes)
+        first = self.evaluate(u, mesh, af.MaterialModel(**base))
+        Q_first = first[1].toarray()
+        other = af.MaterialModel(**{**base, **change})
+        second = self.evaluate(u, mesh, other)
+        assert not np.array_equal(second[1].toarray(), Q_first)
+        self.assert_fresh(second, u, other)
+
+    def test_cached_arrays_are_read_only(self):
+        mesh = small_mesh()
+        model = af.MaterialModel(young_E=6.0, poisson_nu=0.2, preset="AT")
+        u = np.random.default_rng(7).normal(0, 0.1, 2 * mesh.n_nodes)
+        psi, Q, b, _ = self.evaluate(u, mesh, model)
+        for arr in (psi, Q.data, b):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 class TestInternalConsistency:
     def test_energy_equals_quadratic_forms(self):
         """The damage-quadratic and stiffness forms must reproduce the

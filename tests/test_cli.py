@@ -227,6 +227,21 @@ class TestExecute:
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == 1 and lines[0].startswith("FAIL"), lines
 
+    @pytest.mark.parametrize("name, edit", [
+        ("trace.csv", lambda rows: rows[:3] + ["3,abc"] + rows[4:]),
+        ("manifest.json", lambda rows: ["{"]),
+        ("balance.csv", lambda rows: rows[:2] + ["1,0.5"]),
+    ], ids=["trace-row-cut", "manifest-not-json", "balance-row-cut"])
+    def test_verify_fails_on_malformed_artifact(self, tmp_path, capsys, name,
+                                                edit):
+        out = tmp_path / "zd"
+        execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
+        path = out / name
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert verify_dir(out) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"FAIL {name} is malformed"]
+
     def test_verify_fails_on_unconverged_am_step(self, tmp_path, capsys):
         # two AM iterations are too few for some steps of the scalar run;
         # the run itself goes on, verify must not

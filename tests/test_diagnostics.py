@@ -193,6 +193,34 @@ class TestInterpolants:
             dz_rate = recs[kk].dz_norm_V / rho
             assert tp + dz_rate == pytest.approx(1.0, abs=1e-8)
 
+    def test_long_trace_matches_a_fresh_list_per_call(self):
+        """The bisection runs on a grid built once; on a 20001-step scalar
+        trace it gives the values of a bisection on ``list(s_grid)``
+        rebuilt at every call."""
+        import bisect
+
+        class ListPerCall(InterpolantView):
+            def _locate(self, s, closed_right):
+                s = min(max(s, self.s_grid[0]), self.s_final)
+                find = bisect.bisect_left if closed_right else bisect.bisect_right
+                k = find(list(self.s_grid), s) - 1
+                return int(min(max(k, 0), len(self.s_grid) - 2))
+
+        trace = run_zero_dim(ZeroDimModel(kappa_E=0.85),
+                             af.SchemeParams(rho=1e-4, T=1.0,
+                                             norm_V=af.NormSpec("lalpha", 2.0),
+                                             store_all_snapshots=True))
+        assert len(trace.records) == 20001
+        view, ref = InterpolantView(trace), ListPerCall(trace)
+        s_vals = np.concatenate([
+            np.linspace(-trace.scheme.rho, trace.s_final, 100),
+            np.random.default_rng(7).uniform(-trace.scheme.rho,
+                                             trace.s_final, 100)])
+        for s in s_vals:
+            assert view.t_hat(s) == ref.t_hat(s)
+            assert np.array_equal(view.z_hat(s), ref.z_hat(s))
+            assert np.array_equal(view.u_hat(s), ref.u_hat(s))
+
     def test_interpolant_lipschitz_bound(self, ct_coarse_trace,
                                          zerodim_trace):
         for trace in (ct_coarse_trace[-1], zerodim_trace[-1]):

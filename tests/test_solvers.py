@@ -394,6 +394,28 @@ class TestOrderedSolves:
         assert sorted(sizes) == [mesh.n_nodes, 2 * mesh.n_nodes]
 
 
+    @pytest.mark.parametrize("pattern", ["dof_pattern", "node_pattern"])
+    @pytest.mark.parametrize("mesh", [
+        lambda: af.build_ct_mesh(1.0, 0.1, 0.05),
+        lambda: af.build_ct_mesh(1.0, 0.1, 0.05, notch=False),
+        lambda: af.build_lshape_mesh(250.0, 50.0, 25.0),
+    ], ids=["ct", "ct-no-notch", "lshape"])
+    def test_band_order_is_no_wider_than_rcm(self, mesh, pattern):
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        p = getattr(element_data(mesh()), pattern)
+        rcm = reverse_cuthill_mckee(p.matrix(np.ones(p.nnz)),
+                                    symmetric_mode=True)
+        assert p.band.kd == p.half_bandwidth(p.band.perm)
+        assert p.band.kd <= p.half_bandwidth(rcm)
+        assert np.array_equal(np.sort(p.band.perm), np.arange(p.n))
+
+    def test_band_order_halves_the_traction_mesh(self):
+        # the mesh of the traction_jumps benchmark: RCM gives 83 and 41
+        data = element_data(af.build_ct_mesh(1.0, 0.05, 0.05, notch=False))
+        assert (data.dof_pattern.band.kd, data.node_pattern.band.kd) == (45, 22)
+
+
 class TestFactorFailures:
     """The factorization and the rank-one update raise instead of returning
     a wrong solution."""
