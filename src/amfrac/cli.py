@@ -1,15 +1,22 @@
 """Configuration, experiment presets, execution and artifact output.
 
 Config files are flat INI-style key/value text (diff-friendly for
-parameter sweeps).  Three presets fill in defaults: ``ct`` (square plate
-with a mid-height slit), ``lshape`` and ``zerodim``; ``custom`` exposes the
-square-plate geometry with every parameter explicit.  Unknown keys are
+parameter sweeps).  The keys of ``[material]`` and ``[zerodim]`` are the
+lower-cased init fields of ``MaterialModel`` and ``ZeroDimModel`` (and
+``z0``); ``[scheme]`` and ``[output]`` hold those of ``SchemeParams`` but
+``max_steps``, with the ball's ``NormSpec`` as ``norm_v`` and ``alpha``.
+Unset keys keep the dataclass defaults, and three presets set the values
+that differ from them: ``ct`` (square plate with a mid-height slit),
+``lshape`` and ``zerodim``; ``custom`` is the ``ct`` preset under another
+name.  Unknown keys, and mesh keys the chosen geometry does not read, are
 rejected.
 
-Artifacts per run directory: ``trace.csv`` (written incrementally, so a
-crash retains the partial trace), ``balance.csv``, VTK field snapshots and
-``manifest.json`` with every resolved parameter.  Runs are deterministic:
-identical config gives byte-identical trace.csv.
+Artifacts per run directory: ``trace.csv`` (one column per ``StepRecord``
+field, written incrementally, so a crash retains the partial trace),
+``balance.csv`` (one column per ``BalanceRow`` field), VTK field
+snapshots and ``manifest.json`` with the init fields of the run's
+dataclasses.  Runs are deterministic: identical config gives
+byte-identical trace.csv.
 """
 
 from __future__ import annotations
@@ -18,14 +25,19 @@ import argparse
 import configparser
 import dataclasses
 import json
-import math
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .diagnostics import check_trace_invariants, complementarity_check, energy_balance
+from .diagnostics import (
+    BalanceRow,
+    check_trace_invariants,
+    complementarity_check,
+    energy_balance,
+)
 from .driver import StepRecord, Trace, run
 from .mesh import Mesh, build_ct_mesh, build_lshape_mesh
 from .model import (
@@ -41,73 +53,67 @@ from .solvers import SolverFailure
 from .vtkio import write_vtk
 from .zerodim import ZeroDimModel, run_zero_dim
 
-TRACE_HEADER = ("k,t,dt,dz_norm_V,am_iters,energy,R_inc,reaction,dual_distance,"
-                "ball_active,am_converged")
-BALANCE_HEADER = "k,dE,R_inc,visc,work,residual,cum_residual"
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _init_fields(cls, skip=()) -> dict:
+    """Name -> type of the init fields of dataclass ``cls``, in order."""
+    types = typing.get_type_hints(cls)
+    return {f.name: types[f.name] for f in dataclasses.fields(cls)
+            if f.init and f.name not in skip}
+
+
+def _init_values(obj, skip=()) -> dict:
+    return {name: getattr(obj, name) for name in _init_fields(type(obj), skip)}
+
+
+TRACE_HEADER = ",".join(_init_fields(StepRecord))
+BALANCE_HEADER = ",".join(_init_fields(BalanceRow))
 
 
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
 
-_CT_DEFAULTS = {
-    "material": dict(young_E=100.0, poisson_nu=0.3, eta=1e-4, g_c=1.0,
-                     theta=0.025, kappa_E=1.0, kappa_R=1.0, preset="AT"),
+_CT = {
+    "material": dict(young_E=100.0, poisson_nu=0.3),
     "mesh": dict(side_len=1.0, coarse_h=0.1, fine_h=0.01, notch="slit"),
-    "scheme": dict(rho=0.005, alpha=4.0, norm_V="lalpha"),
+    "scheme": dict(rho=0.005),  # T = 100 rho unless set
     "load": dict(mode="dirichlet", u_max=0.3, direction="y"),
 }
-
-_LSHAPE_DEFAULTS = {
-    "material": dict(young_E=25840.0, poisson_nu=0.18, eta=1e-4, g_c=6.5e-4,
-                     theta=10.0, kappa_E=1.0, kappa_R=1.0, preset="AT"),
-    "mesh": dict(leg_len=250.0, coarse_h=50.0, fine_h=2.0, notch="none"),
-    "scheme": dict(rho=0.08658, alpha=4.0, norm_V="lalpha", T=8.658),
-    "load": dict(mode="dirichlet", u_max=1.0, direction="y"),
+_PRESETS = {
+    "ct": _CT,
+    "custom": _CT,
+    "lshape": {
+        "material": dict(young_E=25840.0, poisson_nu=0.18, g_c=6.5e-4,
+                         theta=10.0),
+        "mesh": dict(leg_len=250.0, coarse_h=50.0, fine_h=2.0, notch="none"),
+        "scheme": dict(rho=0.08658, T=8.658),
+        "load": dict(mode="dirichlet", u_max=1.0, direction="y"),
+    },
+    "zerodim": {"scheme": dict(rho=0.02, T=1.0, alpha=2.0)},
 }
 
-_ZERODIM_DEFAULTS = {
-    "zerodim": dict(a=1.0, eta=1e-3, kappa_E=0.85, kappa_R=1.0, ell_rate=1.0),
-    "scheme": dict(rho=0.02, T=1.0, alpha=2.0, norm_V="lalpha"),
-}
-
-_SCHEME_KEYS = {
-    "rho": float, "t": float, "alpha": float, "norm_v": str,
-    "tol_am": float, "tol_newton": float, "tol_constraint": float,
-    "max_am_iters": int,
-}
-_MATERIAL_KEYS = {
-    "young_e": float, "poisson_nu": float, "eta": float, "g_c": float,
-    "theta": float, "kappa_e": float, "kappa_r": float, "preset": str,
-}
-_MESH_KEYS = {
-    "side_len": float, "leg_len": float, "coarse_h": float, "fine_h": float,
-    "notch": str, "band_x0": float, "band_x1": float,
-    "band_y0": float, "band_y1": float,
-}
-_LOAD_KEYS = {"mode": str, "u_max": float, "direction": str,
-              "traction_rate": float}
-_ZERODIM_KEYS = {"a": float, "eta": float, "kappa_e": float,
-                 "kappa_r": float, "ell_rate": float, "z0": float}
-_OUTPUT_KEYS = {"directory": str, "snapshot_stride": int,
-                "store_all_snapshots": bool, "formats": str}
+_OUTPUT_KEYS = {"directory": str, "formats": str, "snapshot_stride": int,
+                "store_all_snapshots": bool}
+# SchemeParams fields without a [scheme] key of their own: the ball is keyed
+# norm_v and alpha, and max_steps is derived from T / rho
+_SCHEME_UNKEYED = ("norm_V", "max_steps")
 _SECTIONS = {
     "experiment": {"name": str},
-    "scheme": _SCHEME_KEYS,
-    "material": _MATERIAL_KEYS,
-    "mesh": _MESH_KEYS,
-    "load": _LOAD_KEYS,
-    "zerodim": _ZERODIM_KEYS,
+    "scheme": {**_init_fields(SchemeParams, (*_SCHEME_UNKEYED, *_OUTPUT_KEYS)),
+               "norm_V": str, "alpha": float},
+    "material": _init_fields(MaterialModel),
+    "mesh": {"side_len": float, "leg_len": float, "coarse_h": float,
+             "fine_h": float, "notch": str, "band_x0": float,
+             "band_x1": float, "band_y0": float, "band_y1": float},
+    "load": {"mode": str, "u_max": float, "direction": str,
+             "traction_rate": float},
+    "zerodim": {**_init_fields(ZeroDimModel), "z0": float},
     "output": _OUTPUT_KEYS,
 }
-
-# SchemeParams fields that the manifest's scheme section holds as they are
-_MANIFEST_SCHEME = ("rho", "T", "tol_am", "tol_newton", "tol_constraint",
-                    "max_am_iters", "snapshot_stride", "store_all_snapshots")
 
 _DIRECTIONS = {"x": (1.0, 0.0), "y": (0.0, 1.0),
                "-x": (-1.0, 0.0), "-y": (0.0, -1.0)}
@@ -119,32 +125,28 @@ class RunConfig:
 
     experiment: str
     scheme: SchemeParams
+    output_dir: str
+    formats: tuple
     material: MaterialModel | None = None
     load: LoadProgram | None = None
     mesh_args: dict | None = None
     notch: str = "slit"
     zerodim: ZeroDimModel | None = None
     zerodim_z0: float = 1.0
-    output_dir: str = "out"
-    formats: tuple = ("csv", "vtk")
-    resolved: dict = dataclasses.field(default_factory=dict)
 
 
 def _coerce(raw: str, typ, field: str):
     try:
         if typ is bool:
-            val = raw.strip().lower()
-            if val in ("1", "true", "yes", "on"):
-                return True
-            if val in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return typ(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"invalid value for {field!r}: {raw!r}") from exc
 
 
 def _read_sections(path) -> dict:
+    """Section -> {name: value}: a key is a name in ``_SECTIONS``, lower
+    cased, and its value is coerced to that name's type."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as f:
@@ -157,11 +159,13 @@ def _read_sections(path) -> dict:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         allowed = _SECTIONS[section]
+        names = {name.lower(): name for name in allowed}
         vals = {}
         for key, raw in parser.items(section):
-            if key not in allowed:
+            if key not in names:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            vals[key] = _coerce(raw, allowed[key], f"{section}.{key}")
+            vals[names[key]] = _coerce(raw, allowed[names[key]],
+                                       f"{section}.{key}")
         data[section] = vals
     return data
 
@@ -172,74 +176,57 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     data = _read_sections(path)
     experiment = data.get("experiment", {}).get("name", "ct")
-    if experiment not in ("ct", "lshape", "zerodim", "custom"):
+    if experiment not in _PRESETS:
         raise ConfigError(f"unknown experiment {experiment!r}")
 
-    if experiment == "zerodim":
-        defaults = _ZERODIM_DEFAULTS
-    elif experiment == "lshape":
-        defaults = _LSHAPE_DEFAULTS
-    else:
-        defaults = _CT_DEFAULTS
-
     def merged(section):
-        out = dict(defaults.get(section, {}))
-        user = data.get(section, {})
-        # config keys are lower-case; canonical names differ in case only
-        rename = {"young_e": "young_E", "kappa_e": "kappa_E",
-                  "kappa_r": "kappa_R", "t": "T", "norm_v": "norm_V"}
-        for key, val in user.items():
-            out[rename.get(key, key)] = val
-        return out
+        return {**_PRESETS[experiment].get(section, {}), **data.get(section, {})}
 
     sch = merged("scheme")
-    rho = float(sch.get("rho", 0.005))
-    T = sch.get("T")
-    load_cfg = merged("load")
-    if T is None:
-        # default schedule: at least 100 discrete time steps
-        T = 100.0 * rho if experiment in ("ct", "custom") else 1.0
+    sch.setdefault("T", 100.0 * sch["rho"])  # default: 100 steps of rho
     out_cfg = merged("output")
-    # unset keys keep the SchemeParams defaults
-    tuning = {k: v for k, v in {**sch, **out_cfg}.items()
-              if k in ("tol_am", "tol_newton", "tol_constraint", "max_am_iters",
-                       "snapshot_stride", "store_all_snapshots")}
+    output_dir = str(out_cfg.pop("directory", "out"))
+    formats = tuple(s.strip() for s in out_cfg.pop("formats", "csv,vtk").split(",")
+                    if s)
     try:
+        # the rest of [output] are SchemeParams fields
         scheme = SchemeParams(
-            rho=rho, T=float(T),
-            norm_V=NormSpec(kind=sch.get("norm_V", "lalpha"),
-                            alpha=float(sch.get("alpha", 4.0))),
-            **tuning)
+            norm_V=NormSpec(sch.pop("norm_V", NormSpec.kind),
+                            sch.pop("alpha", NormSpec.alpha)),
+            **sch, **out_cfg)
     except ModelConfigError as exc:
         raise ConfigError(f"invalid scheme: {exc}") from exc
 
-    cfg = RunConfig(experiment=experiment, scheme=scheme)
-    cfg.output_dir = str(out_cfg.get("directory", "out"))
-    cfg.formats = tuple(s.strip() for s in
-                        str(out_cfg.get("formats", "csv,vtk")).split(",") if s)
+    cfg = RunConfig(experiment=experiment, scheme=scheme,
+                    output_dir=output_dir, formats=formats)
 
     if experiment == "zerodim":
         zd = merged("zerodim")
-        cfg.zerodim_z0 = float(zd.pop("z0", 1.0))
+        cfg.zerodim_z0 = zd.pop("z0", cfg.zerodim_z0)
         if not 0.0 <= cfg.zerodim_z0 <= 1.0:
             raise ConfigError(f"zerodim.z0 = {cfg.zerodim_z0} outside [0, 1]")
         try:
             cfg.zerodim = ZeroDimModel(**zd)
         except ModelConfigError as exc:
             raise ConfigError(f"invalid zerodim model: {exc}") from exc
-        cfg.resolved = _resolve_dict(cfg)
         return cfg
 
-    mat = merged("material")
     try:
-        cfg.material = MaterialModel(**mat)
-    except (TypeError, ModelConfigError) as exc:
+        cfg.material = MaterialModel(**merged("material"))
+    except ModelConfigError as exc:
         raise ConfigError(f"invalid material: {exc}") from exc
 
     mesh_cfg = merged("mesh")
-    cfg.notch = str(mesh_cfg.pop("notch", "slit"))
+    cfg.notch = mesh_cfg.pop("notch")
     if cfg.notch not in ("slit", "damage", "none"):
         raise ConfigError(f"unknown notch style {cfg.notch!r}")
+    lshape = experiment == "lshape"
+    unread = [k for k in ("side_len" if lshape else "leg_len",) if k in mesh_cfg]
+    if lshape and cfg.notch != "none":
+        unread.append(f"notch = {cfg.notch}")
+    if unread:
+        raise ConfigError(f"[mesh] {', '.join(unread)}: not read by the "
+                          f"{experiment} geometry")
     band_keys = [f"band_{c}" for c in ("x0", "x1", "y0", "y1")]
     missing = [k for k in band_keys if k not in mesh_cfg]
     if 0 < len(missing) < len(band_keys):
@@ -248,47 +235,41 @@ def load_config(path) -> RunConfig:
     mesh_cfg["refine_band"] = None if missing else ((x0, x1), (y0, y1))
     cfg.mesh_args = mesh_cfg
 
-    mode = str(load_cfg.get("mode", "dirichlet")).lower()
-    direction = _DIRECTIONS.get(str(load_cfg.get("direction", "y")).lower())
+    load_cfg = merged("load")
+    mode = load_cfg["mode"].lower()
+    direction = _DIRECTIONS.get(load_cfg["direction"].lower())
     if direction is None:
-        raise ConfigError(f"unknown load direction {load_cfg.get('direction')!r}")
+        raise ConfigError(f"unknown load direction {load_cfg['direction']!r}")
     if mode.startswith("dirichlet"):
-        u_max = float(load_cfg.get("u_max", 0.3))
         cfg.load = LoadProgram(mode=DIRICHLET_RAMP, T=scheme.T,
                                direction=direction,
-                               ubar_rate=u_max / scheme.T)
+                               ubar_rate=load_cfg["u_max"] / scheme.T)
     elif mode.startswith("traction"):
         cfg.load = LoadProgram(mode=TRACTION_RAMP, T=scheme.T,
                                direction=direction,
-                               traction_rate=float(load_cfg.get("traction_rate", 1.0)))
+                               traction_rate=load_cfg.get("traction_rate", 1.0))
     else:
         raise ConfigError(f"unknown load mode {mode!r}")
-    cfg.resolved = _resolve_dict(cfg)
     return cfg
 
 
-def _resolve_dict(cfg: RunConfig) -> dict:
-    """Every parameter that affects results, for the manifest."""
+def _manifest(cfg: RunConfig) -> dict:
+    """Every parameter that affects results: the init fields of the run's
+    dataclasses, with the scheme's ball as ``norm_V`` and ``alpha``."""
     out = {
         "version": __version__,
         "experiment": cfg.experiment,
-        "scheme": dict({k: getattr(cfg.scheme, k) for k in _MANIFEST_SCHEME},
+        "scheme": dict(_init_values(cfg.scheme, _SCHEME_UNKEYED),
                        norm_V=cfg.scheme.norm_V.kind,
                        alpha=cfg.scheme.norm_V.alpha),
         "output": {"directory": cfg.output_dir, "formats": list(cfg.formats)},
     }
     if cfg.zerodim is not None:
-        out["zerodim"] = {k: getattr(cfg.zerodim, k)
-                          for k in ("a", "eta", "kappa_E", "kappa_R", "ell_rate")}
-        out["zerodim"]["z0"] = cfg.zerodim_z0
+        out["zerodim"] = dict(_init_values(cfg.zerodim), z0=cfg.zerodim_z0)
     if cfg.material is not None:
-        out["material"] = {k: getattr(cfg.material, k)
-                           for k in ("young_E", "poisson_nu", "eta", "g_c",
-                                     "theta", "kappa_E", "kappa_R", "preset")}
+        out["material"] = _init_values(cfg.material)
         out["mesh"] = dict(cfg.mesh_args, notch=cfg.notch)
-        out["load"] = {"mode": cfg.load.mode, "direction": list(cfg.load.direction),
-                       "ubar_rate": cfg.load.ubar_rate,
-                       "traction_rate": cfg.load.traction_rate}
+        out["load"] = _init_values(cfg.load, ("T",))  # T is in the scheme
     return out
 
 
@@ -304,39 +285,33 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def trace_row(r) -> str:
-    return ",".join([
-        _fmt(r.k), _fmt(r.t), _fmt(r.dt), _fmt(r.dz_norm_V), _fmt(r.am_iters),
-        _fmt(r.energy), _fmt(r.R_increment), _fmt(r.reaction),
-        _fmt(r.dual_distance), _fmt(r.ball_active), _fmt(r.am_converged),
-    ])
+def _csv_row(record) -> str:
+    """One ``trace.csv`` or ``balance.csv`` row: the fields of a
+    ``StepRecord`` or ``BalanceRow`` in order."""
+    return ",".join(map(_fmt, dataclasses.astuple(record)))
 
 
-def write_balance_csv(path, report):
-    with open(path, "w") as f:
-        f.write(BALANCE_HEADER + "\n")
-        for row in report.rows:
-            f.write(",".join([
-                _fmt(row.k), _fmt(row.dE), _fmt(row.R_inc), _fmt(row.visc),
-                _fmt(row.work), _fmt(row.residual), _fmt(row.cum_residual),
-            ]) + "\n")
+def _from_rows(cls, rows: list) -> list:
+    """Inverse of ``_csv_row``: one ``cls`` per row.  Raises
+    ``ValueError`` on a malformed row."""
+    types = _init_fields(cls).items()
+    return [cls(**{name: _coerce(cell, typ, name) for (name, typ), cell
+                   in zip(types, line.split(","), strict=True)})
+            for line in rows]
 
 
 def build_mesh(cfg: RunConfig) -> Mesh:
-    args = dict(cfg.mesh_args)
     if cfg.experiment == "lshape":
-        args.pop("side_len", None)
-        return build_lshape_mesh(**args)
-    args.pop("leg_len", None)
-    return build_ct_mesh(**args, notch=(cfg.notch == "slit"))
+        return build_lshape_mesh(**cfg.mesh_args)
+    return build_ct_mesh(**cfg.mesh_args, notch=(cfg.notch == "slit"))
 
 
 def initial_damage(cfg: RunConfig, mesh: Mesh) -> np.ndarray:
     """Intact field, or a damaged band along the notch line when the
-    config asks for the initial-damage notch variant."""
+    config asks for the initial-damage notch variant (square plate only)."""
     z0 = np.ones(mesh.n_nodes)
-    if cfg.notch == "damage" and cfg.experiment in ("ct", "custom"):
-        L = cfg.mesh_args.get("side_len", 1.0)
+    if cfg.notch == "damage":
+        L = cfg.mesh_args["side_len"]
         on_line = (np.abs(mesh.nodes[:, 1] - 0.5 * L) < 1e-12 * L) & \
                   (mesh.nodes[:, 0] <= 0.5 * L + 1e-12 * L)
         z0[on_line] = 0.0
@@ -352,14 +327,14 @@ def execute(cfg: RunConfig) -> int:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / "manifest.json", "w") as f:
-        json.dump(cfg.resolved, f, indent=2, sort_keys=True)
+        json.dump(_manifest(cfg), f, indent=2, sort_keys=True)
 
     trace_path = outdir / "trace.csv"
     trace_file = open(trace_path, "w")
     trace_file.write(TRACE_HEADER + "\n")
 
     def hook(record):
-        trace_file.write(trace_row(record) + "\n")
+        trace_file.write(_csv_row(record) + "\n")
         trace_file.flush()
 
     status = 0
@@ -388,7 +363,9 @@ def execute(cfg: RunConfig) -> int:
                                direction=(1.0, 0.0),
                                traction_rate=cfg.zerodim.ell_rate)
         report = energy_balance(trace, load)
-        write_balance_csv(outdir / "balance.csv", report)
+        with open(outdir / "balance.csv", "w") as f:
+            f.write(BALANCE_HEADER + "\n")
+            f.writelines(_csv_row(row) + "\n" for row in report.rows)
         if mesh is not None and "vtk" in cfg.formats:
             for k in sorted(trace.snapshots):
                 u, z = trace.snapshots[k]
@@ -404,19 +381,9 @@ def execute(cfg: RunConfig) -> int:
 
 def read_trace(rows: list, params: SchemeParams) -> Trace:
     """A ``Trace`` without fields from the data rows of ``trace.csv`` and
-    the scheme of ``manifest.json``.  ``xi_norm`` is not stored and reads
-    NaN.  Raises ``ValueError`` on a malformed row."""
-    records = []
-    for line in rows:
-        (k, t, dt, dz, iters, energy, R_inc, reaction, dual, ball,
-         converged) = line.split(",")
-        records.append(StepRecord(
-            k=int(k), t=float(t), dt=float(dt), dz_norm_V=float(dz),
-            am_iters=int(iters), energy=float(energy),
-            R_increment=float(R_inc), reaction=float(reaction),
-            dual_distance=float(dual), xi_norm=math.nan,
-            ball_active=ball == "1", am_converged=converged == "1"))
-    return Trace(records=records, scheme=params)
+    the scheme of ``manifest.json``.  Raises ``ValueError`` on a malformed
+    row."""
+    return Trace(records=_from_rows(StepRecord, rows), scheme=params)
 
 
 def _malformed(name: str) -> int:
@@ -439,10 +406,10 @@ def verify_dir(trace_dir) -> int:
         print(f"FAIL {Path(exc.filename).name} is missing")
         return 1
     try:
-        scheme = json.loads(manifest)["scheme"]
+        scheme = dict(json.loads(manifest)["scheme"])
         params = SchemeParams(
-            norm_V=NormSpec(kind=scheme["norm_V"], alpha=scheme["alpha"]),
-            **{k: scheme[k] for k in _MANIFEST_SCHEME})
+            norm_V=NormSpec(scheme.pop("norm_V"), scheme.pop("alpha")),
+            **scheme)
     except (ValueError, KeyError, TypeError):
         return _malformed("manifest.json")
     if rows[:1] != [TRACE_HEADER]:
@@ -455,25 +422,24 @@ def verify_dir(trace_dir) -> int:
         trace = read_trace(rows[1:], params)
     except ValueError:
         return _malformed("trace.csv")
-    checks = [("monotone time", bool(np.all(np.diff(trace.times()) >= 0)))]
-    checks += check_trace_invariants(trace).verdicts().items()
+    checks = list(check_trace_invariants(trace).verdicts().items())
     checks.append(("complementarity", not complementarity_check(trace)))
     bal_path = trace_dir / "balance.csv"
     if bal_path.exists():
-        rows = bal_path.read_text().strip().splitlines()
         try:
-            bal = np.array([[float(v) for v in line.split(",")]
-                            for line in rows[1:]])
+            bal = _from_rows(BalanceRow, bal_path.read_text().strip().splitlines()[1:])
         except ValueError:
             return _malformed("balance.csv")
-        if bal.ndim != 2 or bal.shape[1] != BALANCE_HEADER.count(",") + 1:
+        if not bal:
             return _malformed("balance.csv")
-        ident = bal[:, 1] + bal[:, 2] + bal[:, 3] - bal[:, 4] - bal[:, 5]
+        col = {name: np.array([getattr(r, name) for r in bal])
+               for name in _init_fields(BalanceRow)}
+        ident = col["dE"] + col["R_inc"] + col["visc"] - col["work"] - col["residual"]
         checks.append(("balance rows close",
-                       bool(np.all(np.abs(ident) <= 1e-10 * (1 + np.abs(bal[:, 1]).max())))))
+                       bool(np.all(np.abs(ident) <= 1e-10 * (1 + np.abs(col["dE"]).max())))))
         checks.append(("balance cumulative consistent",
-                       bool(np.allclose(np.cumsum(bal[:, 5]), bal[:, 6],
-                                        atol=1e-12 * max(1, abs(bal[-1, 6]))))))
+                       bool(np.allclose(np.cumsum(col["residual"]), col["cum_residual"],
+                                        atol=1e-12 * max(1, abs(col["cum_residual"][-1]))))))
     status = 0
     for name, ok in checks:
         if ok is None:
@@ -491,7 +457,8 @@ def verify_dir(trace_dir) -> int:
 
 def sweep_point(config_path, name: str, val: float) -> RunConfig:
     """The config at ``config_path`` with ``rho`` or ``alpha`` set to
-    ``val``; the scheme is rebuilt, so its checks apply to ``val``."""
+    ``val``; the scheme is rebuilt, so its checks apply to ``val``.  An
+    ``alpha`` sweep needs an L^alpha ball."""
     cfg = load_config(config_path)
     scheme = cfg.scheme
     if name == "rho":
@@ -505,10 +472,11 @@ def sweep_point(config_path, name: str, val: float) -> RunConfig:
                 cfg.load = dataclasses.replace(cfg.load, T=T,
                                                ubar_rate=u_max / T)
         cfg.scheme = dataclasses.replace(scheme, rho=val, T=T)
+    elif scheme.norm_V.kind != "lalpha":
+        raise ConfigError(f"alpha does not enter the {scheme.norm_V.kind} ball")
     else:
         cfg.scheme = dataclasses.replace(
-            scheme, norm_V=NormSpec(kind="lalpha", alpha=val))
-    cfg.resolved = _resolve_dict(cfg)
+            scheme, norm_V=dataclasses.replace(scheme.norm_V, alpha=val))
     return cfg
 
 
@@ -542,7 +510,6 @@ def main(argv=None) -> int:
         return 2
     if args.out:
         cfg.output_dir = args.out
-        cfg.resolved["output"]["directory"] = args.out
 
     if args.verb == "run":
         return execute(cfg)
@@ -564,7 +531,6 @@ def main(argv=None) -> int:
     base = Path(cfg.output_dir)
     for raw, sub_cfg in points:
         sub_cfg.output_dir = str(base / f"{name}_{raw}")
-        sub_cfg.resolved["output"]["directory"] = sub_cfg.output_dir
         status |= execute(sub_cfg)
     return status
 

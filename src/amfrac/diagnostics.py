@@ -269,6 +269,7 @@ class InvariantReport:
     back from ``trace.csv``."""
 
     rho: float
+    time_decrease_max: float
     z_min: float | None
     z_max: float | None
     irreversibility_violation: float | None
@@ -286,6 +287,7 @@ class InvariantReport:
         tol = 1e-8
         fields = self.z_min is not None
         return {
+            "monotone time": self.time_decrease_max <= 0.0,
             "z within [0, 1]": (self.z_min >= -tol
                                 and self.z_max <= 1.0 + tol) if fields else None,
             "irreversibility": (self.irreversibility_violation <= tol
@@ -325,6 +327,7 @@ def check_trace_invariants(trace: Trace) -> InvariantReport:
     last = (recs[-1].dt + recs[-2].dz_norm_V) / rho if len(recs) > 1 else 0.0
     return InvariantReport(
         rho=rho,
+        time_decrease_max=float(np.max(-np.diff(trace.times()), initial=0.0)),
         z_min=z_min,
         z_max=z_max,
         irreversibility_violation=irr,

@@ -13,11 +13,10 @@ advances.
 (``run_pure_am``, the same loop with ``rho = inf``) and the scalar model
 (``zerodim.run_zero_dim``).  It sees the model only through a subproblem:
 ``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(t, u, z_prev, rho)
--> (z, report)``, ``energy(t, u, z)``, ``dissipation(dz)``,
-``load_power(u)``, the sup-norm ``sup(x)`` of the AM stopping rule, the
-per-step ``record(k, t, dt, res, z_prev) -> StepRecord``, which carries
-``||z - z_prev||_V`` for the time update, and ``fields(u, z)``, the
-snapshot of one step as a pair of arrays.
+-> (z, report)``, ``energy(t, u, z)``, ``load_power(u)``, the sup-norm
+``sup(x)`` of the AM stopping rule, the per-step ``record(k, t, dt, res,
+z_prev) -> StepRecord``, which carries ``||z - z_prev||_V`` for the time
+update, and ``fields(u, z)``, the snapshot of one step as a pair of arrays.
 ``FieldProblem`` is the finite-element implementation and
 ``zerodim.ScalarProblem`` the closed-form scalar one.
 """
@@ -57,8 +56,8 @@ class StepRecord:
     xi_norm: float
     ball_active: bool
     load_power: float = 0.0
-    am_converged: bool = True
     stationarity: float = 0.0
+    am_converged: bool = True
 
 
 @dataclass(eq=False)

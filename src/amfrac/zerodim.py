@@ -136,10 +136,6 @@ class ScalarProblem:
                                     "the grid oracle", z=z, oracle=z_ref)
         return z, mu
 
-    def dissipation(self, dz: float) -> float:
-        # damage increments are non-positive: R(dz) = kappa_R |dz|
-        return self.model.kappa_R * abs(dz)
-
     def load_power(self, u: float) -> float:
         return self.model.ell_rate * u
 

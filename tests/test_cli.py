@@ -15,8 +15,14 @@ from amfrac.cli import (
     execute,
     load_config,
     main,
+    read_trace,
+    sweep_point,
     verify_dir,
 )
+from amfrac.diagnostics import BalanceRow
+from amfrac.driver import StepRecord
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -97,6 +103,19 @@ fine_h = 0.05
             load_config(write(tmp_path, "[experiment]\nname = custom\n[mesh]\n"
                               "band_x0 = 0.4\nband_x1 = 1.0\n"))
 
+    @pytest.mark.parametrize("experiment, mesh", [
+        ("ct", "leg_len = 100"),
+        ("custom", "leg_len = 100"),
+        ("lshape", "side_len = 7"),
+        ("lshape", "notch = slit"),
+        ("lshape", "notch = damage"),
+    ])
+    def test_mesh_key_the_geometry_does_not_read_rejected(self, tmp_path,
+                                                          experiment, mesh):
+        with pytest.raises(ConfigError, match="not read by the"):
+            load_config(write(tmp_path, f"[experiment]\nname = {experiment}\n"
+                              f"[mesh]\n{mesh}\n"))
+
     def test_invalid_value_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="scheme.rho"):
             load_config(write(tmp_path, "[experiment]\nname = ct\n[scheme]\nrho = abc\n"))
@@ -134,6 +153,64 @@ direction = y
 directory = {out}
 store_all_snapshots = true
 """
+
+
+TRACTION_H1_CFG = """
+[experiment]
+name = ct
+[material]
+preset = ANALYSIS
+kappa_r = 0.5
+[mesh]
+coarse_h = 0.125
+fine_h = 0.125
+[scheme]
+rho = 0.05
+norm_v = h1
+t = 2.0
+[load]
+mode = traction
+traction_rate = 2.0
+direction = x
+[output]
+directory = {out}
+formats = csv
+"""
+
+
+class TestArtifactFormat:
+    def test_headers_are_the_dataclass_fields(self):
+        fields = [f.name for f in dataclasses.fields(StepRecord)]
+        assert TRACE_HEADER == ",".join(fields)
+        assert fields[-1] == "am_converged"
+        assert BALANCE_HEADER == ",".join(
+            f.name for f in dataclasses.fields(BalanceRow))
+
+    @pytest.mark.parametrize("text", [ZERODIM_CFG, CUSTOM_CFG, TRACTION_H1_CFG],
+                             ids=["zerodim", "custom", "traction-h1"])
+    def test_trace_csv_reads_back_as_the_records(self, tmp_path, monkeypatch,
+                                                 text):
+        traces = []
+        for name in ("run", "run_zero_dim"):
+            def keep(*args, _run=getattr(cli, name), **kwargs):
+                traces.append(_run(*args, **kwargs))
+                return traces[-1]
+            monkeypatch.setattr(cli, name, keep)
+        out = tmp_path / "out"
+        assert execute(load_config(write(tmp_path, text.format(out=out)))) == 0
+        rows = (out / "trace.csv").read_text().splitlines()
+        (trace,) = traces
+        assert read_trace(rows[1:], trace.scheme).records == trace.records
+
+    def test_readme_demo_runs_and_verifies(self, tmp_path, capsys):
+        text = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+        out = tmp_path / "demo"
+        assert "directory = out/demo\n" in text
+        text = text.replace("directory = out/demo", f"directory = {out}")
+        assert execute(load_config(write(tmp_path, text))) == 0
+        assert verify_dir(out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines)
 
 
 class TestExecute:
@@ -284,6 +361,11 @@ class TestMain:
         m1 = json.loads((out / "rho_0.05" / "manifest.json").read_text())
         assert m1["scheme"]["rho"] == 0.05
 
+    def test_alpha_sweep_point_keeps_the_ball_kind(self, tmp_path):
+        cfg_path = write(tmp_path, CUSTOM_CFG.format(out=tmp_path / "o"))
+        norm_V = sweep_point(cfg_path, "alpha", 3.0).scheme.norm_V
+        assert (norm_V.kind, norm_V.alpha) == ("lalpha", 3.0)
+
     def test_verify_verb(self, tmp_path):
         out = tmp_path / "zd"
         cfg_path = write(tmp_path, ZERODIM_CFG.format(out=out))
@@ -304,9 +386,10 @@ class TestMain:
         ("", "rho=0"),
         ("", "rho=abc"),
         ("", "alpha=1"),
+        ("[scheme]\nnorm_v = h1\n", "alpha=3"),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
-            "sweep_alpha=1"])
+            "sweep_alpha=1", "sweep_alpha_h1"])
     def test_invalid_input_is_config_error(self, tmp_path, capsys, extra,
                                            sweep):
         cfg_path = write(tmp_path, ZERODIM_CFG.format(out=tmp_path / "zd")

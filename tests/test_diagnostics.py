@@ -1,6 +1,7 @@
 """Dual distance, complementarity, interpolants and the energy ledger."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -236,6 +237,19 @@ class TestNormalizationResiduals:
             recs = trace.records
             last = (recs[-1].dt + recs[-2].dz_norm_V) / trace.scheme.rho
             assert last <= 1 + 1e-8
+
+
+class TestInvariantReport:
+    def test_time_decrease_fails_monotone_time(self, zerodim_trace):
+        trace = zerodim_trace[-1]
+        assert check_trace_invariants(trace).ok()
+        recs = list(trace.records)
+        k = len(recs) // 2
+        recs[k] = dataclasses.replace(recs[k], t=recs[k - 1].t - 1e-9)
+        report = check_trace_invariants(dataclasses.replace(trace, records=recs))
+        failed = [name for name, ok in report.verdicts().items() if ok is False]
+        assert failed == ["monotone time"]
+        assert not report.ok()
 
 
 class TestEnergyBalance:
