@@ -178,6 +178,12 @@ def load_config(path) -> RunConfig:
     experiment = data.get("experiment", {}).get("name", "ct")
     if experiment not in _PRESETS:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    others = (("material", "mesh", "load") if experiment == "zerodim"
+              else ("zerodim",))
+    unread = [f"[{section}]" for section in others if section in data]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: not read by the "
+                          f"{experiment} experiment")
 
     def merged(section):
         return {**_PRESETS[experiment].get(section, {}), **data.get(section, {})}

@@ -3,16 +3,17 @@
 The displacement subproblem is a symmetric positive definite linear solve
 after Dirichlet elimination.  The damage subproblem minimizes a convex
 quadratic under the nodal irreversibility bound ``z <= z_prev`` and the
-arc-length ball ``||z - z_prev||_V <= rho``.  The box is handled by a
-primal-dual active-set method, i.e. semismooth Newton on its
+arc-length ball ``||z - z_prev||_V <= rho``.  The box ``0 <= z <= z_prev``
+is handled by a primal-dual active-set method, i.e. semismooth Newton on its
 complementarity conditions (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
-2002): each pass pins the active nodes to ``z_prev`` and solves for the
-free ones exactly.  When the box solution leaves the ball it is retracted onto
-the sphere along the ray from ``z_prev``, and bordered Newton steps on the
-free values and the ball multiplier take over, the active set being updated
-after each step.  On the feasible cone the L^alpha ball is smooth; its
-gradient singularity at ``z = z_prev`` is removed by a negligible
-regularization of the alpha-th power sum (``assembly.VNorm``).
+2002): each pass pins the active nodes to ``z_prev`` (upper side) or to 0
+(lower side) and solves for the free ones exactly.  When the box solution
+leaves the ball it is retracted onto the sphere along the ray from
+``z_prev``, and bordered Newton steps on the free values and the ball
+multiplier take over, the active sets being updated after each step.  On
+the feasible cone the L^alpha ball is smooth; its gradient singularity at
+``z = z_prev`` is removed by a negligible regularization of the alpha-th
+power sum (``assembly.VNorm``).
 
 Every system factored here is symmetric positive definite (the stiffness
 because ``eta > 0``; ``Q = H + c1 M + c2 L`` with ``c1 > 0`` plus the ball
@@ -127,7 +128,7 @@ def _bordered_step(Q, btot, z, z_prev, mu, band, active, ball: VNorm, rho):
 
         (Q z - btot + mu gN(v))_F = 0,   N(v) = rho,   v = z - z_prev,
 
-    with the box-active nodes (mask ``active``) held at ``z_prev`` by
+    with the box-active nodes (mask ``active``) held at their values by
     pinned rows.  Updates ``z`` in place and returns the new multiplier."""
     N, gN, curv, a, c = ball.newton_parts(z - z_prev, mu)
     solve = _factor(band, Q.data + curv, active)
@@ -152,9 +153,12 @@ class ZSolveReport:
     """Solution and KKT certificates of one damage subproblem.
 
     ``al_iters`` counts the solver's passes: the first one plus one for each
-    change of the box-active set or of the ball status.  ``newton_iters``
+    change of the box-active sets or of the ball status.  ``newton_iters``
     counts linear solves, one factorization each (box solves and bordered
     Newton steps); a pass with every node box-active solves nothing.
+    ``lam`` is the multiplier of ``z <= z_prev`` and ``lower_clamps`` the
+    number of nodes that the last pass held at ``z = 0`` (a retraction onto
+    the sphere in that pass can lift them slightly).
     """
 
     z: np.ndarray
@@ -174,7 +178,7 @@ class ZSolveReport:
 def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
             mesh: Mesh, model: MaterialModel, params: SchemeParams) -> ZSolveReport:
     """Damage update: minimize the damage-quadratic energy plus dissipation
-    subject to ``z <= z_prev`` (nodal) and ``||z - z_prev||_V <= rho``.
+    subject to ``0 <= z <= z_prev`` (nodal) and ``||z - z_prev||_V <= rho``.
 
     ``rho = inf`` disables the ball (plain staggered step).  Raises
     ``SolverFailure`` with its residuals when the KKT tolerances are not met.
@@ -192,12 +196,15 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     stat_scale = max(1.0, dual_norm_lumped(g0 / w, w, norm))
     feas_tol = params.tol_constraint
     ball_tol = params.tol_constraint * max(1.0, rho) if has_ball else 0.0
-    # a free node re-enters the active set only above round-off, so a node
-    # released with a multiplier of -0.0 cannot flip back and forth
+    # a free node re-enters the upper set only above round-off, so a node
+    # released with a multiplier of -0.0 cannot flip back and forth; the
+    # lower bound emerges from the objective, so it enters only beyond
+    # tolerance
     enter_tol = 1e-3 * feas_tol
 
     z = z_prev.copy()
     active = g0 < 0.0  # lam0 = btot - Q z_prev > 0
+    lower = np.zeros(n, dtype=bool)  # held at z = 0
     mu, ball_on = 0.0, False
     N, gN = 0.0, None
     box_sets = set()
@@ -214,22 +221,24 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
 
     for _ in range(_MAX_ITERATIONS):
         passes += new_pass
-        free = ~active
-        z[active] = z_prev[active]
+        pinned = active | lower
+        free = ~pinned
+        pin = np.where(active, z_prev, 0.0)
+        z[pinned] = pin[pinned]
         if ball_on:
             if free.any():
-                mu = _bordered_step(Q, btot, z, z_prev, mu, band, active, ball,
+                mu = _bordered_step(Q, btot, z, z_prev, mu, band, pinned, ball,
                                     rho)
                 solves += 1
         else:
-            # a box pass depends on the active set alone: a repeat is a cycle
-            key = active.tobytes()
+            # a box pass depends on the active sets alone: a repeat is a cycle
+            key = active.tobytes() + lower.tobytes()
             if key in box_sets:
                 raise failure("damage active set cycles")
             box_sets.add(key)
             if free.any():
-                rhs = btot - Q @ np.where(active, z_prev, 0.0)
-                z = _factor(band, Q.data, active)(np.where(active, z_prev, rhs))
+                rhs = btot - Q @ pin
+                z = _factor(band, Q.data, pinned)(np.where(pinned, pin, rhs))
                 solves += 1
 
         was_on = ball_on
@@ -258,13 +267,17 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
             r += mu * gN
         lam = np.where(active, -r, 0.0)
         new_active = np.where(active, lam >= 0.0, v > enter_tol)
-        stat = dual_norm_lumped((r + lam) / w, w, norm)
-        new_pass = not (np.array_equal(new_active, active) and ball_on == was_on)
+        # the lower multiplier is r itself: release a node where it is < 0
+        new_lower = np.where(lower, r >= 0.0, free & (z < -feas_tol))
+        stat = dual_norm_lumped(np.where(pinned, 0.0, r) / w, w, norm)
+        new_pass = not (np.array_equal(new_active, active)
+                        and np.array_equal(new_lower, lower)
+                        and ball_on == was_on)
         if not new_pass and (not ball_on or (
                 stat <= params.tol_newton * stat_scale
                 and abs(N - rho) <= ball_tol)):
             break
-        active = new_active
+        active, lower = new_active, new_lower
     else:
         raise failure("damage solve exhausted its iteration budget")
 
@@ -273,11 +286,6 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     if not (box_viol <= 10 * feas_tol and g2 <= 10 * ball_tol
             and stat <= 10 * params.tol_newton * stat_scale):
         raise failure("damage subproblem did not reach its KKT tolerance")
-
-    # lower bound emerges from the objective; clamp only beyond tolerance
-    clamps = int(np.count_nonzero(z < -params.tol_constraint))
-    if clamps:
-        z = np.maximum(z, 0.0)
 
     dz_norm = ball.value(z - z_prev)
 
@@ -298,5 +306,5 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
         al_iters=passes,
         newton_iters=solves,
         dz_norm_V=dz_norm,
-        lower_clamps=clamps,
+        lower_clamps=int(np.count_nonzero(lower)),
     )

@@ -94,25 +94,50 @@ def z_step(t: float, u: float, z_prev: float, rho: float,
 def brute_force_z_step(t: float, u: float, z_prev: float, rho: float,
                        model: ZeroDimModel,
                        grid_step: float = _GRID_STEP) -> float:
-    """Exhaustive grid minimization of the damage step objective."""
+    """Exhaustive grid minimization of the damage step objective
+    ``(c/2) g^2 + kappa_R (z_prev - g)``, ``c = a u^2 + kappa_E``.
+
+    The grid is ``np.linspace(lo, hi, n + 1)`` on the feasible interval
+    ``[max(0, z_prev - rho), z_prev]`` with ``n = ceil((hi - lo) /
+    grid_step)`` cells (at least one): point ``i`` is ``i * step + lo``
+    with ``step = (hi - lo) / n`` and the last point is ``hi``.  The first
+    minimum wins on ties, as ``np.argmin``.  It is evaluated in Python
+    floats, one point at a time, so a call costs O(n) with no numpy
+    overhead, and it returns the numpy evaluation's grid point bit for bit.
+    """
     if grid_step <= 0:
         raise ValueError("grid_step must be positive")
-    lo = max(0.0, z_prev - rho)
+    # max(0.0, z_prev - rho) and max(1, ceil(...)) without builtin calls,
+    # which cost as much as a short grid
+    lo = z_prev - rho
+    if not lo > 0.0:
+        lo = 0.0
     hi = z_prev
-    n = max(1, int(math.ceil((hi - lo) / grid_step)))
-    grid = np.linspace(lo, hi, n + 1)
-    c = model.a * u * u + model.kappa_E
-    vals = 0.5 * c * grid ** 2 + model.kappa_R * (z_prev - grid)
-    return float(grid[int(np.argmin(vals))])
+    n = math.ceil((hi - lo) / grid_step)
+    if n < 1:
+        n = 1
+    step = (hi - lo) / n
+    half_c = 0.5 * (model.a * u * u + model.kappa_E)
+    kappa_R = model.kappa_R
+    best_g, best = lo, half_c * (lo * lo) + kappa_R * (z_prev - lo)
+    for i in range(1, n):
+        g = i * step + lo
+        v = half_c * (g * g) + kappa_R * (z_prev - g)
+        if v < best:
+            best_g, best = g, v
+    if half_c * (hi * hi) + kappa_R * (z_prev - hi) < best:
+        best_g = hi
+    return best_g
 
 
 class ScalarProblem:
     """The scalar system as the subproblem of ``driver.evolve``.
 
     Both solves are closed form and every quantity is a Python float, so
-    the AM iteration makes no numpy call; ``check_oracle`` cross-checks
-    every damage solve against the exhaustive grid oracle (within one grid
-    cell) and raises on a mismatch.
+    the AM iteration makes no numpy call, also with ``check_oracle`` on:
+    that option cross-checks every damage solve against the exhaustive grid
+    oracle, itself evaluated in Python floats, and raises when the two
+    differ by more than two grid cells.
     """
 
     sup = staticmethod(abs)
@@ -131,7 +156,7 @@ class ScalarProblem:
         if self.check_oracle:
             z_ref = brute_force_z_step(t, u, z_prev, rho, self.model,
                                        _GRID_STEP)
-            if abs(z - z_ref) > 2.0 * _GRID_STEP:
+            if not abs(z - z_ref) <= 2.0 * _GRID_STEP:  # NaN fails too
                 raise SolverFailure("scalar damage step disagrees with "
                                     "the grid oracle", z=z, oracle=z_ref)
         return z, mu
@@ -172,7 +197,7 @@ def run_zero_dim(model: ZeroDimModel, params: SchemeParams,
     """Full adaptive evolution of the scalar system (see ``driver.evolve``).
 
     With ``check_oracle`` every damage solve is cross-checked against the
-    exhaustive grid oracle (within one grid cell); a mismatch raises.
+    exhaustive grid oracle (within two grid cells); a mismatch raises.
     """
     return evolve(ScalarProblem(model, params, check_oracle), z0,
                   record_hook=record_hook)

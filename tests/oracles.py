@@ -7,6 +7,8 @@ disagreement with the package points at the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -112,6 +114,21 @@ def ref_field_norm_lalpha(dz, mesh, alpha, order=4):
         for w, N, _ in element_quadrature(coords, order):
             acc += w * abs(N @ ze) ** alpha
     return acc ** (1.0 / alpha)
+
+
+def ref_brute_force_z_step(t, u, z_prev, rho, model, grid_step):
+    """Grid minimization of the scalar damage step objective over
+    ``np.linspace`` with ``np.argmin``: the numpy evaluation that
+    ``zerodim.brute_force_z_step`` reproduces in Python floats."""
+    if grid_step <= 0:
+        raise ValueError("grid_step must be positive")
+    lo = max(0.0, z_prev - rho)
+    hi = z_prev
+    n = max(1, int(math.ceil((hi - lo) / grid_step)))
+    grid = np.linspace(lo, hi, n + 1)
+    c = model.a * u * u + model.kappa_E
+    vals = 0.5 * c * grid ** 2 + model.kappa_R * (z_prev - grid)
+    return float(grid[int(np.argmin(vals))])
 
 
 def fd_gradient(fun, x, rel_step=1e-6):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import amfrac.cli as cli
+import amfrac.driver as driver
+import amfrac.solvers as solvers
 from amfrac.cli import (
     BALANCE_HEADER,
     ConfigError,
@@ -116,6 +118,21 @@ fine_h = 0.05
             load_config(write(tmp_path, f"[experiment]\nname = {experiment}\n"
                               f"[mesh]\n{mesh}\n"))
 
+    @pytest.mark.parametrize("experiment, section, key", [
+        ("zerodim", "material", "young_e = 50"),
+        ("zerodim", "mesh", "coarse_h = 0.2"),
+        ("zerodim", "load", "mode = traction"),
+        ("ct", "zerodim", "a = 2"),
+        ("custom", "zerodim", "a = 2"),
+        ("lshape", "zerodim", "a = 2"),
+    ])
+    def test_section_the_experiment_does_not_read_rejected(
+            self, tmp_path, experiment, section, key):
+        with pytest.raises(ConfigError,
+                           match=rf"\[{section}\]: not read by the {experiment}"):
+            load_config(write(tmp_path, f"[experiment]\nname = {experiment}\n"
+                              f"[{section}]\n{key}\n"))
+
     def test_invalid_value_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="scheme.rho"):
             load_config(write(tmp_path, "[experiment]\nname = ct\n[scheme]\nrho = abc\n"))
@@ -214,6 +231,30 @@ class TestArtifactFormat:
 
 
 class TestExecute:
+    def test_h1_ball_with_damage_notch_stays_in_the_ball(self, tmp_path,
+                                                         monkeypatch):
+        """The damage solve holds nodes at z = 0 inside its active-set
+        iteration, so its increment stays in the H1 ball to T."""
+        reports = []
+
+        def solve_z(*args):
+            reports.append(solvers.solve_z(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(driver, "solve_z", solve_z)
+        out = tmp_path / "h1"
+        text = TRACTION_H1_CFG.replace("fine_h = 0.125\n",
+                                       "fine_h = 0.125\nnotch = damage\n")
+        cfg = load_config(write(tmp_path, text.format(out=out)))
+        assert execute(cfg) == 0
+        assert verify_dir(out) == 0
+        assert max(r.lower_clamps for r in reports) > 0
+        tol = cfg.scheme.tol_constraint
+        for r in reports:
+            assert r.z.min() >= -tol
+            assert np.count_nonzero(np.abs(r.z) <= tol) >= r.lower_clamps
+            assert r.dz_norm_V <= cfg.scheme.rho * (1.0 + 1e-6)
+
     def test_zerodim_run_artifacts(self, tmp_path):
         out = tmp_path / "zd"
         cfg = load_config(write(tmp_path, ZERODIM_CFG.format(out=out)))
@@ -376,24 +417,32 @@ class TestMain:
         bad = write(tmp_path, "[experiment]\nname = nope\n")
         assert main(["run", str(bad)]) == 2
 
-    @pytest.mark.parametrize("extra, sweep", [
-        ("[scheme]\nrho = -1\n", None),
-        ("[scheme]\nnorm_v = h2\n", None),
-        ("[scheme]\nalpha = 1\n", None),
-        ("[scheme]\nmax_am_iters = 0\n", None),
-        ("[zerodim]\na = -1\n", None),
-        ("[zerodim]\nz0 = 1.5\n", None),
-        ("", "rho=0"),
-        ("", "rho=abc"),
-        ("", "alpha=1"),
-        ("[scheme]\nnorm_v = h1\n", "alpha=3"),
+    @pytest.mark.parametrize("experiment, extra, sweep", [
+        ("zerodim", "[scheme]\nrho = -1\n", None),
+        ("zerodim", "[scheme]\nnorm_v = h2\n", None),
+        ("zerodim", "[scheme]\nalpha = 1\n", None),
+        ("zerodim", "[scheme]\nmax_am_iters = 0\n", None),
+        ("zerodim", "[zerodim]\na = -1\n", None),
+        ("zerodim", "[zerodim]\nz0 = 1.5\n", None),
+        ("zerodim", "", "rho=0"),
+        ("zerodim", "", "rho=abc"),
+        ("zerodim", "", "alpha=1"),
+        ("zerodim", "[scheme]\nnorm_v = h1\n", "alpha=3"),
+        ("zerodim", "[material]\nyoung_e = 50\n", None),
+        ("zerodim", "[mesh]\ncoarse_h = 0.2\n", None),
+        ("zerodim", "[load]\nu_max = 0.1\n", None),
+        ("ct", "[zerodim]\na = 2\n", None),
+        ("custom", "[zerodim]\na = 2\n", None),
+        ("lshape", "[zerodim]\na = 2\n", None),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
-            "sweep_alpha=1", "sweep_alpha_h1"])
-    def test_invalid_input_is_config_error(self, tmp_path, capsys, extra,
-                                           sweep):
-        cfg_path = write(tmp_path, ZERODIM_CFG.format(out=tmp_path / "zd")
-                         + extra)
+            "sweep_alpha=1", "sweep_alpha_h1", "zerodim_material",
+            "zerodim_mesh", "zerodim_load", "ct_zerodim", "custom_zerodim",
+            "lshape_zerodim"])
+    def test_invalid_input_is_config_error(self, tmp_path, capsys, experiment,
+                                           extra, sweep):
+        text = ZERODIM_CFG.replace("zerodim", experiment)
+        cfg_path = write(tmp_path, text.format(out=tmp_path / "zd") + extra)
         argv = (["sweep", str(cfg_path), "--param", sweep] if sweep
                 else ["run", str(cfg_path)])
         assert main(argv) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import amfrac as af
+import amfrac.zerodim as zerodim
 from amfrac.diagnostics import check_trace_invariants, complementarity_check
 from amfrac.zerodim import (
     ZeroDimModel,
@@ -13,6 +14,7 @@ from amfrac.zerodim import (
     run_zero_dim,
     z_step,
 )
+from oracles import ref_brute_force_z_step
 
 
 class TestZStep:
@@ -54,6 +56,118 @@ class TestZStep:
     def test_grid_step_validation(self):
         with pytest.raises(ValueError):
             brute_force_z_step(0.0, 1.0, 0.5, 0.1, ZeroDimModel(), 0.0)
+
+
+class TestGridOracle:
+    """``brute_force_z_step`` in Python floats against its numpy reference
+    (``np.linspace`` and ``np.argmin``), compared under ``==``."""
+
+    @staticmethod
+    def assert_same(t, u, z_prev, rho, zm, grid_step):
+        z = brute_force_z_step(t, u, z_prev, rho, zm, grid_step)
+        z_ref = ref_brute_force_z_step(t, u, z_prev, rho, zm, grid_step)
+        assert z == z_ref, (u, z_prev, rho, grid_step)
+
+    def test_random_inputs_match_the_numpy_reference(self):
+        rng = np.random.default_rng(9)
+        for _ in range(1500):
+            zm = ZeroDimModel(a=rng.uniform(0.1, 3.0),
+                              kappa_E=rng.uniform(0.0, 2.0),
+                              kappa_R=rng.uniform(0.0, 2.0))
+            grid_step = 10.0 ** rng.uniform(-5.0, -1.0)
+            cells = 10.0 ** rng.uniform(0.0, math.log10(5000.0))
+            z_prev = rng.uniform(0.0, 1.0)
+            rho = cells * grid_step
+            self.assert_same(rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0),
+                             z_prev, rho, zm, grid_step)
+
+    def test_flat_minimum_is_decided_by_round_off(self):
+        """Cells of 1e-9 to 1e-7 around the interior minimizer: neighbouring
+        objective values differ in their last bits, so the argmin depends
+        on the exact order of every operation."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            zm = ZeroDimModel(kappa_E=rng.uniform(1.0, 2.0),
+                              kappa_R=rng.uniform(0.1, 1.0))
+            u = rng.uniform(0.0, 1.0)
+            z_min = zm.kappa_R / (zm.a * u * u + zm.kappa_E)
+            grid_step = 10.0 ** rng.uniform(-9.0, -7.0)
+            rho = int(rng.integers(50, 2000)) * grid_step
+            z_prev = z_min + rng.uniform(0.2, 0.8) * rho
+            self.assert_same(0.0, u, z_prev, rho, zm, grid_step)
+
+    @pytest.mark.parametrize("cells", [1, 2, 3, 7, 200, 1000, 5000])
+    def test_grid_sizes(self, cells):
+        zm = ZeroDimModel()
+        grid_step = 1e-4
+        rho = 0.9999 * cells * grid_step
+        assert math.ceil((0.9 - (0.9 - rho)) / grid_step) == cells
+        for u in (0.0, 0.7, 1.3, 3.0):
+            self.assert_same(0.0, u, 0.9, rho, zm, grid_step)
+
+    @pytest.mark.parametrize("z_prev, rho", [
+        (0.7, 0.0),      # zero radius: lo == hi
+        (0.0, 0.1),      # no damage left: lo == hi == 0
+        (0.05, 0.3),     # z_prev < rho: the grid starts at 0
+        (0.3, 0.3),      # z_prev == rho
+        (0.7, 1e-3),     # (hi - lo) / grid_step is 10 + round-off: 11 cells
+    ])
+    def test_edge_intervals(self, z_prev, rho):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            zm = ZeroDimModel(kappa_E=rng.uniform(0.0, 2.0),
+                              kappa_R=rng.uniform(0.0, 2.0))
+            self.assert_same(0.0, rng.uniform(0.0, 3.0), z_prev, rho, zm,
+                             1e-4)
+
+    def test_round_off_adds_a_cell(self):
+        # the premise of the last case of test_edge_intervals
+        assert math.ceil((0.7 - (0.7 - 1e-3)) / 1e-4) == 11
+
+    def test_ties_keep_the_first_minimum(self):
+        # u = 0 and kappa_R = kappa_E = 0: the objective is 0 everywhere
+        zm = ZeroDimModel(kappa_E=0.0, kappa_R=0.0)
+        for z_prev, rho in ((0.9, 0.05), (0.3, 0.5), (0.5, 0.0)):
+            z = brute_force_z_step(0.0, 0.0, z_prev, rho, zm)
+            assert z == max(0.0, z_prev - rho)
+            self.assert_same(0.0, 0.0, z_prev, rho, zm, 1e-4)
+
+    def test_scalar_run_with_the_reference_oracle(self, monkeypatch):
+        """Each oracle call of a run equals the reference on its inputs,
+        and a run with the reference in its place gives equal records."""
+        zm = ZeroDimModel()
+        mismatches, calls = [], []
+        fast = zerodim.brute_force_z_step
+
+        def both(*args):
+            z, z_ref = fast(*args), ref_brute_force_z_step(*args)
+            calls.append(args)
+            if z != z_ref:
+                mismatches.append(args)
+            return z_ref
+
+        for rho in (0.02, 1e-3):
+            params = af.SchemeParams(rho=rho, T=1.0,
+                                     norm_V=af.NormSpec("lalpha", 2.0))
+            records = run_zero_dim(zm, params, check_oracle=True).records
+            monkeypatch.setattr(zerodim, "brute_force_z_step", both)
+            with_ref = run_zero_dim(zm, params, check_oracle=True).records
+            monkeypatch.undo()
+            assert with_ref == records
+        assert len(calls) > 1000 and not mismatches
+
+    @pytest.mark.parametrize("error", [3 * zerodim._GRID_STEP, math.nan],
+                             ids=["three-cells", "nan"])
+    def test_check_catches_a_wrong_damage_step(self, monkeypatch, error):
+        def wrong_step(*args):
+            z, mu, lam = z_step(*args)
+            return z + error, mu, lam
+
+        monkeypatch.setattr(zerodim, "z_step", wrong_step)
+        params = af.SchemeParams(rho=0.02, T=1.0,
+                                 norm_V=af.NormSpec("lalpha", 2.0))
+        with pytest.raises(af.SolverFailure, match="grid oracle"):
+            run_zero_dim(ZeroDimModel(), params, check_oracle=True)
 
 
 class TestRunZeroDim:
