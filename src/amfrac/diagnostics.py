@@ -309,8 +309,11 @@ class InvariantReport:
 def check_trace_invariants(trace: Trace) -> InvariantReport:
     """Verify the proven structural properties on a stored trace.
 
-    Needs all snapshots (run with ``store_all_snapshots=True``) for the
-    bound and irreversibility checks; a trace without fields skips them.
+    The bound and irreversibility checks read the stored damage fields in
+    step order: ``0 <= z <= 1`` on each, and ``z`` nonincreasing from
+    ``z0`` through consecutive stored steps.  A partial trace (run without
+    ``store_all_snapshots``) is checked on its stored steps only; a trace
+    without fields skips them.
     """
     recs = trace.records
     rho = trace.scheme.rho
@@ -318,8 +321,8 @@ def check_trace_invariants(trace: Trace) -> InvariantReport:
     if trace.z0 is not None:
         z_min, z_max, irr = math.inf, -math.inf, -math.inf
         z_prev = trace.z0
-        for r in recs:
-            _, z = trace.snapshot(r.k)
+        for k in sorted(trace.snapshots):
+            _, z = trace.snapshots[k]
             z_min = min(z_min, float(z.min()))
             z_max = max(z_max, float(z.max()))
             irr = max(irr, float((z - z_prev).max()))

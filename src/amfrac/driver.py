@@ -72,8 +72,12 @@ class Trace:
     load_power_init: float = 0.0
     snapshots: dict = field(default_factory=dict)
     load_mode: str = DIRICHLET_RAMP
-    dual_surrogate: bool = False
     aborted: bool = False
+
+    @property
+    def dual_surrogate(self) -> bool:
+        """True when the scheme's dual distance is only an L2 surrogate."""
+        return self.scheme.norm_V.dual_is_surrogate
 
     @property
     def n_steps(self) -> int:
@@ -182,8 +186,7 @@ def evolve(problem, z0, times: np.ndarray | None = None,
     max_steps = params.max_steps or (10 * math.ceil(params.T / params.rho)
                                      + 100000)
     trace = Trace(scheme=params, z0=np.array(z0, ndmin=1),
-                  load_mode=problem.load_mode,
-                  dual_surrogate=params.norm_V.dual_is_surrogate)
+                  load_mode=problem.load_mode)
     z_prev, u_prev = z0, None
     t = t_prev = 0.0 if adaptive else times[0]
     k = 0

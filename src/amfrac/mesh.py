@@ -2,10 +2,14 @@
 
 Two specimen families are supported: a unit-square compact-tension style
 plate with a zero-width mid-height slit, and an L-shaped plate.  Both are
-built as graded tensor-product grids (cell sizes halve in bands toward the
-refined region), which keeps the mesh conforming without hanging nodes.
-All coordinates are quantized to the fine cell size, so geometric anchors
-(notch line, re-entrant corner) always coincide with grid lines.
+graded tensor-product grids (cell sizes halve in bands toward the refined
+region), which keeps the mesh conforming without hanging nodes, and both
+builders are index arithmetic on the one grid of ``_tensor_grid``: the slit
+duplicates the slit-row nodes left of its tip, and the L-shape drops the
+cells of the cut quadrant.  No list of slit edges is kept; the two lips are
+the pairs of coincident nodes.  All coordinates are quantized to the fine
+cell size, so geometric anchors (notch line, re-entrant corner) always
+coincide with grid lines.
 """
 
 from __future__ import annotations
@@ -65,9 +69,9 @@ class Mesh:
     boundary_sets : dict[str, np.ndarray]
         Named node index sets; every specimen provides "clamped" and
         "loaded".
-    notch_faces : list[tuple[tuple[int, int], tuple[int, int]]]
-        Pairs of coincident edges forming the zero-width slit; empty when
-        the mesh has no slit.
+
+    A zero-width slit is a row of duplicated nodes: each lip node and its
+    duplicate share coordinates and no element.
 
     The mesh is immutable after construction and safe to share read-only.
     """
@@ -75,7 +79,6 @@ class Mesh:
     nodes: np.ndarray
     elements: np.ndarray
     boundary_sets: dict = field(default_factory=dict)
-    notch_faces: list = field(default_factory=list)
 
     @property
     def n_nodes(self) -> int:
@@ -99,16 +102,6 @@ class Mesh:
 
     def area(self) -> float:
         return float(self.element_areas().sum())
-
-    def notch_node_pairs(self) -> list:
-        """Distinct (original, duplicate) node pairs along the slit."""
-        pairs = set()
-        for (a0, a1), (b0, b1) in self.notch_faces:
-            if a0 != b0:
-                pairs.add((a0, b0))
-            if a1 != b1:
-                pairs.add((a1, b1))
-        return sorted(pairs)
 
 
 def _graded_cell_sizes(gap_units: int, coarse_units: int, fine: float) -> list:
@@ -174,18 +167,24 @@ def graded_ticks(length: float, coarse_h: float, fine_h: float,
 
 
 def _tensor_grid(xt: np.ndarray, yt: np.ndarray):
+    """Nodes of the tensor grid ``xt`` x ``yt``, row-major (x fastest), and
+    its cells, row-major, as counter-clockwise elements."""
     nx, ny = len(xt) - 1, len(yt) - 1
-    X, Y = np.meshgrid(xt, yt)  # row-major in y
+    X, Y = np.meshgrid(xt, yt)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
+    n = (np.arange(ny, dtype=np.int64)[:, None] * (nx + 1)
+         + np.arange(nx, dtype=np.int64)).ravel()
+    elements = np.column_stack([n, n + 1, n + nx + 2, n + nx + 1])
+    return nodes, elements
 
-    def nid(i, j):
-        return j * (nx + 1) + i
 
-    elems = []
-    for j in range(ny):
-        for i in range(nx):
-            elems.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)])
-    return nodes, np.array(elems, dtype=np.int64), nid
+def _axis_bands(refine_band, default, coarse_h: float, fine_h: float):
+    """Refinement bands ``(xband, yband)``: ``refine_band`` if given, else
+    ``default`` on a graded grid (``fine_h < coarse_h``) and no band,
+    ``(None, None)``, on a uniform one."""
+    if refine_band is not None:
+        return refine_band
+    return default if fine_h < coarse_h else (None, None)
 
 
 def build_ct_mesh(side_len: float, coarse_h: float, fine_h: float,
@@ -197,21 +196,14 @@ def build_ct_mesh(side_len: float, coarse_h: float, fine_h: float,
     realized by node duplication, so the two lips share coordinates but no
     stiffness coupling.  ``refine_band`` is ``((x0, x1), (y0, y1))``; the
     default refines the expected crack corridor ahead of the slit tip.
-    Boundary sets: "clamped" (left edge) and "loaded" (right edge).
+    Boundary sets: "clamped" (left edge, both lips at the slit mouth) and
+    "loaded" (right edge).
     """
     L = float(side_len)
-    if refine_band is None:
-        if fine_h < coarse_h:
-            refine_band = ((0.45 * L, L), (0.375 * L, 0.625 * L))
-        else:
-            refine_band = None
-    if refine_band is not None:
-        (x0, x1), (y0, y1) = refine_band
-        if not (0 <= x0 < x1 <= L and 0 <= y0 < y1 <= L):
-            raise MeshConfigError(f"refinement band {refine_band} outside domain")
-        xband, yband = (x0, x1), (y0, y1)
-    else:
-        xband = yband = None
+    xband, yband = _axis_bands(
+        refine_band, ((0.45 * L, L), (0.375 * L, 0.625 * L)), coarse_h, fine_h)
+    if xband is not None and not all(0 <= lo < hi <= L for lo, hi in (xband, yband)):
+        raise MeshConfigError(f"refinement band {(xband, yband)} outside domain")
 
     xt = graded_ticks(L, coarse_h, fine_h, xband)
     yt = graded_ticks(L, coarse_h, fine_h, yband)
@@ -225,51 +217,24 @@ def build_ct_mesh(side_len: float, coarse_h: float, fine_h: float,
         if not np.any(np.isclose(xt, x_tip, atol=1e-12 * L)):
             raise MeshConfigError("slit tip is not on a grid line")
 
-    nodes, elements, nid = _tensor_grid(xt, yt)
-    nx, ny = len(xt) - 1, len(yt) - 1
+    nodes, elements = _tensor_grid(xt, yt)
+    nx = len(xt) - 1
+    left = np.arange(0, nodes.shape[0], nx + 1, dtype=np.int64)
+    right = left + nx
 
-    left = np.array([nid(0, j) for j in range(ny + 1)], dtype=np.int64)
-    right = np.array([nid(nx, j) for j in range(ny + 1)], dtype=np.int64)
-
-    notch_faces = []
     if notch:
+        # the slit-row nodes left of the tip get duplicates, and the row of
+        # elements above the slit moves onto them; the tip node stays single
         j_mid = int(np.argmin(np.abs(yt - y_mid)))
-        slit_cols = [i for i in range(nx + 1) if xt[i] < x_tip - 1e-12 * L]
-        dup_of = {}
-        new_nodes = []
-        for i in slit_cols:
-            n = nid(i, j_mid)
-            dup_of[n] = nodes.shape[0] + len(new_nodes)
-            new_nodes.append(nodes[n])
-        if new_nodes:
-            nodes = np.vstack([nodes, np.array(new_nodes)])
-        # elements whose bottom edge lies on the slit switch to the duplicates
-        elements = elements.copy()
-        for j in (j_mid,):
-            if j >= ny:
-                continue
-            for i in range(nx):
-                e = j * nx + i
-                conn = elements[e]
-                elements[e] = [dup_of.get(n, n) for n in conn]
-        # coincident edge pairs along the slit
-        cols = slit_cols + [int(np.argmin(np.abs(xt - x_tip)))]
-        for a, b in zip(cols[:-1], cols[1:]):
-            n0, n1 = nid(a, j_mid), nid(b, j_mid)
-            notch_faces.append(
-                ((n0, n1), (dup_of.get(n0, n0), dup_of.get(n1, n1)))
-            )
-        if dup_of:
-            # both slit lips at x=0 belong to the clamped edge
-            extra = [dup_of[n] for n in left if n in dup_of]
-            left = np.concatenate([left, np.array(extra, dtype=np.int64)])
+        lip = j_mid * (nx + 1) + np.flatnonzero(xt < x_tip - 1e-12 * L)
+        to_dup = np.arange(nodes.shape[0] + lip.size, dtype=np.int64)
+        to_dup[lip] = to_dup[nodes.shape[0]:]
+        row = slice(j_mid * nx, (j_mid + 1) * nx)
+        elements[row] = to_dup[elements[row]]
+        nodes = np.vstack([nodes, nodes[lip]])
+        left = np.append(left, to_dup[lip[0]])
 
-    return Mesh(
-        nodes=nodes,
-        elements=elements,
-        boundary_sets={"clamped": np.sort(left), "loaded": np.sort(right)},
-        notch_faces=notch_faces,
-    )
+    return Mesh(nodes, elements, {"clamped": left, "loaded": right})
 
 
 def build_lshape_mesh(leg_len: float, coarse_h: float, fine_h: float,
@@ -281,46 +246,27 @@ def build_lshape_mesh(leg_len: float, coarse_h: float, fine_h: float,
     """
     leg = float(leg_len)
     S = 2.0 * leg
-    if refine_band is None:
-        if fine_h < coarse_h:
-            refine_band = ((0.34 * S, 0.54 * S), (0.44 * S, 0.55 * S))
-        else:
-            refine_band = None
-    if refine_band is not None:
-        (x0, x1), (y0, y1) = refine_band
-        xband, yband = (x0, x1), (y0, y1)
-    else:
-        xband = yband = None
-
+    xband, yband = _axis_bands(
+        refine_band, ((0.34 * S, 0.54 * S), (0.44 * S, 0.55 * S)), coarse_h, fine_h)
     xt = graded_ticks(S, coarse_h, fine_h, xband)
     yt = graded_ticks(S, coarse_h, fine_h, yband)
     for ticks, name in ((xt, "x"), (yt, "y")):
         if not np.any(np.isclose(ticks, leg, atol=1e-12 * S)):
             raise MeshConfigError(f"re-entrant corner is not on a {name} grid line")
 
-    nodes_full, elements_full, _ = _tensor_grid(xt, yt)
-    centers = nodes_full[elements_full].mean(axis=1)
-    keep = ~((centers[:, 0] > leg) & (centers[:, 1] > leg))
-    elements_kept = elements_full[keep]
-
-    used = np.unique(elements_kept)
-    remap = -np.ones(nodes_full.shape[0], dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    nodes = nodes_full[used]
-    elements = remap[elements_kept]
+    nodes, elements = _tensor_grid(xt, yt)
+    centers = nodes[elements].mean(axis=1)
+    elements = elements[~((centers[:, 0] > leg) & (centers[:, 1] > leg))]
+    # drop the nodes of the cut quadrant and number the rest in grid order
+    used, inverse = np.unique(elements, return_inverse=True)
+    nodes = nodes[used]
+    elements = inverse.reshape(elements.shape)
 
     tol = 1e-9 * S
-    clamped = np.where(np.abs(nodes[:, 1]) < tol)[0]
-    on_leg_top = (np.abs(nodes[:, 1] - leg) < tol) & (nodes[:, 0] >= S - coarse_h - tol)
-    loaded = np.where(on_leg_top)[0]
+    clamped = np.flatnonzero(np.abs(nodes[:, 1]) < tol)
+    loaded = np.flatnonzero((np.abs(nodes[:, 1] - leg) < tol)
+                            & (nodes[:, 0] >= S - coarse_h - tol))
     if loaded.size == 0 or clamped.size == 0:
         raise MeshConfigError("empty boundary set on L-shaped plate")
 
-    return Mesh(
-        nodes=nodes,
-        elements=elements.astype(np.int64),
-        boundary_sets={"clamped": clamped.astype(np.int64),
-                       "loaded": loaded.astype(np.int64)},
-        notch_faces=[],
-    )
-
+    return Mesh(nodes, elements, {"clamped": clamped, "loaded": loaded})

@@ -1,8 +1,11 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written with its own shape functions, its own Gauss
-rules (arbitrary order via numpy.polynomial) and plain element loops, so a
-disagreement with the package points at the package.
+rules (arbitrary order via numpy.polynomial) and, but for the vectorized
+L^alpha norm, plain element loops, so a disagreement with the package
+points at the package.  The mesh references are the loop builders that the
+array builders of ``amfrac.mesh`` replaced; they share only the 1D ticks
+(``graded_ticks``) with the package.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from amfrac.mesh import graded_ticks
 
 
 def gauss_rule(order: int):
@@ -107,12 +112,15 @@ def ref_total_energy(t, u, z, mesh, model, load, order=4):
 
 
 def ref_field_norm_lalpha(dz, mesh, alpha, order=4):
+    """(integral |dz|^alpha)^(1/alpha) by a Gauss rule of ``order``^2
+    points, one pass over all elements per point."""
+    coords = mesh.nodes[mesh.elements]  # (n_elements, 4, 2)
+    ze = dz[mesh.elements]
     acc = 0.0
-    for conn in mesh.elements:
-        coords = mesh.nodes[conn]
-        ze = dz[conn]
-        for w, N, _ in element_quadrature(coords, order):
-            acc += w * abs(N @ ze) ** alpha
+    for (xi, eta), wq in zip(*gauss_rule(order)):
+        J = np.einsum("eai,aj->eij", coords, ref_shape_grad(xi, eta))
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        acc += np.sum(wq * det * np.abs(ze @ ref_shape(xi, eta)) ** alpha)
     return acc ** (1.0 / alpha)
 
 
@@ -158,3 +166,80 @@ def smooth_random_field(mesh, rng, amplitude=1.0, offset=0.0):
             field += rng.normal() * xs ** i * ys ** j
     field /= max(np.abs(field).max(), 1e-30)
     return offset + amplitude * field
+
+
+def _ref_tensor_grid(xt, yt):
+    """Row-major nodes, counter-clockwise elements and the node index
+    ``nid(i, j)`` of the tensor grid, by loops."""
+    nx, ny = len(xt) - 1, len(yt) - 1
+    X, Y = np.meshgrid(xt, yt)  # row-major in y
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+
+    def nid(i, j):
+        return j * (nx + 1) + i
+
+    elems = []
+    for j in range(ny):
+        for i in range(nx):
+            elems.append([nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)])
+    return nodes, np.array(elems, dtype=np.int64), nid
+
+
+def ref_build_ct_mesh(side_len, coarse_h, fine_h, refine_band=None, notch=True):
+    """Slit square plate by element and node loops: ``(nodes, elements,
+    boundary_sets)`` as ``amfrac.build_ct_mesh`` builds them."""
+    L = float(side_len)
+    if refine_band is None and fine_h < coarse_h:
+        refine_band = ((0.45 * L, L), (0.375 * L, 0.625 * L))
+    xband, yband = refine_band if refine_band is not None else (None, None)
+    xt = graded_ticks(L, coarse_h, fine_h, xband)
+    yt = graded_ticks(L, coarse_h, fine_h, yband)
+    nodes, elements, nid = _ref_tensor_grid(xt, yt)
+    nx, ny = len(xt) - 1, len(yt) - 1
+    left = np.array([nid(0, j) for j in range(ny + 1)], dtype=np.int64)
+    right = np.array([nid(nx, j) for j in range(ny + 1)], dtype=np.int64)
+    if notch:
+        j_mid = int(np.argmin(np.abs(yt - 0.5 * L)))
+        dup_of = {}
+        new_nodes = []
+        for i in range(nx + 1):
+            if xt[i] < 0.5 * L - 1e-12 * L:
+                n = nid(i, j_mid)
+                dup_of[n] = nodes.shape[0] + len(new_nodes)
+                new_nodes.append(nodes[n])
+        nodes = np.vstack([nodes, np.array(new_nodes)])
+        # the elements above the slit switch to the duplicates
+        elements = elements.copy()
+        for i in range(nx):
+            e = j_mid * nx + i
+            elements[e] = [dup_of.get(n, n) for n in elements[e]]
+        extra = [dup_of[n] for n in left if n in dup_of]
+        left = np.concatenate([left, np.array(extra, dtype=np.int64)])
+    return nodes, elements, {"clamped": np.sort(left), "loaded": np.sort(right)}
+
+
+def ref_build_lshape_mesh(leg_len, coarse_h, fine_h, refine_band=None):
+    """L-shaped plate by a node renumbering table: ``(nodes, elements,
+    boundary_sets)`` as ``amfrac.build_lshape_mesh`` builds them."""
+    leg = float(leg_len)
+    S = 2.0 * leg
+    if refine_band is None and fine_h < coarse_h:
+        refine_band = ((0.34 * S, 0.54 * S), (0.44 * S, 0.55 * S))
+    xband, yband = refine_band if refine_band is not None else (None, None)
+    xt = graded_ticks(S, coarse_h, fine_h, xband)
+    yt = graded_ticks(S, coarse_h, fine_h, yband)
+    nodes_full, elements_full, _ = _ref_tensor_grid(xt, yt)
+    centers = nodes_full[elements_full].mean(axis=1)
+    keep = ~((centers[:, 0] > leg) & (centers[:, 1] > leg))
+    elements_kept = elements_full[keep]
+    used = np.unique(elements_kept)
+    remap = -np.ones(nodes_full.shape[0], dtype=np.int64)
+    remap[used] = np.arange(used.size)
+    nodes = nodes_full[used]
+    elements = remap[elements_kept]
+    tol = 1e-9 * S
+    clamped = np.where(np.abs(nodes[:, 1]) < tol)[0]
+    on_leg_top = (np.abs(nodes[:, 1] - leg) < tol) & (nodes[:, 0] >= S - coarse_h - tol)
+    loaded = np.where(on_leg_top)[0]
+    return nodes, elements.astype(np.int64), {
+        "clamped": clamped.astype(np.int64), "loaded": loaded.astype(np.int64)}

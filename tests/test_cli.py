@@ -21,7 +21,7 @@ from amfrac.cli import (
     sweep_point,
     verify_dir,
 )
-from amfrac.diagnostics import BalanceRow
+from amfrac.diagnostics import BalanceRow, energy_balance
 from amfrac.driver import StepRecord
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -218,6 +218,13 @@ class TestArtifactFormat:
         rows = (out / "trace.csv").read_text().splitlines()
         (trace,) = traces
         assert read_trace(rows[1:], trace.scheme).records == trace.records
+
+    def test_read_trace_of_an_h1_scheme_flags_the_surrogate(self, h1_trace):
+        mesh, model, load, params, trace = h1_trace
+        rows = [cli._csv_row(r) for r in trace.records]
+        read = read_trace(rows, params)
+        assert read.dual_surrogate
+        assert energy_balance(read, load).dual_surrogate
 
     def test_readme_demo_runs_and_verifies(self, tmp_path, capsys):
         text = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]

@@ -251,6 +251,22 @@ class TestInvariantReport:
         assert failed == ["monotone time"]
         assert not report.ok()
 
+    def test_partial_trace_is_checked_on_its_stored_steps(self):
+        """A run with the default ``store_all_snapshots=False`` keeps some
+        fields; irreversibility runs from z0 through the stored steps."""
+        trace = run_zero_dim(ZeroDimModel(), af.SchemeParams(rho=0.02, T=1.0))
+        stored = sorted(trace.snapshots)
+        assert 1 < len(stored) < len(trace.records)
+        assert check_trace_invariants(trace).ok()
+        k_prev, k = stored[-3], stored[-2]
+        u, z = trace.snapshots[k]
+        snapshots = {**trace.snapshots, k: (u, trace.snapshots[k_prev][1] + 1e-3)}
+        assert snapshots[k][1].max() <= 1.0
+        report = check_trace_invariants(
+            dataclasses.replace(trace, snapshots=snapshots))
+        failed = [name for name, ok in report.verdicts().items() if ok is False]
+        assert failed == ["irreversibility"]
+
 
 class TestEnergyBalance:
     def test_frozen_run_closes_exactly(self):

@@ -7,7 +7,7 @@ import amfrac as af
 from amfrac.assembly import element_data
 from amfrac.mesh import MeshConfigError, graded_ticks
 
-from oracles import ref_mass_matrix
+from oracles import ref_build_ct_mesh, ref_build_lshape_mesh, ref_mass_matrix
 
 
 def count_cells_by_enumeration(mesh, inside):
@@ -23,12 +23,21 @@ def count_cells_by_enumeration(mesh, inside):
     return count
 
 
+def coincident_pairs(mesh):
+    """Sorted (lower, higher) index pairs of nodes at equal coordinates:
+    the two lips of a slit."""
+    order = np.lexsort(mesh.nodes.T)  # stable: equal nodes keep index order
+    a, b = order[:-1], order[1:]
+    same = np.all(mesh.nodes[a] == mesh.nodes[b], axis=1)
+    return sorted(zip(a[same].tolist(), b[same].tolist()))
+
+
 class TestCTMesh:
     def test_uniform_grid(self):
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
         assert mesh.n_elements == 16
         assert mesh.n_nodes == 25
-        assert mesh.notch_faces == []
+        assert coincident_pairs(mesh) == []
 
     def test_paper_scale_count(self):
         # reference mesh in the source experiment has 3021 elements
@@ -43,7 +52,7 @@ class TestCTMesh:
 
     def test_notch_geometry(self):
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25)
-        pairs = mesh.notch_node_pairs()
+        pairs = coincident_pairs(mesh)
         assert pairs, "slit must duplicate nodes"
         for a, b in pairs:
             assert a != b
@@ -62,9 +71,9 @@ class TestCTMesh:
         assert np.allclose(mesh.nodes[clamped, 0], 0.0)
         assert np.allclose(mesh.nodes[loaded, 0], 1.0)
         # both slit lips at x = 0 are clamped
-        dup = [b for a, b in mesh.notch_node_pairs()
-               if mesh.nodes[a][0] == 0.0]
-        assert set(dup) <= set(clamped.tolist())
+        mouth = [p for p in coincident_pairs(mesh) if mesh.nodes[p[0]][0] == 0.0]
+        assert len(mouth) == 1
+        assert set(mouth[0]) <= set(clamped.tolist())
 
     def test_errors(self):
         with pytest.raises(MeshConfigError):
@@ -176,6 +185,66 @@ class TestNotchDecoupling:
         mesh = af.build_ct_mesh(1.0, 0.125, 0.125)
         model = af.MaterialModel(young_E=10.0, poisson_nu=0.25)
         K = af.assemble_K(np.ones(mesh.n_nodes), mesh, model).toarray()
-        for a, b in mesh.notch_node_pairs():
+        pairs = coincident_pairs(mesh)
+        assert pairs
+        for a, b in pairs:
             block = K[np.ix_([2 * a, 2 * a + 1], [2 * b, 2 * b + 1])]
             assert np.all(block == 0.0)
+
+
+# the workload meshes (crack_growth, traction_jumps, precrack_fine; the
+# reduced runs and the README demo share 1/8), the ct preset, uniform grids
+# and a side of 2, each with and without the slit
+CT_CASES = [
+    ((1.0, 0.1, 0.05), {}),
+    ((1.0, 0.05, 0.05), {}),
+    ((1.0, 0.1, 0.0125), {}),
+    ((1.0, 0.125, 0.125), {}),
+    ((1.0, 0.1, 0.01), {}),
+    ((1.0, 0.25, 0.25), {}),
+    ((1.0, 1.0 / 3.0, 1.0 / 3.0), {"notch": False}),
+    ((1.0, 1.0, 1.0), {"notch": False}),
+    ((2.0, 0.2, 0.05), {}),
+    ((1.0, 0.1, 0.025), {"refine_band": ((0.2, 0.8), (0.3, 0.7))}),
+    ((1.0, 0.1, 0.0125), {"refine_band": ((0.0, 1.0), (0.45, 0.55))}),
+    ((2.0, 0.5, 0.125), {"refine_band": ((1.0, 2.0), (0.5, 1.5))}),
+]
+CT_CASES += [(args, {**kw, "notch": False}) for args, kw in CT_CASES
+             if kw.get("notch", True)]
+
+# the lshape preset, uniform grids and explicit bands
+LSHAPE_CASES = [
+    ((250.0, 50.0, 2.0), {}),
+    ((250.0, 50.0, 25.0), {}),
+    ((250.0, 50.0, 10.0), {}),
+    ((250.0, 25.0, 5.0), {}),
+    ((250.0, 125.0, 125.0), {}),
+    ((250.0, 50.0, 50.0), {}),
+    ((1.0, 0.25, 0.0625), {}),
+    ((250.0, 50.0, 10.0), {"refine_band": ((200.0, 300.0), (150.0, 350.0))}),
+    ((250.0, 50.0, 12.5), {"refine_band": ((-10.0, 600.0), (240.0, 260.0))}),
+]
+
+
+def assert_same_mesh(mesh, ref):
+    nodes, elements, sets = ref
+    assert sorted(mesh.boundary_sets) == sorted(sets)
+    pairs = [(mesh.nodes, nodes), (mesh.elements, elements)]
+    pairs += [(mesh.boundary_sets[name], sets[name]) for name in sets]
+    for got, want in pairs:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+class TestLoopBuilderReference:
+    @pytest.mark.parametrize("args,kw", CT_CASES)
+    def test_ct_mesh_equals_loop_builder(self, args, kw):
+        mesh = af.build_ct_mesh(*args, **kw)
+        assert_same_mesh(mesh, ref_build_ct_mesh(*args, **kw))
+        if not kw.get("notch", True):
+            assert coincident_pairs(mesh) == []
+
+    @pytest.mark.parametrize("args,kw", LSHAPE_CASES)
+    def test_lshape_mesh_equals_loop_builder(self, args, kw):
+        assert_same_mesh(af.build_lshape_mesh(*args, **kw),
+                         ref_build_lshape_mesh(*args, **kw))
