@@ -10,29 +10,32 @@ Per-mesh data is cached on first use (meshes are immutable after
 construction), in ``element_data(mesh)``:
 
 - built with the cache: Gauss-point shape values, Jacobian weights,
-  gradients and strain matrices, the Gauss interpolation operator ``P`` and
-  the lumped nodal weights;
+  gradients and strain matrices, and the lumped nodal weights.  A nodal
+  field reaches the Gauss points by one gather (``gauss``) and Gauss-point
+  values return to the nodes by one ``np.bincount`` (``scatter``); the
+  energy, the stiffness, the lumped weights and the L^alpha ball all go
+  through these two;
 - built when first needed: one ``SparsePattern`` for the 2n-dof operators
   and one for the n-node operators, each with the map from element entries
   to CSR data slots.  Every operator is then a data vector on its pattern:
   assembly is one ``np.bincount`` and ``Q = H + c1 M + c2 L`` is arithmetic
-  on data vectors.  Also the mass and Laplacian data, ``P'`` and the H1
-  Gram matrix;
-- per pattern, one ``BandLayout``: the order of least half-bandwidth among
-  scipy's reverse Cuthill-McKee and the two coordinate sweeps of the nodes
-  (x-major and y-major; a dof order takes both dofs of a node in turn),
-  and the map from the lower-triangle data slots into a LAPACK band array.
-  On the CT meshes a sweep line by line about halves the half-bandwidth
-  of RCM's diagonal fronts (Gibbs, Poole & Stockmeyer, SIAM J. Numer.
-  Anal. 13, 1976); on ties RCM is kept.  Every system the solvers factor
-  is symmetric positive definite, so band Cholesky in that order applies.
-  In RCM order it broke even with SuperLU's LU at about 6.6k nodes on a
-  uniform grid and beyond 12.7k on a graded CT mesh; a narrower band can
-  only move these points up.  A constrained system pins its rows to
-  identity rows instead of gathering a sub-block, so the one order serves
-  every Dirichlet mask and every damage active set;
-- for the last displacement only: the Gauss-point elastic density and the
-  damage quadratic ``z_quadratic``, keyed on the bytes of ``u`` and on the
+  on data vectors.  Also the mass and Laplacian data and the H1 Gram
+  matrix;
+- per pattern, one ``BandLayout``: the narrower of the two coordinate
+  sweeps of the nodes, x-major and y-major (a dof order takes both dofs of
+  a node in turn; the x-major one on a tie), and the map from the
+  lower-triangle data slots into a LAPACK band array.  On a tensor-product
+  grid a sweep is a level structure line by line (Gibbs, Poole &
+  Stockmeyer, SIAM J. Numer. Anal. 13, 1976) and its half-bandwidth is
+  about the number of nodes on one line, so the sweep whose lines cross
+  the fewer ticks wins.  Every system the
+  solvers factor is symmetric positive definite, so band Cholesky in that
+  order applies.  A constrained system pins its rows to identity rows
+  instead of gathering a sub-block, so the one order serves every
+  Dirichlet mask and every damage active set;
+- for the last input only (``memo``): the element products ``B' C B`` of
+  the last material; the Gauss-point elastic density and the damage
+  quadratic ``z_quadratic``, keyed on the bytes of ``u`` and on the
   material fields they read.  The damage solve, the energy and the dual
   distance of one step then share one evaluation.
 """
@@ -46,7 +49,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .mesh import (
     GAUSS_POINTS_2X2,
@@ -83,9 +85,8 @@ class SparsePattern:
 
     ``slot`` maps each element entry to its slot in the CSR data vector, so
     an assembly is one ``np.bincount`` (``fill``) and a sum of operators is
-    a sum of data vectors.  Column indices are sorted.  ``sweeps`` are
-    candidate orders of the rows for the band layout, besides reverse
-    Cuthill-McKee.
+    a sum of data vectors.  Column indices are sorted.  ``sweeps`` are the
+    two candidate orders of the rows for the band layout.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int,
@@ -118,13 +119,9 @@ class SparsePattern:
 
     @cached_property
     def band(self) -> "BandLayout":
-        """The band layout in the order of least half-bandwidth among
-        reverse Cuthill-McKee and the ``sweeps`` (the first on ties), built
-        on first use."""
-        rcm = reverse_cuthill_mckee(self.matrix(np.ones(self.nnz)),
-                                    symmetric_mode=True)
-        return BandLayout(self, min((rcm, *self.sweeps),
-                                    key=self.half_bandwidth))
+        """The band layout in the narrower of the two ``sweeps`` (the first
+        on a tie), built on first use."""
+        return BandLayout(self, min(self.sweeps, key=self.half_bandwidth))
 
 
 class BandLayout:
@@ -203,22 +200,22 @@ class _ElementData:
         self.udofs[:, 0::2] = 2 * conn
         self.udofs[:, 1::2] = 2 * conn + 1
 
-        # Gauss-point interpolation operator for scalar nodal fields
-        rows = np.repeat(np.arange(nel * nq), 4)
-        cols = np.repeat(conn[:, None, :], nq, axis=1).ravel()
-        vals = np.broadcast_to(self.N, (nel, nq, 4)).ravel()
-        self.P = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(nel * nq, mesh.n_nodes)
-        )
-        self.wq = self.wdet.ravel()
-
         # w_i = integral of the i-th hat function
-        self.lumped = np.bincount(conn.ravel(),
-                                  weights=(self.wdet @ self.N).ravel(),
-                                  minlength=mesh.n_nodes)
+        self.lumped = self.scatter(self.wdet)
         self.lumped.flags.writeable = False
-        self._btcb = {}
         self._last = {}
+
+    def gauss(self, v: np.ndarray) -> np.ndarray:
+        """Values ``v_q`` of the nodal field ``v`` at the Gauss points,
+        (nel, nq)."""
+        return v[self.conn] @ self.N.T
+
+    def scatter(self, c: np.ndarray) -> np.ndarray:
+        """Nodal vector ``sum_q c_eq N_qa`` summed over the elements at each
+        node ``a``, for Gauss-point values ``c`` (nel, nq): the transpose of
+        ``gauss``."""
+        return np.bincount(self.conn.ravel(), weights=(c @ self.N).ravel(),
+                           minlength=self.n_nodes)
 
     # The patterns and what is filled into them are built on first use: a
     # mesh that is only measured never pays for them.
@@ -249,15 +246,10 @@ class _ElementData:
 
     def node_operator(self, gauss_coef: np.ndarray) -> np.ndarray:
         """Node-pattern data of ``sum_q c_eq N_qa N_qb`` over the elements,
-        i.e. ``P' diag(c) P`` for Gauss-point coefficients ``c``."""
+        for Gauss-point coefficients ``c``."""
         nq = self.NN.shape[0]
         return self.node_pattern.fill(
             np.reshape(gauss_coef, (-1, nq)) @ self.NN.reshape(nq, -1))
-
-    @cached_property
-    def PT(self) -> sp.csr_matrix:
-        """``P'`` as a CSR matrix: the ball gradient applies it each step."""
-        return self.P.T.tocsr()
 
     @cached_property
     def mass(self) -> sp.csr_matrix:
@@ -281,12 +273,6 @@ class _ElementData:
         if last is None or last[0] != key:
             last = self._last[name] = (key, build())
         return last[1]
-
-    def btcb(self, C: np.ndarray) -> np.ndarray:
-        key = C.tobytes()
-        if key not in self._btcb:
-            self._btcb[key] = np.einsum("eqia,ij,eqjb->eqab", self.B, C, self.B)
-        return self._btcb[key]
 
 
 _CACHE: "weakref.WeakKeyDictionary[Mesh, _ElementData]" = weakref.WeakKeyDictionary()
@@ -368,9 +354,8 @@ def total_energy(state: State, mesh: Mesh, model: MaterialModel,
     _check_state_dims(mesh, state.u, state.z)
     data = element_data(mesh)
     psi = elastic_density_at_gauss(state.u, mesh, model)
-    ze = state.z[mesh.elements]
-    zq = ze @ data.N.T
-    gz = np.einsum("eqni,en->eqi", data.dNdx, ze)
+    zq = data.gauss(state.z)
+    gz = np.einsum("eqni,en->eqi", data.dNdx, state.z[data.conn])
     gz_sq = np.einsum("eqi,eqi->eq", gz, gz)
     dens = (0.5 * degradation(zq, model.eta) * psi
             + fracture_density(zq, gz_sq, model))
@@ -384,8 +369,9 @@ def assemble_K(z: np.ndarray, mesh: Mesh, model: MaterialModel) -> sp.csr_matrix
     elimination because the degradation factor is bounded below by eta."""
     _check_state_dims(mesh, None, z)
     data = element_data(mesh)
-    coef = data.wdet * degradation(z[mesh.elements] @ data.N.T, model.eta)
-    btcb = data.btcb(model.C)
+    coef = data.wdet * degradation(data.gauss(z), model.eta)
+    btcb = data.memo("btcb", model.C.tobytes(), lambda: np.einsum(
+        "eqia,ij,eqjb->eqab", data.B, model.C, data.B))
     nel, nq = coef.shape
     vals = coef[:, None, :] @ btcb.reshape(nel, nq, -1)
     return data.dof_pattern.matrix(data.dof_pattern.fill(vals))
@@ -463,19 +449,18 @@ class VNorm:
 
     def __init__(self, mesh: Mesh, norm: NormSpec):
         self.norm = norm
-        self.data = data = element_data(mesh)
-        if norm.kind == "lalpha":
-            self.P, self.PT, self.w = data.P, data.PT, data.wq
-        else:
-            self.G = data.h1_gram
+        self.data = element_data(mesh)
+        if norm.kind == "h1":
+            self.G = self.data.h1_gram
 
     def _form(self, v: np.ndarray):
         """``S = sum_q w_q |v_q|^alpha`` and ``(v_q, |v_q|)`` (L^alpha), or
         ``S = v' G v`` and ``G v`` (H1)."""
         if self.norm.kind == "lalpha":
-            vq = self.P @ v
+            vq = self.data.gauss(v)
             absq = np.abs(vq)
-            return float(np.sum(self.w * absq ** self.norm.alpha)), (vq, absq)
+            return (float(np.sum(self.data.wdet * absq ** self.norm.alpha)),
+                    (vq, absq))
         Gv = self.G @ v
         return float(v @ Gv), Gv
 
@@ -488,14 +473,14 @@ class VNorm:
     def _first_order(self, v: np.ndarray):
         """Regularized ``N`` and ``gradN`` at v, and what the curvature
         needs: ``S``, ``D = w |v_q|^(alpha-2)`` at the Gauss points and
-        ``P' (D v_q)`` (L^alpha), or ``G v`` (H1)."""
+        ``sum_q D v_q N_q`` at the nodes (L^alpha), or ``G v`` (H1)."""
         S, parts = self._form(v)
         S += _EPS_REG
         if self.norm.kind == "lalpha":
             a = self.norm.alpha
             vq, absq = parts
-            D = self.w * absq ** (a - 2.0)
-            pg = self.PT @ (D * vq)  # grad S / alpha; zero where vq == 0
+            D = self.data.wdet * absq ** (a - 2.0)
+            pg = self.data.scatter(D * vq)  # grad S / alpha; 0 where vq == 0
             return S ** (1.0 / a), S ** (1.0 / a - 1.0) * pg, (S, D, pg)
         N = math.sqrt(S)
         return N, parts / N, parts

@@ -147,6 +147,8 @@ def _coerce(raw: str, typ, field: str):
 def _read_sections(path) -> dict:
     """Section -> {name: value}: a key is a name in ``_SECTIONS``, lower
     cased, and its value is coerced to that name's type."""
+    if not Path(path).exists():
+        raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path) as f:
@@ -172,9 +174,11 @@ def _read_sections(path) -> dict:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a config file, filling preset defaults."""
-    if not Path(path).exists():
-        raise ConfigError(f"config file {path} does not exist")
-    data = _read_sections(path)
+    return _resolve(_read_sections(path))
+
+
+def _resolve(data: dict) -> RunConfig:
+    """The run that the sections ``data`` of a config file describe."""
     experiment = data.get("experiment", {}).get("name", "ct")
     if experiment not in _PRESETS:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -462,27 +466,17 @@ def verify_dir(trace_dir) -> int:
 # ---------------------------------------------------------------------------
 
 def sweep_point(config_path, name: str, val: float) -> RunConfig:
-    """The config at ``config_path`` with ``rho`` or ``alpha`` set to
-    ``val``; the scheme is rebuilt, so its checks apply to ``val``.  An
-    ``alpha`` sweep needs an L^alpha ball."""
-    cfg = load_config(config_path)
-    scheme = cfg.scheme
-    if name == "rho":
-        T = scheme.T
-        if (abs(scheme.T - 100.0 * scheme.rho) < 1e-12
-                and cfg.experiment in ("ct", "custom")):
-            # default schedule couples T = 100 rho; keep u_max fixed
-            T = 100.0 * val
-            if cfg.load.mode == DIRICHLET_RAMP:
-                u_max = cfg.load.ubar_rate * scheme.T
-                cfg.load = dataclasses.replace(cfg.load, T=T,
-                                               ubar_rate=u_max / T)
-        cfg.scheme = dataclasses.replace(scheme, rho=val, T=T)
-    elif scheme.norm_V.kind != "lalpha":
-        raise ConfigError(f"alpha does not enter the {scheme.norm_V.kind} ball")
-    else:
-        cfg.scheme = dataclasses.replace(
-            scheme, norm_V=dataclasses.replace(scheme.norm_V, alpha=val))
+    """The config at ``config_path`` with ``[scheme] name = val``, for
+    ``rho`` or ``alpha``, resolved as a file that sets it would be: a ``T``
+    left unset stays ``100 rho`` (with ``u_max`` kept), an explicit one is
+    kept, and the scheme's checks apply to ``val``.  An ``alpha`` sweep
+    needs an L^alpha ball."""
+    data = _read_sections(config_path)
+    data.setdefault("scheme", {})[name] = val
+    cfg = _resolve(data)
+    if name == "alpha" and cfg.scheme.norm_V.kind != "lalpha":
+        raise ConfigError(f"alpha does not enter the {cfg.scheme.norm_V.kind} "
+                          "ball")
     return cfg
 
 

@@ -162,9 +162,8 @@ def _store_snapshot(k: int, dt: float, prev_dt: float, is_final: bool,
                     params: SchemeParams) -> bool:
     if params.store_all_snapshots:
         return True
-    stride = max(1, params.snapshot_stride)
     onset = dt <= 1e-14 and prev_dt > 1e-14
-    return k == 0 or is_final or onset or (k % stride == 0)
+    return k == 0 or is_final or onset or k % params.snapshot_stride == 0
 
 
 def evolve(problem, z0, times: np.ndarray | None = None,

@@ -251,6 +251,10 @@ class SchemeParams:
                 raise ModelConfigError(f"{name} must be positive")
         if self.max_am_iters < 1:
             raise ModelConfigError("max_am_iters must be at least 1")
+        if self.snapshot_stride < 1:
+            raise ModelConfigError("snapshot_stride must be at least 1")
+        if self.max_steps < 0:
+            raise ModelConfigError("max_steps must be non-negative")
 
 
 def degradation(z, eta: float):

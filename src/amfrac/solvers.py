@@ -17,15 +17,14 @@ power sum (``assembly.VNorm``).
 
 Every system factored here is symmetric positive definite (the stiffness
 because ``eta > 0``; ``Q = H + c1 M + c2 L`` with ``c1 > 0`` plus the ball
-curvature ``mu P' D P``, ``mu >= 0``; the negative rank-one part of the
-L^alpha curvature goes through Sherman-Morrison), so ``splu`` factors it by
-LAPACK band Cholesky in the one band order of its pattern, the narrowest of
-reverse Cuthill-McKee and two coordinate sweeps (``assembly.BandLayout``).
-Constrained values are not sliced out: their rows are pinned to identity
-rows with zero coupling, so the free values solve the free block's system
-and the pinned ones equal their right-hand side.  This beats SuperLU's
-pivoting LU on the meshes here (break-even at 6.6k nodes or more, see
-``assembly``).
+curvature ``mu sum_q D_q N_q N_q'``, ``mu >= 0``; the negative rank-one
+part of the L^alpha curvature goes through Sherman-Morrison), so ``splu``
+factors it by LAPACK band Cholesky in the one band order of its pattern,
+the narrower of the two coordinate sweeps of the nodes
+(``assembly.BandLayout``).  Constrained values are not sliced out: their
+rows are pinned to identity rows with zero coupling, so the free values
+solve the free block's system and the pinned ones equal their right-hand
+side.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from amfrac.mesh import graded_ticks
 
@@ -80,6 +81,28 @@ def ref_element_stiffness(coords, C, degradation, order=2):
         B[2, 1::2] = dNdx[:, 0]
         K += w * degradation * (B.T @ C @ B)
     return K
+
+
+def ref_btcb(B, C):
+    """Products ``B' C B`` of the strain matrices ``B`` (nel, nq, 3, 8) at
+    each element and Gauss point, (nel, nq, 8, 8), by one einsum."""
+    return np.einsum("eqia,ij,eqjb->eqab", B, C, B)
+
+
+def ref_gauss_interpolation(mesh, order=2):
+    """Interpolation of nodal fields to the Gauss points as a sparse
+    operator ``P`` built from COO triplets, one row per element and Gauss
+    point, and the weights ``w`` (Gauss weight times Jacobian) of its
+    rows."""
+    rows, cols, vals, w = [], [], [], []
+    for conn in mesh.elements:
+        for wq, N, _ in element_quadrature(mesh.nodes[conn], order):
+            rows += [len(w)] * 4
+            cols += list(conn)
+            vals += list(N)
+            w.append(wq)
+    P = sp.coo_matrix((vals, (rows, cols)), shape=(len(w), mesh.n_nodes))
+    return P.tocsr(), np.array(w)
 
 
 def ref_total_energy(t, u, z, mesh, model, load, order=4):

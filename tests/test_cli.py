@@ -55,6 +55,12 @@ class TestLoadConfig:
         assert cfg.scheme.T == pytest.approx(8.658)
         assert cfg.scheme.rho == pytest.approx(0.08658)
 
+    def test_snapshot_stride_below_one_is_config_error(self, tmp_path):
+        path = write(tmp_path, "[experiment]\nname = zerodim\n[output]\n"
+                     "snapshot_stride = 0\n")
+        with pytest.raises(ConfigError, match="snapshot_stride"):
+            load_config(path)
+
     def test_zerodim_minimal_config(self, tmp_path):
         cfg = load_config(write(tmp_path, "[experiment]\nname = zerodim\n"))
         assert cfg.zerodim is not None
@@ -413,6 +419,19 @@ class TestMain:
         cfg_path = write(tmp_path, CUSTOM_CFG.format(out=tmp_path / "o"))
         norm_V = sweep_point(cfg_path, "alpha", 3.0).scheme.norm_V
         assert (norm_V.kind, norm_V.alpha) == ("lalpha", 3.0)
+
+    @pytest.mark.parametrize("t_line, T", [("", 10.0), ("t = 5.0\n", 5.0)],
+                             ids=["default-T", "explicit-T"])
+    def test_rho_sweep_point_resolves_T_as_a_config_does(self, tmp_path,
+                                                         t_line, T):
+        """An unset T follows rho (``T = 100 rho``) and keeps ``u_max``; an
+        explicit T is kept, in the scheme and in the load."""
+        cfg_path = write(tmp_path, "[experiment]\nname = ct\n[scheme]\n"
+                         "rho = 0.05\n" + t_line)
+        cfg = sweep_point(cfg_path, "rho", 0.1)
+        assert cfg.scheme.rho == 0.1
+        assert cfg.scheme.T == cfg.load.T == pytest.approx(T)
+        assert cfg.load.ubar_rate * cfg.load.T == pytest.approx(0.3)
 
     def test_verify_verb(self, tmp_path):
         out = tmp_path / "zd"

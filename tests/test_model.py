@@ -148,6 +148,15 @@ class TestValidation:
         with pytest.raises(ModelConfigError):
             af.NormSpec(kind="lalpha", alpha=0.5)
 
+    @pytest.mark.parametrize("field, bad, least", [
+        ("snapshot_stride", 0, 1), ("snapshot_stride", -3, 1),
+        ("max_steps", -2, 0)])
+    def test_scheme_rejects_out_of_range_counts(self, field, bad, least):
+        with pytest.raises(ModelConfigError, match=field):
+            af.SchemeParams(rho=0.1, T=1.0, **{field: bad})
+        assert getattr(af.SchemeParams(rho=0.1, T=1.0, **{field: least}),
+                       field) == least
+
 
 class TestForceRateVector:
     def test_matches_edge_loop_exactly(self, analysis_traction_setup):

@@ -1,6 +1,12 @@
 """Displacement solve and the constrained damage solve with its KKT
 certificates."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
@@ -375,13 +381,13 @@ class TestOrderedSolves:
 
     def test_one_order_per_pattern_per_run(self, monkeypatch):
         sizes = []
-        order = amfrac.assembly.reverse_cuthill_mckee
+        layout = amfrac.assembly.BandLayout
 
-        def counting(A, **kw):
-            sizes.append(A.shape[0])
-            return order(A, **kw)
+        def counting(pattern, perm):
+            sizes.append(pattern.n)
+            return layout(pattern, perm)
 
-        monkeypatch.setattr(amfrac.assembly, "reverse_cuthill_mckee", counting)
+        monkeypatch.setattr(amfrac.assembly, "BandLayout", counting)
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
         model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02,
                                  preset="ANALYSIS", kappa_E=0.15, kappa_R=0.08)
@@ -395,12 +401,20 @@ class TestOrderedSolves:
 
 
     @pytest.mark.parametrize("pattern", ["dof_pattern", "node_pattern"])
-    @pytest.mark.parametrize("mesh", [
-        lambda: af.build_ct_mesh(1.0, 0.1, 0.05),
-        lambda: af.build_ct_mesh(1.0, 0.1, 0.05, notch=False),
-        lambda: af.build_lshape_mesh(250.0, 50.0, 25.0),
-    ], ids=["ct", "ct-no-notch", "lshape"])
-    def test_band_order_is_no_wider_than_rcm(self, mesh, pattern):
+    @pytest.mark.parametrize("mesh, sweep", [
+        (lambda: af.build_ct_mesh(1.0, 0.1, 0.05), 0),
+        (lambda: af.build_ct_mesh(1.0, 0.1, 0.05, notch=False), 0),
+        (lambda: af.build_lshape_mesh(250.0, 50.0, 25.0), 0),
+        # fine in y everywhere and in x only near the centre: the y-major
+        # sweep has the shorter lines (node kd 32 against 83)
+        (lambda: af.build_ct_mesh(1, 0.1, 0.0125,
+                                  refine_band=((0.45, 0.55), (0, 1))), 1),
+        (lambda: af.build_lshape_mesh(250.0, 50.0, 2.0), 0),
+        # a square uniform grid: both sweeps tie
+        (lambda: af.build_ct_mesh(1.0, 0.25, 0.25, notch=False), 0),
+    ], ids=["ct", "ct-no-notch", "lshape", "ct-y-refined", "lshape-preset",
+            "uniform-tie"])
+    def test_band_order_is_no_wider_than_rcm(self, mesh, sweep, pattern):
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         p = getattr(element_data(mesh()), pattern)
@@ -409,6 +423,34 @@ class TestOrderedSolves:
         assert p.band.kd == p.half_bandwidth(p.band.perm)
         assert p.band.kd <= p.half_bandwidth(rcm)
         assert np.array_equal(np.sort(p.band.perm), np.arange(p.n))
+        # the narrower sweep is taken, the x-major one on a tie
+        widths = [p.half_bandwidth(s) for s in p.sweeps]
+        assert int(np.argmin(widths)) == sweep
+        assert p.band.perm is p.sweeps[sweep]
+
+    def test_field_run_does_not_import_csgraph(self):
+        """The band order is a coordinate sweep: importing amfrac and
+        running a field problem leaves ``scipy.sparse.csgraph`` unloaded."""
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            import amfrac as af
+            mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+            model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02,
+                                     preset="ANALYSIS", kappa_E=0.15,
+                                     kappa_R=0.08)
+            params = af.SchemeParams(rho=0.05, T=0.2)
+            load = af.LoadProgram(mode="TRACTION_RAMP", T=0.2,
+                                  direction=(1, 0), traction_rate=3.0)
+            trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
+            print(len(trace.records), "scipy.sparse.csgraph" in sys.modules)
+        """)
+        src = str(Path(amfrac.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        steps, loaded = out.stdout.split()
+        assert int(steps) > 1 and loaded == "False"
 
     def test_band_order_halves_the_traction_mesh(self):
         # the mesh of the traction_jumps benchmark: RCM gives 83 and 41
