@@ -132,11 +132,14 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None) -> AMResult:
         if i == 1:
             first_u = u_i
         z_new, report = problem.solve_z(t, u_i, z_prev, rho)
-        du = (sup(u_i - u_ref) / max(sup(u_i), 1e-12)
-              if u_ref is not None else math.inf)
+        if u_ref is None:
+            du = math.inf
+        else:
+            u_scale = sup(u_i)  # max(sup(u_i), 1e-12), without the call
+            du = sup(u_i - u_ref) / (1e-12 if 1e-12 > u_scale else u_scale)
         dz = sup(z_new - z_i)
         u_ref, z_i = u_i, z_new
-        if max(du, dz) <= tol:
+        if du <= tol and dz <= tol:  # a NaN in either is not converged
             converged = True
             break
     # positional: the scalar model runs this once per step
@@ -147,11 +150,12 @@ def time_update(t_k: float, dz_norm_V: float, rho: float, T: float) -> float:
     """Adaptive update ``t_{k+1} = min(t_k + rho - ||dz||_V, T)``.
 
     The increment is clamped non-negative against round-off overshoot of
-    the ball radius.
+    the ball radius.  An increment beyond the radius, or NaN, raises
+    ``SolverFailure``.
     """
-    if dz_norm_V > rho * (1.0 + 1e-6) + 1e-12:
+    if not dz_norm_V <= rho * (1.0 + 1e-6) + 1e-12:  # NaN fails too
         raise SolverFailure(
-            "damage increment exceeds the arc-length radius",
+            "damage increment exceeds the arc-length radius or is NaN",
             dz_norm_V=dz_norm_V, rho=rho)
     dz = min(dz_norm_V, rho)
     # associate as t + (rho - dz): keeps dt >= 0 exactly when dz == rho

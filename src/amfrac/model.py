@@ -242,13 +242,10 @@ class SchemeParams:
     max_steps: int = 0  # 0: derived from T/rho
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ModelConfigError("rho must be positive")
-        if self.T <= 0:
-            raise ModelConfigError("T must be positive")
-        for name in ("tol_am", "tol_newton", "tol_constraint"):
-            if getattr(self, name) <= 0:
-                raise ModelConfigError(f"{name} must be positive")
+        for name in ("rho", "T", "tol_am", "tol_newton", "tol_constraint"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ModelConfigError(f"{name} = {getattr(self, name)} must "
+                                       "be positive and finite")
         if self.max_am_iters < 1:
             raise ModelConfigError("max_am_iters must be at least 1")
         if self.snapshot_stride < 1:

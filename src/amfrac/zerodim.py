@@ -33,7 +33,8 @@ class ZeroDimModel:
     """Defaults give an elastic phase, then a stable softening branch that
     folds mid-run: the increment series throttles, oscillates at onset and
     collapses into a jump (kappa_E must stay below kappa_R for an elastic
-    phase and above 0.75*kappa_R for the branch to fold before z = 0)."""
+    phase and above 0.75*kappa_R for the branch to fold before z = 0).
+    Every field must be finite, and a and eta positive."""
 
     a: float = 1.0
     eta: float = 1e-3
@@ -42,8 +43,16 @@ class ZeroDimModel:
     ell_rate: float = 1.0
 
     def __post_init__(self):
-        if self.a <= 0 or self.eta <= 0:
-            raise ModelConfigError("stiffness a and floor eta must be positive")
+        # NaN fails every comparison
+        if not (0.0 < self.a < math.inf and 0.0 < self.eta < math.inf):
+            raise ModelConfigError(f"stiffness a = {self.a} and floor eta = "
+                                   f"{self.eta} must be positive and finite")
+        if not (-math.inf < self.kappa_E < math.inf
+                and -math.inf < self.kappa_R < math.inf
+                and -math.inf < self.ell_rate < math.inf):
+            raise ModelConfigError(
+                f"kappa_E = {self.kappa_E}, kappa_R = {self.kappa_R} and "
+                f"ell_rate = {self.ell_rate} must be finite")
 
     def ell(self, t: float) -> float:
         return self.ell_rate * t
@@ -54,7 +63,7 @@ class ZeroDimModel:
 
     def u_min(self, t: float, z: float) -> float:
         """Closed-form displacement minimizer at fixed damage."""
-        return self.ell(t) / ((z * z + self.eta) * self.a)
+        return self.ell_rate * t / ((z * z + self.eta) * self.a)
 
     def dz_energy(self, u: float, z: float) -> float:
         """Damage derivative of the energy (the scalar 'density')."""
@@ -71,23 +80,34 @@ def z_step(t: float, u: float, z_prev: float, rho: float,
     Minimizes ``E(t, u, .) + R(. - z_prev)`` over
     ``[max(0, z_prev - rho), z_prev]``.  Returns (z, mu, lam): the solution
     and the multipliers of the ball (lower) and irreversibility (upper)
-    bounds.
+    bounds.  It is evaluated in Python floats with comparisons in place of
+    ``min``, ``max`` and ``abs``: each comparison picks the operand the
+    builtin returns (``max(a, b)`` is ``b if b > a else a``), so the result
+    is the builtin evaluation's bit for bit, -0.0 and NaN included.
     """
-    lo = max(0.0, z_prev - rho)
+    lo = z_prev - rho
+    if not lo > 0.0:  # max(0.0, z_prev - rho)
+        lo = 0.0
     hi = z_prev
     c = model.a * u * u + model.kappa_E
+    kappa_R = model.kappa_R
     z = z_prev
     for _ in range(_Z_MAX_ITER):
-        g = c * z - model.kappa_R
-        z_new = min(max(z - g / c, lo), hi)
-        if abs(z_new - z) <= _Z_TOL * max(1.0, abs(z)):
+        z_new = z - (c * z - kappa_R) / c
+        if lo > z_new:  # min(max(z_new, lo), hi)
+            z_new = lo
+        if hi < z_new:
+            z_new = hi
+        # abs(z_new - z) <= _Z_TOL * max(1.0, abs(z))
+        bound = _Z_TOL * (z if z > 1.0 else -z if z < -1.0 else 1.0)
+        if -bound <= z_new - z <= bound:
             z = z_new
             break
         z = z_new
-    g = c * z - model.kappa_R
+    g = c * z - kappa_R
     ball_side = z_prev - rho >= 0.0 and z <= lo + _Z_TOL
-    mu = max(0.0, g) if ball_side else 0.0  # ball pushes from below
-    lam = max(0.0, -g) if z >= hi - _Z_TOL else 0.0
+    mu = g if ball_side and g > 0.0 else 0.0  # ball pushes from below
+    lam = -g if g < 0.0 and z >= hi - _Z_TOL else 0.0
     return z, mu, lam
 
 

@@ -11,6 +11,7 @@ array builders of ``amfrac.mesh`` replaced; they share only the 1D ticks
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import scipy.sparse as sp
@@ -160,6 +161,41 @@ def ref_brute_force_z_step(t, u, z_prev, rho, model, grid_step):
     c = model.a * u * u + model.kappa_E
     vals = 0.5 * c * grid ** 2 + model.kappa_R * (z_prev - grid)
     return float(grid[int(np.argmin(vals))])
+
+
+_REF_Z_TOL = 1e-14
+_REF_Z_MAX_ITER = 50
+
+
+def ref_z_step(t, u, z_prev, rho, model):
+    """Bounded scalar Newton for the damage step with the builtins ``min``,
+    ``max`` and ``abs``: the evaluation that ``zerodim.z_step`` reproduces
+    with comparisons, bit for bit."""
+    lo = max(0.0, z_prev - rho)
+    hi = z_prev
+    c = model.a * u * u + model.kappa_E
+    z = z_prev
+    for _ in range(_REF_Z_MAX_ITER):
+        g = c * z - model.kappa_R
+        z_new = min(max(z - g / c, lo), hi)
+        if abs(z_new - z) <= _REF_Z_TOL * max(1.0, abs(z)):
+            z = z_new
+            break
+        z = z_new
+    g = c * z - model.kappa_R
+    ball_side = z_prev - rho >= 0.0 and z <= lo + _REF_Z_TOL
+    mu = max(0.0, g) if ball_side else 0.0  # ball pushes from below
+    lam = max(0.0, -g) if z >= hi - _REF_Z_TOL else 0.0
+    return z, mu, lam
+
+
+def z_step_bits(step, *args):
+    """``(z, mu, lam)`` of a damage step as bytes, so that -0.0 and NaN
+    compare exactly, or the name of the exception the step raises."""
+    try:
+        return struct.pack("<3d", *step(*args))
+    except ZeroDivisionError as exc:
+        return type(exc).__name__
 
 
 def fd_gradient(fun, x, rel_step=1e-6):

@@ -460,11 +460,18 @@ class TestMain:
         ("ct", "[zerodim]\na = 2\n", None),
         ("custom", "[zerodim]\na = 2\n", None),
         ("lshape", "[zerodim]\na = 2\n", None),
+        ("zerodim", "[scheme]\nrho = nan\n", None),
+        ("zerodim", "[scheme]\nt = inf\n", None),
+        ("zerodim", "[scheme]\ntol_am = nan\n", None),
+        ("zerodim", "[zerodim]\nkappa_e = nan\n", None),
+        ("zerodim", "[zerodim]\nell_rate = -inf\n", None),
+        ("zerodim", "", "rho=nan"),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
             "sweep_alpha=1", "sweep_alpha_h1", "zerodim_material",
             "zerodim_mesh", "zerodim_load", "ct_zerodim", "custom_zerodim",
-            "lshape_zerodim"])
+            "lshape_zerodim", "rho=nan", "T=inf", "tol_am=nan",
+            "zerodim_kappa_e=nan", "zerodim_ell_rate=-inf", "sweep_rho=nan"])
     def test_invalid_input_is_config_error(self, tmp_path, capsys, experiment,
                                            extra, sweep):
         text = ZERODIM_CFG.replace("zerodim", experiment)

@@ -29,8 +29,66 @@ class TestTimeUpdate:
         with pytest.raises(SolverFailure):
             af.time_update(0.0, 0.2, 0.1, 1.0)
 
+    def test_nan_increment_rejected(self):
+        with pytest.raises(SolverFailure, match="NaN") as err:
+            af.time_update(0.3, math.nan, 0.1, 1.0)
+        assert math.isnan(err.value.residuals["dz_norm_V"])
+
+    def test_nan_increment_stops_the_run(self, monkeypatch):
+        # a damage step that turns NaN mid-run ends it with a partial
+        # trace, instead of stepping at t = NaN until the step budget
+        import amfrac.zerodim as zerodim
+
+        step = zerodim.z_step
+
+        def nan_late(t, *args):
+            z, mu, lam = step(t, *args)
+            return (math.nan if t > 0.3 else z), mu, lam
+
+        monkeypatch.setattr(zerodim, "z_step", nan_late)
+        params = af.SchemeParams(rho=0.02, T=1.0, max_am_iters=5)
+        with pytest.raises(SolverFailure, match="NaN") as err:
+            zerodim.run_zero_dim(zerodim.ZeroDimModel(), params)
+        records = err.value.partial_trace.records
+        assert records[-1].t > 0.3 and math.isnan(records[-1].dz_norm_V)
+        assert not records[-1].am_converged
+        assert all(r.t <= 0.3 for r in records[:-1])
+
+
+class _StubProblem:
+    """Scalar subproblem with a fixed displacement and a scripted sequence
+    of damage solves (the last one repeats)."""
+
+    sup = staticmethod(abs)
+
+    def __init__(self, z_values, max_am_iters=4):
+        self.params = af.SchemeParams(rho=0.1, T=1.0,
+                                      max_am_iters=max_am_iters)
+        self.z_values = list(z_values)
+        self.calls = 0
+
+    def solve_u(self, t, z):
+        return 1.0
+
+    def solve_z(self, t, u, z_prev, rho):
+        z = self.z_values[min(self.calls, len(self.z_values) - 1)]
+        self.calls += 1
+        return z, None
+
 
 class TestAMLoop:
+    def test_stub_converges_on_a_repeated_iterate(self):
+        res = af.am_loop(_StubProblem([0.5]), 0.0, 1.0, 0.1)
+        assert (res.converged, res.iters, res.z) == (True, 2, 0.5)
+
+    def test_nan_damage_iterate_is_not_converged(self):
+        # du = 0 on the second iteration; a NaN dz must not hide behind it
+        problem = _StubProblem([0.5, math.nan])
+        res = af.am_loop(problem, 0.0, 1.0, 0.1)
+        assert not res.converged
+        assert res.iters == problem.params.max_am_iters
+        assert math.isnan(res.z)
+
     def test_fixpoint_is_invariant(self, ct_coarse_setup):
         # a locally stable state (inactive ball) is a fixpoint of the map:
         # re-running the loop at the same time must return it in one pass

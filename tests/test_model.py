@@ -148,6 +148,15 @@ class TestValidation:
         with pytest.raises(ModelConfigError):
             af.NormSpec(kind="lalpha", alpha=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "rho", "T", "tol_am", "tol_newton", "tol_constraint"])
+    def test_scheme_rejects_non_finite_values(self, field, bad):
+        values = dict(rho=0.1, T=1.0)
+        values[field] = bad
+        with pytest.raises(ModelConfigError, match=field):
+            af.SchemeParams(**values)
+
     @pytest.mark.parametrize("field, bad, least", [
         ("snapshot_stride", 0, 1), ("snapshot_stride", -3, 1),
         ("max_steps", -2, 0)])

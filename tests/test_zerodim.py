@@ -1,6 +1,8 @@
 """Scalar toy system: closed-form solves against the exhaustive oracle."""
 
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,13 +10,14 @@ import pytest
 import amfrac as af
 import amfrac.zerodim as zerodim
 from amfrac.diagnostics import check_trace_invariants, complementarity_check
+from amfrac.model import ModelConfigError
 from amfrac.zerodim import (
     ZeroDimModel,
     brute_force_z_step,
     run_zero_dim,
     z_step,
 )
-from oracles import ref_brute_force_z_step
+from oracles import ref_brute_force_z_step, ref_z_step, z_step_bits
 
 
 class TestZStep:
@@ -56,6 +59,64 @@ class TestZStep:
     def test_grid_step_validation(self):
         with pytest.raises(ValueError):
             brute_force_z_step(0.0, 1.0, 0.5, 0.1, ZeroDimModel(), 0.0)
+
+
+class TestZStepIdentity:
+    """``z_step`` with comparisons against its builtin evaluation
+    ``ref_z_step``, compared bit for bit."""
+
+    @staticmethod
+    def assert_same(t, u, z_prev, rho, zm):
+        got = z_step_bits(z_step, t, u, z_prev, rho, zm)
+        assert got == z_step_bits(ref_z_step, t, u, z_prev, rho, zm), \
+            (u, z_prev, rho, vars(zm))
+
+    def test_random_inputs(self):
+        rng = np.random.default_rng(12)
+        for _ in range(3000):
+            zm = ZeroDimModel(a=rng.uniform(0.1, 3.0),
+                              kappa_E=rng.uniform(0.0, 2.0),
+                              kappa_R=rng.uniform(0.0, 2.0))
+            rho = 10.0 ** rng.uniform(-6.0, 0.0)
+            self.assert_same(rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0),
+                             rng.uniform(0.0, 1.0), rho, zm)
+
+    def test_edge_table(self):
+        """Every combination of special values: rho = 0 and rho >= z_prev,
+        z_prev = 0 and u = 0, either sign of zero, 1e-300, +-inf and NaN,
+        and either sign of kappa_R (with kappa_R = -0.0 a clip can land
+        on -0.0)."""
+        special = (0.0, -0.0, 1e-300, 0.3, 0.5, 1.0, 2.0, -1.0, math.inf,
+                   -math.inf, math.nan)
+        for kappa_E, kappa_R in itertools.product(
+                (0.0, -0.0, 0.85, 2.0), (0.0, -0.0, 1.0, -1.0, math.nan)):
+            zm = SimpleNamespace(a=1.0, kappa_E=kappa_E, kappa_R=kappa_R)
+            for u, z_prev, rho in itertools.product(
+                    (0.0, -0.0, 1e-300, 1.0, 3.0, math.nan), special, special):
+                self.assert_same(0.3, u, z_prev, rho, zm)
+
+    @pytest.mark.parametrize("u, z_prev, rho", [
+        (math.nan, 0.8, 0.1), (1.0, math.nan, 0.1)])
+    def test_nan_input_gives_nan(self, u, z_prev, rho):
+        zm = ZeroDimModel()
+        self.assert_same(0.3, u, z_prev, rho, zm)
+        assert math.isnan(z_step(0.3, u, z_prev, rho, zm)[0])
+
+    def test_scalar_run_with_the_reference_step(self, monkeypatch):
+        zm = ZeroDimModel()
+        params = af.SchemeParams(rho=1e-3, T=1.0,
+                                 norm_V=af.NormSpec("lalpha", 2.0),
+                                 store_all_snapshots=True)
+        trace = run_zero_dim(zm, params)
+        monkeypatch.setattr(zerodim, "z_step", ref_z_step)
+        ref = run_zero_dim(zm, params)
+        assert repr(trace.records) == repr(ref.records)
+
+        def snapshot_bytes(tr):
+            return {k: (u.tobytes(), z.tobytes())
+                    for k, (u, z) in tr.snapshots.items()}
+
+        assert snapshot_bytes(trace) == snapshot_bytes(ref)
 
 
 class TestGridOracle:
@@ -258,6 +319,13 @@ class TestRunZeroDim:
         partial = err.value.partial_trace
         assert partial.aborted
         assert len(partial.records) == 4
+
+    @pytest.mark.parametrize("field", ["a", "eta", "kappa_E", "kappa_R",
+                                       "ell_rate"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_model_rejects_non_finite_fields(self, field, bad):
+        with pytest.raises(ModelConfigError, match=field):
+            ZeroDimModel(**{field: bad})
 
     def test_z0_validation(self):
         with pytest.raises(ValueError):
