@@ -9,7 +9,9 @@ Unset keys keep the dataclass defaults, and three presets set the values
 that differ from them: ``ct`` (square plate with a mid-height slit),
 ``lshape`` and ``zerodim``; ``custom`` is the ``ct`` preset under another
 name.  Unknown keys, and mesh keys the chosen geometry does not read, are
-rejected.
+rejected.  ``load_config`` also builds the mesh and the initial damage, so
+a mesh with no grid is a ``ConfigError`` too, raised before any file is
+written.
 
 Artifacts per run directory: ``trace.csv`` (one column per ``StepRecord``
 field, written incrementally, so a crash retains the partial trace),
@@ -39,7 +41,7 @@ from .diagnostics import (
     energy_balance,
 )
 from .driver import StepRecord, Trace, run
-from .mesh import Mesh, build_ct_mesh, build_lshape_mesh
+from .mesh import Mesh, MeshConfigError, build_ct_mesh, build_lshape_mesh
 from .model import (
     DIRICHLET_RAMP,
     TRACTION_RAMP,
@@ -121,18 +123,21 @@ _DIRECTIONS = {"x": (1.0, 0.0), "y": (0.0, 1.0),
 
 @dataclasses.dataclass(eq=False)
 class RunConfig:
-    """Fully resolved run description (defaults already filled in)."""
+    """Fully resolved run description (defaults already filled in): the
+    models, the mesh and the initial damage ``z0``, a nodal field or the
+    scalar model's value.  ``mesh_args`` holds the ``[mesh]`` keys as the
+    manifest records them."""
 
     experiment: str
     scheme: SchemeParams
     output_dir: str
     formats: tuple
+    z0: np.ndarray | float = 1.0
     material: MaterialModel | None = None
     load: LoadProgram | None = None
+    mesh: Mesh | None = None
     mesh_args: dict | None = None
-    notch: str = "slit"
     zerodim: ZeroDimModel | None = None
-    zerodim_z0: float = 1.0
 
 
 def _coerce(raw: str, typ, field: str):
@@ -178,7 +183,16 @@ def load_config(path) -> RunConfig:
 
 
 def _resolve(data: dict) -> RunConfig:
-    """The run that the sections ``data`` of a config file describe."""
+    """The run that the sections ``data`` of a config file describe, with
+    its mesh and initial damage built: an invalid scheme, model, load or
+    mesh is a ``ConfigError``."""
+    try:
+        return _build_run(data)
+    except (ModelConfigError, MeshConfigError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _build_run(data: dict) -> RunConfig:
     experiment = data.get("experiment", {}).get("name", "ct")
     if experiment not in _PRESETS:
         raise ConfigError(f"unknown experiment {experiment!r}")
@@ -198,42 +212,44 @@ def _resolve(data: dict) -> RunConfig:
     output_dir = str(out_cfg.pop("directory", "out"))
     formats = tuple(s.strip() for s in out_cfg.pop("formats", "csv,vtk").split(",")
                     if s)
-    try:
-        # the rest of [output] are SchemeParams fields
-        scheme = SchemeParams(
-            norm_V=NormSpec(sch.pop("norm_V", NormSpec.kind),
-                            sch.pop("alpha", NormSpec.alpha)),
-            **sch, **out_cfg)
-    except ModelConfigError as exc:
-        raise ConfigError(f"invalid scheme: {exc}") from exc
-
+    # the rest of [output] are SchemeParams fields
+    scheme = SchemeParams(norm_V=NormSpec(sch.pop("norm_V", NormSpec.kind),
+                                          sch.pop("alpha", NormSpec.alpha)),
+                          **sch, **out_cfg)
     cfg = RunConfig(experiment=experiment, scheme=scheme,
                     output_dir=output_dir, formats=formats)
 
     if experiment == "zerodim":
         zd = merged("zerodim")
-        cfg.zerodim_z0 = zd.pop("z0", cfg.zerodim_z0)
-        if not 0.0 <= cfg.zerodim_z0 <= 1.0:
-            raise ConfigError(f"zerodim.z0 = {cfg.zerodim_z0} outside [0, 1]")
-        try:
-            cfg.zerodim = ZeroDimModel(**zd)
-        except ModelConfigError as exc:
-            raise ConfigError(f"invalid zerodim model: {exc}") from exc
+        cfg.z0 = zd.pop("z0", cfg.z0)
+        if not 0.0 <= cfg.z0 <= 1.0:
+            raise ConfigError(f"zerodim.z0 = {cfg.z0} outside [0, 1]")
+        cfg.zerodim = ZeroDimModel(**zd)
         return cfg
 
-    try:
-        cfg.material = MaterialModel(**merged("material"))
-    except ModelConfigError as exc:
-        raise ConfigError(f"invalid material: {exc}") from exc
+    cfg.material = MaterialModel(**merged("material"))
+    load_cfg = merged("load")
+    mode = load_cfg["mode"].lower()
+    direction = _DIRECTIONS.get(load_cfg["direction"].lower())
+    if direction is None:
+        raise ConfigError(f"unknown load direction {load_cfg['direction']!r}")
+    if mode.startswith("dirichlet"):
+        ramp = dict(mode=DIRICHLET_RAMP, ubar_rate=load_cfg["u_max"] / scheme.T)
+    elif mode.startswith("traction"):
+        ramp = dict(mode=TRACTION_RAMP,
+                    traction_rate=load_cfg.get("traction_rate", 1.0))
+    else:
+        raise ConfigError(f"unknown load mode {mode!r}")
+    cfg.load = LoadProgram(T=scheme.T, direction=direction, **ramp)
 
     mesh_cfg = merged("mesh")
-    cfg.notch = mesh_cfg.pop("notch")
-    if cfg.notch not in ("slit", "damage", "none"):
-        raise ConfigError(f"unknown notch style {cfg.notch!r}")
+    notch = mesh_cfg.pop("notch")
+    if notch not in ("slit", "damage", "none"):
+        raise ConfigError(f"unknown notch style {notch!r}")
     lshape = experiment == "lshape"
     unread = [k for k in ("side_len" if lshape else "leg_len",) if k in mesh_cfg]
-    if lshape and cfg.notch != "none":
-        unread.append(f"notch = {cfg.notch}")
+    if lshape and notch != "none":
+        unread.append(f"notch = {notch}")
     if unread:
         raise ConfigError(f"[mesh] {', '.join(unread)}: not read by the "
                           f"{experiment} geometry")
@@ -243,23 +259,14 @@ def _resolve(data: dict) -> RunConfig:
         raise ConfigError(f"[mesh] refinement band lacks {', '.join(missing)}")
     x0, x1, y0, y1 = (mesh_cfg.pop(k, None) for k in band_keys)
     mesh_cfg["refine_band"] = None if missing else ((x0, x1), (y0, y1))
-    cfg.mesh_args = mesh_cfg
-
-    load_cfg = merged("load")
-    mode = load_cfg["mode"].lower()
-    direction = _DIRECTIONS.get(load_cfg["direction"].lower())
-    if direction is None:
-        raise ConfigError(f"unknown load direction {load_cfg['direction']!r}")
-    if mode.startswith("dirichlet"):
-        cfg.load = LoadProgram(mode=DIRICHLET_RAMP, T=scheme.T,
-                               direction=direction,
-                               ubar_rate=load_cfg["u_max"] / scheme.T)
-    elif mode.startswith("traction"):
-        cfg.load = LoadProgram(mode=TRACTION_RAMP, T=scheme.T,
-                               direction=direction,
-                               traction_rate=load_cfg.get("traction_rate", 1.0))
-    else:
-        raise ConfigError(f"unknown load mode {mode!r}")
+    cfg.mesh_args = dict(mesh_cfg, notch=notch)
+    cfg.mesh = (build_lshape_mesh(**mesh_cfg) if lshape
+                else build_ct_mesh(**mesh_cfg, notch=notch == "slit"))
+    cfg.z0 = np.ones(cfg.mesh.n_nodes)
+    if notch == "damage":  # the slit row left of the tip starts broken
+        L = mesh_cfg["side_len"]
+        x, y = cfg.mesh.nodes.T
+        cfg.z0[(np.abs(y - 0.5 * L) < 1e-12 * L) & (x <= 0.5 * L + 1e-12 * L)] = 0.0
     return cfg
 
 
@@ -275,10 +282,10 @@ def _manifest(cfg: RunConfig) -> dict:
         "output": {"directory": cfg.output_dir, "formats": list(cfg.formats)},
     }
     if cfg.zerodim is not None:
-        out["zerodim"] = dict(_init_values(cfg.zerodim), z0=cfg.zerodim_z0)
+        out["zerodim"] = dict(_init_values(cfg.zerodim), z0=cfg.z0)
     if cfg.material is not None:
         out["material"] = _init_values(cfg.material)
-        out["mesh"] = dict(cfg.mesh_args, notch=cfg.notch)
+        out["mesh"] = cfg.mesh_args
         out["load"] = _init_values(cfg.load, ("T",))  # T is in the scheme
     return out
 
@@ -310,24 +317,6 @@ def _from_rows(cls, rows: list) -> list:
             for line in rows]
 
 
-def build_mesh(cfg: RunConfig) -> Mesh:
-    if cfg.experiment == "lshape":
-        return build_lshape_mesh(**cfg.mesh_args)
-    return build_ct_mesh(**cfg.mesh_args, notch=(cfg.notch == "slit"))
-
-
-def initial_damage(cfg: RunConfig, mesh: Mesh) -> np.ndarray:
-    """Intact field, or a damaged band along the notch line when the
-    config asks for the initial-damage notch variant (square plate only)."""
-    z0 = np.ones(mesh.n_nodes)
-    if cfg.notch == "damage":
-        L = cfg.mesh_args["side_len"]
-        on_line = (np.abs(mesh.nodes[:, 1] - 0.5 * L) < 1e-12 * L) & \
-                  (mesh.nodes[:, 0] <= 0.5 * L + 1e-12 * L)
-        z0[on_line] = 0.0
-    return z0
-
-
 def execute(cfg: RunConfig) -> int:
     """Run one configured experiment; artifacts land in cfg.output_dir.
 
@@ -349,15 +338,12 @@ def execute(cfg: RunConfig) -> int:
 
     status = 0
     trace = None
-    mesh = None
     try:
-        if cfg.experiment == "zerodim":
-            trace = run_zero_dim(cfg.zerodim, cfg.scheme, z0=cfg.zerodim_z0,
+        if cfg.mesh is None:
+            trace = run_zero_dim(cfg.zerodim, cfg.scheme, z0=cfg.z0,
                                  check_oracle=True, record_hook=hook)
         else:
-            mesh = build_mesh(cfg)
-            z0 = initial_damage(cfg, mesh)
-            trace = run(mesh, cfg.material, cfg.load, cfg.scheme, z0,
+            trace = run(cfg.mesh, cfg.material, cfg.load, cfg.scheme, cfg.z0,
                         record_hook=hook)
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
@@ -367,19 +353,14 @@ def execute(cfg: RunConfig) -> int:
         trace_file.close()
 
     if trace is not None and trace.records:
-        load = cfg.load
-        if cfg.experiment == "zerodim":
-            load = LoadProgram(mode=TRACTION_RAMP, T=cfg.scheme.T,
-                               direction=(1.0, 0.0),
-                               traction_rate=cfg.zerodim.ell_rate)
-        report = energy_balance(trace, load)
+        report = energy_balance(trace, cfg.load)
         with open(outdir / "balance.csv", "w") as f:
             f.write(BALANCE_HEADER + "\n")
             f.writelines(_csv_row(row) + "\n" for row in report.rows)
-        if mesh is not None and "vtk" in cfg.formats:
+        if cfg.mesh is not None and "vtk" in cfg.formats:
             for k in sorted(trace.snapshots):
                 u, z = trace.snapshots[k]
-                write_vtk(outdir / f"fields_{k:06d}.vtk", mesh,
+                write_vtk(outdir / f"fields_{k:06d}.vtk", cfg.mesh,
                           point_scalars={"damage": z},
                           point_vectors={"displacement": u})
     return status
@@ -524,7 +505,7 @@ def main(argv=None) -> int:
     try:
         points = [(raw, sweep_point(args.config, name, float(raw)))
                   for raw in values.split(",")]
-    except ValueError as exc:  # ConfigError, ModelConfigError, float()
+    except ValueError as exc:  # ConfigError, float()
         print(f"config error: --param {name}: {exc}", file=sys.stderr)
         return 2
     status = 0

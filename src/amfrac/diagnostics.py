@@ -217,12 +217,13 @@ class BalanceReport:
         return self.rows[-1].cum_residual if self.rows else 0.0
 
 
-def energy_balance(trace: Trace, load: LoadProgram) -> BalanceReport:
+def energy_balance(trace: Trace, load: LoadProgram | None) -> BalanceReport:
     """Build the per-step ledger from the recorded trace scalars.
 
     The dissipation and viscous integrands are constant on each interval
     (exact integrals); the work term uses the trapezoidal rule on the
-    affine interpolants, which is exact for linear load ramps.
+    affine interpolants, which is exact for linear load ramps.  ``load``
+    is read only on a Dirichlet trace, for its prescribed displacement.
     """
     recs = trace.records
     dirichlet = trace.load_mode == DIRICHLET_RAMP
@@ -232,7 +233,7 @@ def energy_balance(trace: Trace, load: LoadProgram) -> BalanceReport:
     )
     cum = 0.0
     e_prev = trace.energy_init
-    power_prev = trace.load_power_init
+    power_prev = recs[0].load_power
     reaction_prev = recs[0].reaction
     t_prev = recs[0].t
     for r in recs:

@@ -13,10 +13,10 @@ advances.
 (``run_pure_am``, the same loop with ``rho = inf``) and the scalar model
 (``zerodim.run_zero_dim``).  It sees the model only through a subproblem:
 ``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(t, u, z_prev, rho)
--> (z, report)``, ``energy(t, u, z)``, ``load_power(u)``, the sup-norm
-``sup(x)`` of the AM stopping rule, the per-step ``record(k, t, dt, res,
-z_prev) -> StepRecord``, which carries ``||z - z_prev||_V`` for the time
-update, and ``fields(u, z)``, the snapshot of one step as a pair of arrays.
+-> (z, report)``, ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM
+stopping rule, the per-step ``record(k, t, dt, res, z_prev) ->
+StepRecord``, which carries ``||z - z_prev||_V`` for the time update, and
+``fields(u, z)``, the snapshot of one step as a pair of arrays.
 ``FieldProblem`` is the finite-element implementation and
 ``zerodim.ScalarProblem`` the closed-form scalar one.
 """
@@ -69,7 +69,6 @@ class Trace:
     z0: np.ndarray = None
     u_init: np.ndarray = None
     energy_init: float = 0.0
-    load_power_init: float = 0.0
     snapshots: dict = field(default_factory=dict)
     load_mode: str = DIRICHLET_RAMP
     aborted: bool = False
@@ -199,7 +198,6 @@ def evolve(problem, z0, times: np.ndarray | None = None,
             if k == 0:
                 trace.u_init = np.array(res.first_u, ndmin=1)
                 trace.energy_init = problem.energy(0.0, res.first_u, z0)
-                trace.load_power_init = problem.load_power(res.first_u)
             record = problem.record(k, t, t - t_prev if k else 0.0, res, z_prev)
             prev_dt = trace.records[-1].dt if trace.records else 1.0
             is_final = t >= params.T if adaptive else k == len(times) - 1
@@ -251,9 +249,6 @@ class FieldProblem:
         return dissipation_R(dz, self.model, self.weights,
                              tol=self.params.tol_constraint)
 
-    def load_power(self, u) -> float:
-        return float(self.f1 @ u)
-
     @staticmethod
     def sup(x) -> float:
         return float(np.abs(x).max(initial=0.0))
@@ -282,7 +277,7 @@ class FieldProblem:
                                         self.params.norm_V),
             xi_norm=rep.xi_norm_dual,
             ball_active=rep.constraint_active,
-            load_power=self.load_power(res.u),
+            load_power=float(self.f1 @ res.u),
             am_converged=res.converged,
             stationarity=rep.stationarity_residual,
         )

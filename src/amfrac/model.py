@@ -77,10 +77,17 @@ class MaterialModel:
     def __post_init__(self):
         if self.preset not in (PRESET_AT, PRESET_ANALYSIS):
             raise ModelConfigError(f"unknown preset {self.preset!r}")
-        if self.eta <= 0 or self.theta <= 0 or self.g_c <= 0:
-            raise ModelConfigError("eta, theta and g_c must be positive")
-        if self.kappa_E <= 0 or self.kappa_R < 0:
-            raise ModelConfigError("kappa_E must be positive, kappa_R non-negative")
+        # NaN fails every comparison
+        if not (0.0 < self.young_E < math.inf and 0.0 < self.eta < math.inf
+                and 0.0 < self.theta < math.inf and 0.0 < self.g_c < math.inf
+                and 0.0 < self.kappa_E < math.inf):
+            raise ModelConfigError(
+                f"young_E = {self.young_E}, eta = {self.eta}, theta = "
+                f"{self.theta}, g_c = {self.g_c} and kappa_E = {self.kappa_E} "
+                "must be positive and finite")
+        if not 0.0 <= self.kappa_R < math.inf:
+            raise ModelConfigError(f"kappa_R = {self.kappa_R} must be "
+                                   "non-negative and finite")
         self.C = voigt_elasticity(self.young_E, self.poisson_nu)
         if coercivity_gamma(self.C) <= 0:
             raise ModelConfigError("elasticity matrix is not positive definite")
@@ -111,12 +118,19 @@ class LoadProgram:
     def __post_init__(self):
         if self.mode not in (DIRICHLET_RAMP, TRACTION_RAMP):
             raise ModelConfigError(f"unknown load mode {self.mode!r}")
-        if self.T <= 0:
-            raise ModelConfigError("final time T must be positive")
+        # NaN fails every comparison
+        if not (0.0 < self.T < math.inf
+                and -math.inf < self.ubar_rate < math.inf
+                and -math.inf < self.traction_rate < math.inf):
+            raise ModelConfigError(
+                f"T = {self.T} must be positive and finite, ubar_rate = "
+                f"{self.ubar_rate} and traction_rate = {self.traction_rate} "
+                "finite")
         d = np.asarray(self.direction, dtype=float)
         n = np.linalg.norm(d)
-        if n == 0:
-            raise ModelConfigError("load direction must be a nonzero vector")
+        if not 0.0 < n < math.inf:
+            raise ModelConfigError(f"load direction {self.direction} must be "
+                                   "a nonzero finite vector")
         self.direction = tuple(d / n)
 
     def ubar(self, t: float) -> float:

@@ -34,7 +34,7 @@ class ZeroDimModel:
     folds mid-run: the increment series throttles, oscillates at onset and
     collapses into a jump (kappa_E must stay below kappa_R for an elastic
     phase and above 0.75*kappa_R for the branch to fold before z = 0).
-    Every field must be finite, and a and eta positive."""
+    Every field must be finite, and a, eta and kappa_E positive."""
 
     a: float = 1.0
     eta: float = 1e-3
@@ -44,15 +44,15 @@ class ZeroDimModel:
 
     def __post_init__(self):
         # NaN fails every comparison
-        if not (0.0 < self.a < math.inf and 0.0 < self.eta < math.inf):
-            raise ModelConfigError(f"stiffness a = {self.a} and floor eta = "
-                                   f"{self.eta} must be positive and finite")
-        if not (-math.inf < self.kappa_E < math.inf
-                and -math.inf < self.kappa_R < math.inf
-                and -math.inf < self.ell_rate < math.inf):
+        if not (0.0 < self.a < math.inf and 0.0 < self.eta < math.inf
+                and 0.0 < self.kappa_E < math.inf):
             raise ModelConfigError(
-                f"kappa_E = {self.kappa_E}, kappa_R = {self.kappa_R} and "
-                f"ell_rate = {self.ell_rate} must be finite")
+                f"stiffness a = {self.a}, floor eta = {self.eta} and kappa_E "
+                f"= {self.kappa_E} must be positive and finite")
+        if not (-math.inf < self.kappa_R < math.inf
+                and -math.inf < self.ell_rate < math.inf):
+            raise ModelConfigError(f"kappa_R = {self.kappa_R} and ell_rate = "
+                                   f"{self.ell_rate} must be finite")
 
     def ell(self, t: float) -> float:
         return self.ell_rate * t
@@ -180,9 +180,6 @@ class ScalarProblem:
                 raise SolverFailure("scalar damage step disagrees with "
                                     "the grid oracle", z=z, oracle=z_ref)
         return z, mu
-
-    def load_power(self, u: float) -> float:
-        return self.model.ell_rate * u
 
     @staticmethod
     def fields(u: float, z: float):

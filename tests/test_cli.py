@@ -139,6 +139,24 @@ fine_h = 0.05
             load_config(write(tmp_path, f"[experiment]\nname = {experiment}\n"
                               f"[{section}]\n{key}\n"))
 
+    def test_damage_notch_breaks_the_slit_row_left_of_the_tip(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[experiment]\nname = custom\n"
+                                "[mesh]\nside_len = 2.0\ncoarse_h = 0.25\n"
+                                "fine_h = 0.25\nnotch = damage\n"))
+        x, y = cfg.mesh.nodes.T
+        broken = (y == 1.0) & (x <= 1.0)
+        assert cfg.mesh.n_nodes == 81 and np.count_nonzero(broken) == 5
+        assert np.array_equal(cfg.z0, np.where(broken, 0.0, 1.0))
+
+    def test_manifest_records_the_refinement_band(self, tmp_path):
+        cfg = load_config(write(tmp_path, "[experiment]\nname = custom\n"
+                                "[mesh]\ncoarse_h = 0.25\nfine_h = 0.125\n"
+                                "band_x0 = 0.5\nband_x1 = 1.0\n"
+                                "band_y0 = 0.25\nband_y1 = 0.75\n"))
+        assert cli._manifest(cfg)["mesh"] == {
+            "side_len": 1.0, "coarse_h": 0.25, "fine_h": 0.125,
+            "refine_band": ((0.5, 1.0), (0.25, 0.75)), "notch": "slit"}
+
     def test_invalid_value_names_field(self, tmp_path):
         with pytest.raises(ConfigError, match="scheme.rho"):
             load_config(write(tmp_path, "[experiment]\nname = ct\n[scheme]\nrho = abc\n"))
@@ -466,17 +484,29 @@ class TestMain:
         ("zerodim", "[zerodim]\nkappa_e = nan\n", None),
         ("zerodim", "[zerodim]\nell_rate = -inf\n", None),
         ("zerodim", "", "rho=nan"),
+        ("custom", "[mesh]\ncoarse_h = 0.15\nfine_h = 0.15\n", None),
+        ("custom", "[mesh]\ncoarse_h = 0.15\nfine_h = 0.15\n", "rho=0.1"),
+        ("ct", "[material]\neta = nan\n", None),
+        ("ct", "[material]\nyoung_e = inf\n", None),
+        ("ct", "[load]\nu_max = nan\n", None),
+        ("zerodim", "[zerodim]\nkappa_e = 0\n", None),
+        ("zerodim", "[zerodim]\nkappa_e = -0.5\n", None),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
             "sweep_alpha=1", "sweep_alpha_h1", "zerodim_material",
             "zerodim_mesh", "zerodim_load", "ct_zerodim", "custom_zerodim",
             "lshape_zerodim", "rho=nan", "T=inf", "tol_am=nan",
-            "zerodim_kappa_e=nan", "zerodim_ell_rate=-inf", "sweep_rho=nan"])
+            "zerodim_kappa_e=nan", "zerodim_ell_rate=-inf", "sweep_rho=nan",
+            "custom_no_grid", "sweep_custom_no_grid", "eta=nan",
+            "young_e=inf", "u_max=nan", "zerodim_kappa_e=0",
+            "zerodim_kappa_e=-0.5"])
     def test_invalid_input_is_config_error(self, tmp_path, capsys, experiment,
                                            extra, sweep):
         text = ZERODIM_CFG.replace("zerodim", experiment)
-        cfg_path = write(tmp_path, text.format(out=tmp_path / "zd") + extra)
+        out = tmp_path / "zd"
+        cfg_path = write(tmp_path, text.format(out=out) + extra)
         argv = (["sweep", str(cfg_path), "--param", sweep] if sweep
                 else ["run", str(cfg_path)])
         assert main(argv) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()

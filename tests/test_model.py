@@ -157,6 +157,24 @@ class TestValidation:
         with pytest.raises(ModelConfigError, match=field):
             af.SchemeParams(**values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "young_E", "poisson_nu", "eta", "g_c", "theta", "kappa_E", "kappa_R"])
+    def test_material_rejects_non_finite_values(self, field, bad):
+        values = dict(young_E=1.0, poisson_nu=0.0)
+        values[field] = bad
+        with pytest.raises(ModelConfigError, match=field):
+            af.MaterialModel(**values)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [
+        "T", "ubar_rate", "traction_rate", "direction"])
+    def test_load_rejects_non_finite_values(self, field, bad):
+        values = dict(mode="TRACTION_RAMP", T=1.0)
+        values[field] = (1.0, bad) if field == "direction" else bad
+        with pytest.raises(ModelConfigError, match=field):
+            af.LoadProgram(**values)
+
     @pytest.mark.parametrize("field, bad, least", [
         ("snapshot_stride", 0, 1), ("snapshot_stride", -3, 1),
         ("max_steps", -2, 0)])

@@ -186,8 +186,9 @@ class TestGridOracle:
         assert math.ceil((0.7 - (0.7 - 1e-3)) / 1e-4) == 11
 
     def test_ties_keep_the_first_minimum(self):
-        # u = 0 and kappa_R = kappa_E = 0: the objective is 0 everywhere
-        zm = ZeroDimModel(kappa_E=0.0, kappa_R=0.0)
+        # u = 0 and kappa_R = kappa_E = 0: the objective is 0 everywhere;
+        # a stand-in, since the model requires kappa_E > 0
+        zm = SimpleNamespace(a=1.0, kappa_E=0.0, kappa_R=0.0)
         for z_prev, rho in ((0.9, 0.05), (0.3, 0.5), (0.5, 0.0)):
             z = brute_force_z_step(0.0, 0.0, z_prev, rho, zm)
             assert z == max(0.0, z_prev - rho)
