@@ -41,7 +41,13 @@ from .diagnostics import (
     energy_balance,
 )
 from .driver import StepRecord, Trace, run
-from .mesh import Mesh, MeshConfigError, build_ct_mesh, build_lshape_mesh
+from .mesh import (
+    Mesh,
+    MeshConfigError,
+    build_ct_mesh,
+    build_lshape_mesh,
+    check_slit_on_grid,
+)
 from .model import (
     DIRICHLET_RAMP,
     TRACTION_RAMP,
@@ -266,6 +272,7 @@ def _build_run(data: dict) -> RunConfig:
     if notch == "damage":  # the slit row left of the tip starts broken
         L = mesh_cfg["side_len"]
         x, y = cfg.mesh.nodes.T
+        check_slit_on_grid(x, y, L)
         cfg.z0[(np.abs(y - 0.5 * L) < 1e-12 * L) & (x <= 0.5 * L + 1e-12 * L)] = 0.0
     return cfg
 

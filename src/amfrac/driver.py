@@ -15,10 +15,25 @@ advances.
 ``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(t, u, z_prev, rho)
 -> (z, report)``, ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM
 stopping rule, the per-step ``record(k, t, dt, res, z_prev) ->
-StepRecord``, which carries ``||z - z_prev||_V`` for the time update, and
-``fields(u, z)``, the snapshot of one step as a pair of arrays.
-``FieldProblem`` is the finite-element implementation and
-``zerodim.ScalarProblem`` the closed-form scalar one.
+StepRecord``, which carries ``||z - z_prev||_V`` for the time update,
+``fields(u, z)``, the snapshot of one step as a pair of arrays, and the two
+methods of the predicted start below.  ``FieldProblem`` is the
+finite-element implementation and ``zerodim.ScalarProblem`` the
+closed-form scalar one.
+
+Predicted start.  The artificial time advances by the same ``rho`` at
+every step, so the last damage increment predicts the next one: from step
+k = 1 on (with ``z_{-1} = z0``), the AM loop's first displacement solve
+sees ``predict(z_{k-1}, z_{k-2}) = min(z_{k-1}, max(0, 2 z_{k-1} -
+z_{k-2}))`` in place of ``z_{k-1}``.  Every damage solve keeps ``z_{k-1}``
+as its irreversibility bound and ball centre; the stopping rule is
+unchanged.  Plain AM from ``z_{k-1}`` decreases the energy at each solve,
+so its step meets the one-step bound ``E_k + R_k <= B_k = E(t_k, u~_{k-1},
+z_{k-1})``, where ``u~_{k-1}`` is ``u_{k-1}`` with its Dirichlet values
+moved to ``t_k``.  ``energy_bound(t, last, u_prev, z_prev)`` gives ``B_k``
+from the last record ``last``; it is evaluated before the loop.  A
+predicted step that breaks the bound (beyond round-off) is redone from
+``z_{k-1}``, that result is kept, and its record has ``am_redone`` set.
 """
 
 from __future__ import annotations
@@ -57,6 +72,7 @@ class StepRecord:
     ball_active: bool
     load_power: float = 0.0
     stationarity: float = 0.0
+    am_redone: bool = False
     am_converged: bool = True
 
 
@@ -112,17 +128,21 @@ class AMResult:
     converged: bool
 
 
-def am_loop(problem, t: float, z_prev, rho: float, u_prev=None) -> AMResult:
+def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
+            z_start=None) -> AMResult:
     """Alternate displacement/damage minimization at frozen time ``t``.
 
-    Starts from the previous damage field and iterates to a Cauchy-type
-    stopping rule; the returned pair is a fixpoint of the staggered map to
-    tolerance.  The loop ends on a damage solve, so the damage KKT
-    certificates hold exactly for the returned displacement.
+    The first displacement solve sees ``z_start`` (default: the previous
+    damage field ``z_prev``); every damage solve is bounded by and centred
+    on ``z_prev``.  Iterates to a Cauchy-type stopping rule; the returned
+    pair is a fixpoint of the staggered map to tolerance.  The loop ends on
+    a damage solve, so the damage KKT certificates hold exactly for the
+    returned displacement.
     """
     sup = problem.sup
     tol = problem.params.tol_am
-    z_i, u_ref = z_prev, u_prev
+    z_i = z_prev if z_start is None else z_start
+    u_ref = u_prev
     first_u = report = None
     converged = False
     i = 0
@@ -161,6 +181,18 @@ def time_update(t_k: float, dz_norm_V: float, rho: float, T: float) -> float:
     return min(t_k + (rho - dz), T)
 
 
+def _breaks_bound(record: StepRecord, bound: float) -> bool:
+    """True when ``E_k + R_k`` exceeds the one-step bound ``B`` by more
+    than round-off, ``1e-12 max(1, |B|)`` (a NaN does not break it)."""
+    if bound > 1.0:
+        limit = bound * (1.0 + 1e-12)
+    elif bound < -1.0:
+        limit = bound * (1.0 - 1e-12)
+    else:
+        limit = bound + 1e-12
+    return record.energy + record.R_increment > limit
+
+
 def _store_snapshot(k: int, dt: float, prev_dt: float, is_final: bool,
                     params: SchemeParams) -> bool:
     if params.store_all_snapshots:
@@ -189,16 +221,30 @@ def evolve(problem, z0, times: np.ndarray | None = None,
                                      + 100000)
     trace = Trace(scheme=params, z0=np.array(z0, ndmin=1),
                   load_mode=problem.load_mode)
-    z_prev, u_prev = z0, None
+    z_prev = z_pp = z0
+    u_prev = None
     t = t_prev = 0.0 if adaptive else times[0]
     k = 0
     try:
         while True:
-            res = am_loop(problem, t, z_prev, rho, u_prev)
             if k == 0:
+                res = am_loop(problem, t, z_prev, rho)
                 trace.u_init = np.array(res.first_u, ndmin=1)
                 trace.energy_init = problem.energy(0.0, res.first_u, z0)
-            record = problem.record(k, t, t - t_prev if k else 0.0, res, z_prev)
+                record = problem.record(k, t, 0.0, res, z_prev)
+            else:
+                # before the loop, so that a bound evaluated at a new
+                # displacement does not evict what the record reuses
+                bound = problem.energy_bound(t, trace.records[-1], u_prev,
+                                             z_prev)
+                res = am_loop(problem, t, z_prev, rho, u_prev,
+                              problem.predict(z_prev, z_pp))
+                dt = t - t_prev
+                record = problem.record(k, t, dt, res, z_prev)
+                if _breaks_bound(record, bound):
+                    res = am_loop(problem, t, z_prev, rho, u_prev)
+                    record = problem.record(k, t, dt, res, z_prev)
+                    record.am_redone = True
             prev_dt = trace.records[-1].dt if trace.records else 1.0
             is_final = t >= params.T if adaptive else k == len(times) - 1
             if _store_snapshot(k, record.dt, prev_dt, is_final, params):
@@ -215,7 +261,7 @@ def evolve(problem, z0, times: np.ndarray | None = None,
                                     steps=k, t=t)
             else:
                 t_next = time_update(t, record.dz_norm_V, params.rho, params.T)
-            z_prev, u_prev = res.z, res.u
+            z_pp, z_prev, u_prev = z_prev, res.z, res.u
             t_prev, t = t, t_next
             k += 1
     except SolverFailure as exc:
@@ -252,6 +298,20 @@ class FieldProblem:
     @staticmethod
     def sup(x) -> float:
         return float(np.abs(x).max(initial=0.0))
+
+    @staticmethod
+    def predict(z_prev, z_pp):
+        """Secant prediction of the next damage field, clipped to
+        ``[0, z_prev]``."""
+        return np.minimum(z_prev, np.maximum(0.0, 2.0 * z_prev - z_pp))
+
+    def energy_bound(self, t, last: StepRecord, u_prev, z_prev) -> float:
+        """``E(t, u~, z_prev)``, with ``u~`` the last displacement
+        ``u_prev`` with its Dirichlet values moved to ``t``."""
+        if self.load_mode == DIRICHLET_RAMP:
+            mask, values = self.load.dirichlet_dofs(self.mesh)
+            return self.energy(t, np.where(mask, values(t), u_prev), z_prev)
+        return last.energy - (t - last.t) * last.load_power
 
     @staticmethod
     def fields(u, z):

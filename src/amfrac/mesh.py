@@ -187,6 +187,17 @@ def _axis_bands(refine_band, default, coarse_h: float, fine_h: float):
     return default if fine_h < coarse_h else (None, None)
 
 
+def check_slit_on_grid(x, y, side_len: float) -> None:
+    """Raise ``MeshConfigError`` unless the mid-height slit line and the
+    slit tip of a plate of ``side_len`` lie on the grid lines through the
+    x and y coordinates ``x`` and ``y``."""
+    half = 0.5 * side_len
+    if not np.any(np.isclose(y, half, atol=1e-12 * side_len)):
+        raise MeshConfigError("mid-height slit line is not a grid line")
+    if not np.any(np.isclose(x, half, atol=1e-12 * side_len)):
+        raise MeshConfigError("slit tip is not on a grid line")
+
+
 def build_ct_mesh(side_len: float, coarse_h: float, fine_h: float,
                   refine_band: tuple | None = None,
                   notch: bool = True) -> Mesh:
@@ -211,11 +222,7 @@ def build_ct_mesh(side_len: float, coarse_h: float, fine_h: float,
     y_mid = 0.5 * L
     x_tip = 0.5 * L
     if notch:
-        # slit line and tip must be grid lines
-        if not np.any(np.isclose(yt, y_mid, atol=1e-12 * L)):
-            raise MeshConfigError("mid-height slit line is not a grid line")
-        if not np.any(np.isclose(xt, x_tip, atol=1e-12 * L)):
-            raise MeshConfigError("slit tip is not on a grid line")
+        check_slit_on_grid(xt, yt, L)
 
     nodes, elements = _tensor_grid(xt, yt)
     nx = len(xt) - 1

@@ -182,6 +182,22 @@ class ScalarProblem:
         return z, mu
 
     @staticmethod
+    def predict(z_prev, z_pp):
+        """``min(z_prev, max(0, 2 z_prev - z_pp))``, the secant prediction
+        of the next damage value, with comparisons as in ``z_step``."""
+        z = 2.0 * z_prev - z_pp
+        if not z > 0.0:
+            z = 0.0
+        return z if z < z_prev else z_prev
+
+    @staticmethod
+    def energy_bound(t, last, u_prev, z_prev):
+        """``E(t, u_prev, z_prev)`` from the last record: the load is a
+        traction ramp, so the energy falls by the load power times the
+        time increment."""
+        return last.energy - (t - last.t) * last.load_power
+
+    @staticmethod
     def fields(u: float, z: float):
         return np.array([u]), np.array([z])
 

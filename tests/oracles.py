@@ -302,3 +302,97 @@ def ref_build_lshape_mesh(leg_len, coarse_h, fine_h, refine_band=None):
     loaded = np.where(on_leg_top)[0]
     return nodes, elements.astype(np.int64), {
         "clamped": clamped.astype(np.int64), "loaded": loaded.astype(np.int64)}
+
+
+def _bisect(f, lo, hi, iters=200):
+    """A root of ``f`` between ``lo`` and ``hi``, where ``f`` changes
+    sign, by bisection to the last bit."""
+    lo_positive = f(lo) > 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if (f(mid) > 0.0) == lo_positive:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _golden_min(f, lo, hi, iters=60):
+    """The least value of a unimodal ``f`` on ``[lo, hi]``, by golden
+    section search."""
+    g = 0.5 * (math.sqrt(5.0) - 1.0)
+    a, b = hi - g * (hi - lo), lo + g * (hi - lo)
+    fa, fb = f(a), f(b)
+    for _ in range(iters):
+        if fa <= fb:
+            hi, b, fb = b, a, fa
+            a = hi - g * (hi - lo)
+            fa = f(a)
+        else:
+            lo, a, fa = a, b, fb
+            b = lo + g * (hi - lo)
+            fb = f(b)
+    return min(fa, fb, f(lo), f(hi))
+
+
+class ScalarBV:
+    """The exact balanced-viscosity (BV) solution of the scalar model
+    ``E = 1/2 (z^2 + eta) a u^2 - ell(t) u + 1/2 kappa_E z^2`` with
+    ``R(v) = kappa_R |v|`` on ``v <= 0``, from ``z(0) = 1`` up to time
+    ``T``, for parameters whose branch folds (``ZeroDimModel()``).
+
+    With ``u`` eliminated, a damage value is stable where
+    ``d_z I(t, z) = z (ell^2 / (a (z^2 + eta)^2) + kappa_E) <= kappa_R``.
+    The solution is elastic (``z = 1``) up to ``t_on``, then follows the
+    stable branch ``ell(t)^2 = a (kappa_R / z - kappa_E) (z^2 + eta)^2``
+    down to its fold at ``(t_star, z_minus)``, jumps at fixed ``t_star``
+    down to ``z_plus``, the next point of the branch below, and follows the
+    lower branch from there.  Everything is ``math`` floats, bisection and
+    golden-section search.
+    """
+
+    def __init__(self, model, T=1.0):
+        self.a, self.eta = model.a, model.eta
+        self.kappa_E, self.kappa_R = model.kappa_E, model.kappa_R
+        self.ell_rate, self.T = model.ell_rate, T
+        kE, kR, eta = self.kappa_E, self.kappa_R, self.eta
+        self.t_on = self.branch_t(1.0)
+        # the fold points of the branch solve 4 kE z^3 - 3 kR z^2 + kR eta
+        # = 0; the cubic is least at z = kR / (2 kE), between its two roots
+        fold = lambda z: 4.0 * kE * z ** 3 - 3.0 * kR * z * z + kR * eta
+        z_turn = kR / (2.0 * kE)
+        self.z_minus = _bisect(fold, z_turn, 1.0)
+        z_low_fold = _bisect(fold, 0.0, z_turn)
+        self.t_star = self.branch_t(self.z_minus)
+        self.z_plus = _bisect(lambda z: self.branch_t(z) - self.t_star,
+                              1e-6 * z_low_fold, z_low_fold)
+        self.z_end = _bisect(lambda z: self.branch_t(z) - T,
+                             1e-9 * self.z_plus, self.z_plus)
+
+    def branch_t(self, z):
+        """The time at which ``z`` is on the stable branch."""
+        return (math.sqrt(self.a * (self.kappa_R / z - self.kappa_E))
+                * (z * z + self.eta) / self.ell_rate)
+
+    def distance(self, t, z):
+        """Euclidean distance of ``(t, z)`` to the solution's graph in the
+        (t, z) plane, the vertical jump segment included.  A branch piece
+        is searched only when its bounding box is nearer than the pieces
+        before it."""
+        def box(t_lo, t_hi, z_lo, z_hi):
+            return math.hypot(max(t_lo - t, 0.0, t - t_hi),
+                              max(z_lo - z, 0.0, z - z_hi))
+
+        def sq(s):
+            return (self.branch_t(s) - t) ** 2 + (s - z) ** 2
+
+        best = min(box(0.0, self.t_on, 1.0, 1.0),
+                   box(self.t_star, self.t_star, self.z_plus, self.z_minus))
+        for t_lo, t_hi, z_lo, z_hi in (
+                (self.t_on, self.t_star, self.z_minus, 1.0),
+                (self.t_star, self.T, self.z_end, self.z_plus)):
+            if box(t_lo, t_hi, z_lo, z_hi) < best:
+                best = min(best, math.sqrt(_golden_min(sq, z_lo, z_hi)))
+        return best

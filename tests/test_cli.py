@@ -491,6 +491,11 @@ class TestMain:
         ("ct", "[load]\nu_max = nan\n", None),
         ("zerodim", "[zerodim]\nkappa_e = 0\n", None),
         ("zerodim", "[zerodim]\nkappa_e = -0.5\n", None),
+        ("custom", "[mesh]\ncoarse_h = 0.2\nfine_h = 0.2\nnotch = damage\n",
+         None),
+        ("custom", "[mesh]\ncoarse_h = 0.2\nfine_h = 0.1\nnotch = damage\n"
+         "band_x0 = 0.6\nband_x1 = 1.0\nband_y0 = 0.25\nband_y1 = 0.75\n",
+         None),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
             "sweep_alpha=1", "sweep_alpha_h1", "zerodim_material",
@@ -499,7 +504,8 @@ class TestMain:
             "zerodim_kappa_e=nan", "zerodim_ell_rate=-inf", "sweep_rho=nan",
             "custom_no_grid", "sweep_custom_no_grid", "eta=nan",
             "young_e=inf", "u_max=nan", "zerodim_kappa_e=0",
-            "zerodim_kappa_e=-0.5"])
+            "zerodim_kappa_e=-0.5", "damage_notch_off_mid_height",
+            "damage_notch_tip_off_grid"])
     def test_invalid_input_is_config_error(self, tmp_path, capsys, experiment,
                                            extra, sweep):
         text = ZERODIM_CFG.replace("zerodim", experiment)

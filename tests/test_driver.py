@@ -9,6 +9,7 @@ import amfrac as af
 from amfrac.diagnostics import check_trace_invariants
 from amfrac.driver import FieldProblem, evolve
 from amfrac.solvers import SolverFailure
+from amfrac.zerodim import ScalarProblem, ZeroDimModel, run_zero_dim
 
 
 class TestTimeUpdate:
@@ -273,3 +274,65 @@ class TestPureAM:
         F = np.array([r.reaction for r in trace.records])
         slope = F[-1] / t[-1]
         assert np.allclose(F[1:], slope * t[1:], rtol=1e-8)
+
+
+class TestPredictedStart:
+    """The secant start of the AM loop and the one-step energy bound that
+    guards it."""
+
+    @pytest.mark.parametrize("fixture", ["analysis_traction_trace",
+                                         "ct_coarse_trace", "zerodim_trace"])
+    def test_energy_bound_holds(self, request, fixture):
+        """E_k + R_k <= E(t_k, u~_{k-1}, z_{k-1}) at every step k >= 1,
+        with u~ the last displacement under the Dirichlet data of t_k."""
+        if fixture == "zerodim_trace":
+            zm, _, trace = request.getfixturevalue(fixture)
+
+            def energy(t, u, z):  # the snapshots hold arrays of one value
+                return zm.energy(t, u[0], z[0])
+        else:
+            mesh, model, load, _, trace = request.getfixturevalue(fixture)
+            mask, values = load.dirichlet_dofs(mesh)
+
+            def energy(t, u, z):
+                u = np.where(mask, values(t), u)
+                return af.total_energy(af.State(t, u, z), mesh, model, load)
+
+        for prev, r in zip(trace.records, trace.records[1:]):
+            bound = energy(r.t, *trace.snapshot(prev.k))
+            assert r.energy + r.R_increment <= \
+                bound + 1e-12 * max(1.0, abs(bound)), r.k
+
+    @pytest.mark.parametrize("kind", ["scalar", "traction"])
+    def test_a_broken_bound_redoes_the_step_from_plain_start(
+            self, monkeypatch, analysis_traction_setup, kind):
+        if kind == "scalar":
+            params = af.SchemeParams(rho=0.02, T=1.0,
+                                     norm_V=af.NormSpec("lalpha", 2.0))
+
+            def run():
+                return run_zero_dim(ZeroDimModel(), params).records
+        else:
+            mesh, model, load, params = analysis_traction_setup
+
+            def run():
+                return af.run(mesh, model, load, params,
+                              np.ones(mesh.n_nodes)).records
+
+        predicted = run()
+        with monkeypatch.context() as m:
+            for cls in (FieldProblem, ScalarProblem):
+                m.setattr(cls, "energy_bound", lambda *args: -math.inf)
+            redone = run()
+        for cls in (FieldProblem, ScalarProblem):
+            monkeypatch.setattr(cls, "predict",
+                                lambda self, z_prev, z_pp: z_prev)
+        plain = run()
+        assert not any(r.am_redone for r in predicted + plain)
+        assert [r.am_redone for r in redone] == [r.k > 0 for r in redone]
+        for r in redone:
+            r.am_redone = False
+        assert repr(redone) == repr(plain)
+        # the predicted start is what saves the iterations
+        assert sum(r.am_iters for r in predicted) < \
+            sum(r.am_iters for r in plain)

@@ -12,12 +12,13 @@ import amfrac.zerodim as zerodim
 from amfrac.diagnostics import check_trace_invariants, complementarity_check
 from amfrac.model import ModelConfigError
 from amfrac.zerodim import (
+    ScalarProblem,
     ZeroDimModel,
     brute_force_z_step,
     run_zero_dim,
     z_step,
 )
-from oracles import ref_brute_force_z_step, ref_z_step, z_step_bits
+from oracles import ScalarBV, ref_brute_force_z_step, ref_z_step, z_step_bits
 
 
 class TestZStep:
@@ -285,18 +286,30 @@ class TestRunZeroDim:
             assert (diffs > 1e-15).any() and (diffs < -1e-15).any(), \
                 "onset region oscillates"
 
-    def test_am_converged_is_the_stopping_rule(self):
+    @pytest.mark.parametrize("start, count, redone", [("plain", 49, 0),
+                                                      ("predicted", 97, 1)],
+                             ids=["plain", "predicted"])
+    def test_am_converged_is_the_stopping_rule(self, monkeypatch, start,
+                                               count, redone):
         # with two AM iterations allowed, a step that meets the stopping
-        # rule on its second iteration is converged
+        # rule on its second iteration is converged; the replay starts each
+        # step k >= 1 from min(z_prev, max(0, 2 z_prev - z_pp)), or from
+        # z_prev under the plain start and on a redone step
         zm = ZeroDimModel()
         params = af.SchemeParams(rho=0.02, T=1.0,
                                  norm_V=af.NormSpec("lalpha", 2.0),
                                  max_am_iters=2, store_all_snapshots=True)
+        if start == "plain":
+            monkeypatch.setattr(ScalarProblem, "predict",
+                                staticmethod(lambda z_prev, z_pp: z_prev))
         trace = run_zero_dim(zm, params)
         expected = []
-        u_prev, z_prev = None, 1.0
+        u_prev, z_prev, z_pp = None, 1.0, 1.0
         for r in trace.records:
-            u_ref, z_i, converged = u_prev, z_prev, False
+            z_i = z_prev
+            if start == "predicted" and r.k > 0 and not r.am_redone:
+                z_i = min(z_prev, max(0.0, 2.0 * z_prev - z_pp))
+            u_ref, converged = u_prev, False
             for _ in range(params.max_am_iters):
                 u = zm.u_min(r.t, z_i)
                 z, _, _ = z_step(r.t, u, z_prev, params.rho, zm)
@@ -307,11 +320,15 @@ class TestRunZeroDim:
                 if converged:
                     break
             expected.append(converged)
+            z_pp = z_prev
             (u_prev,), (z_prev,) = trace.snapshot(r.k)
             assert (u_prev, z_prev) == (u_ref, z_i)
         assert [r.am_converged for r in trace.records] == expected
         assert sum(r.am_iters == 2 and r.am_converged
-                   for r in trace.records) == 49
+                   for r in trace.records) == count
+        # the predicted run breaks the energy bound once, so the replay
+        # covers a redone step too
+        assert sum(r.am_redone for r in trace.records) == redone
 
     def test_partial_trace_on_step_budget(self):
         params = af.SchemeParams(rho=0.02, T=1.0, max_steps=3)
@@ -332,3 +349,37 @@ class TestRunZeroDim:
         with pytest.raises(ValueError):
             run_zero_dim(ZeroDimModel(),
                          af.SchemeParams(rho=0.1, T=1.0), z0=1.5)
+
+
+class TestBalancedViscosity:
+    """Traces against the exact BV solution of ``ZeroDimModel()``: the
+    incremental solutions converge to it as rho -> 0."""
+
+    def test_exact_solution(self):
+        zm = ZeroDimModel()
+        bv = ScalarBV(zm)
+        assert bv.t_on == pytest.approx(0.387686, abs=1e-6)
+        assert bv.t_star == pytest.approx(0.41494565, abs=1e-8)
+        assert bv.z_minus == pytest.approx(0.88197, abs=1e-5)
+        assert bv.z_plus == pytest.approx(5.81e-6, rel=1e-3)
+        # both ends of the jump are on the branch at t_star
+        for z in (bv.z_minus, bv.z_plus):
+            u = zm.u_min(bv.t_star, z)
+            assert zm.dz_energy(u, z) == pytest.approx(zm.kappa_R, rel=1e-9)
+
+    def test_graph_distance_converges(self):
+        zm = ZeroDimModel()
+        bv = ScalarBV(zm)
+        rhos = (0.01, 0.005, 0.0025, 0.00125, 6.25e-4, 3.125e-4)
+        dists = []
+        for rho in rhos:
+            params = af.SchemeParams(rho=rho, T=1.0,
+                                     norm_V=af.NormSpec("lalpha", 2.0),
+                                     store_all_snapshots=True)
+            trace = run_zero_dim(zm, params)
+            dists.append(max(bv.distance(r.t, trace.snapshot(r.k)[1][0])
+                             for r in trace.records))
+        # the order varies from one level to the next: fit it over all
+        order = np.polyfit(np.log(rhos), np.log(dists), 1)[0]
+        assert order >= 0.8, dists
+        assert dists[-1] < 1e-3
