@@ -67,9 +67,6 @@ from .model import (
     fracture_density,
 )
 
-_EPS_REG = 1e-30  # removes the norm kink exactly at the inactive point
-
-
 @dataclass(eq=False)
 class State:
     """Solver state: physical time, nodal displacements (2 dofs/node) and
@@ -440,68 +437,57 @@ def grad_z(state: State, mesh: Mesh, model: MaterialModel):
 # ---------------------------------------------------------------------------
 
 class VNorm:
-    """The arc-length norm ``v -> ||v||_V`` of nodal fields on one mesh.
-
-    ``value`` is exact.  ``grad`` and ``newton_parts``, for the damage
-    solve, add ``_EPS_REG`` to the power sum (L^alpha) or to ``v' G v``
-    (H1), which removes the gradient singularity at ``v = 0``.
+    """The arc-length norm ``N(v) = ||v||_V`` of nodal fields on one mesh,
+    through its power sum ``S``: ``N = S^(1/a)`` with ``S = sum_q w_q
+    |v_q|^alpha`` and ``a = alpha`` (L^alpha), or ``S = v' G v`` and
+    ``a = 2`` (H1).  The damage solve writes the ball ``N <= rho`` as
+    ``S/a <= rho^a/a``: it has the same KKT points, and its Hessian is a
+    plain sum over Gauss points, smooth at ``v = 0`` for ``a >= 2``.
     """
 
     def __init__(self, mesh: Mesh, norm: NormSpec):
         self.norm = norm
         self.data = element_data(mesh)
+        self.a = 2.0 if norm.kind == "h1" else norm.alpha
         if norm.kind == "h1":
             self.G = self.data.h1_gram
 
-    def _form(self, v: np.ndarray):
-        """``S = sum_q w_q |v_q|^alpha`` and ``(v_q, |v_q|)`` (L^alpha), or
-        ``S = v' G v`` and ``G v`` (H1)."""
-        if self.norm.kind == "lalpha":
-            vq = self.data.gauss(v)
-            absq = np.abs(vq)
-            return (float(np.sum(self.data.wdet * absq ** self.norm.alpha)),
-                    (vq, absq))
-        Gv = self.G @ v
-        return float(v @ Gv), Gv
+    def _gauss(self, v: np.ndarray) -> np.ndarray:
+        """``gauss(v)``, kept for the last ``v``: ``parts`` and ``curvature``
+        of one bordered step share it."""
+        return self.data.memo("ball_gauss", v.tobytes(),
+                              lambda: self.data.gauss(v))
+
+    def _eval(self, v: np.ndarray):
+        """``N`` and what the derivatives of ``S`` read: ``G v`` (H1) or
+        ``v_q`` (L^alpha)."""
+        if self.norm.kind == "h1":
+            Gv = self.G @ v
+            return math.sqrt(float(v @ Gv)), Gv
+        vq = self._gauss(v)
+        S = float(np.sum(self.data.wdet * np.abs(vq) ** self.a))
+        return S ** (1.0 / self.a), vq
 
     def value(self, v: np.ndarray) -> float:
-        S, _ = self._form(v)
-        if self.norm.kind == "lalpha":
-            return S ** (1.0 / self.norm.alpha)
-        return math.sqrt(S)
+        return self._eval(v)[0]
 
-    def _first_order(self, v: np.ndarray):
-        """Regularized ``N`` and ``gradN`` at v, and what the curvature
-        needs: ``S``, ``D = w |v_q|^(alpha-2)`` at the Gauss points and
-        ``sum_q D v_q N_q`` at the nodes (L^alpha), or ``G v`` (H1)."""
-        S, parts = self._form(v)
-        S += _EPS_REG
+    def parts(self, v: np.ndarray):
+        """``N`` and the gradient of ``S/a`` at v: ``G v`` (H1) or ``sum_q
+        w_q sign(v_q) |v_q|^(alpha-1) N_q`` (L^alpha)."""
+        N, p = self._eval(v)
         if self.norm.kind == "lalpha":
-            a = self.norm.alpha
-            vq, absq = parts
-            D = self.data.wdet * absq ** (a - 2.0)
-            pg = self.data.scatter(D * vq)  # grad S / alpha; 0 where vq == 0
-            return S ** (1.0 / a), S ** (1.0 / a - 1.0) * pg, (S, D, pg)
-        N = math.sqrt(S)
-        return N, parts / N, parts
+            p = self.data.scatter(
+                np.copysign(self.data.wdet * np.abs(p) ** (self.a - 1.0), p))
+        return N, p
 
-    def grad(self, v: np.ndarray):
-        """Returns (N, gradN) at v."""
-        return self._first_order(v)[:2]
-
-    def newton_parts(self, v: np.ndarray, mult: float):
-        """``N`` and ``gradN`` at v, and the curvature of ``mult * N(v)``
-        split as node-pattern data plus ``c a a^T``; returns
-        (N, gradN, data, a, c)."""
-        N, gN, parts = self._first_order(v)
-        if self.norm.kind == "lalpha":
-            a_exp = self.norm.alpha
-            S, D, pg = parts
-            curv = (mult * (a_exp - 1.0) * S ** (1.0 / a_exp - 1.0)) * (
-                self.data.node_operator(D))
-            c = mult * (1.0 / a_exp) * (1.0 / a_exp - 1.0) * S ** (1.0 / a_exp - 2.0)
-            return N, gN, curv, a_exp * pg, c
-        return N, gN, (mult / N) * self.G.data, parts, -mult / N ** 3
+    def curvature(self, v: np.ndarray) -> np.ndarray:
+        """Node-pattern data of the Hessian of ``S/a`` at v: ``G`` (H1) or
+        ``(alpha - 1) sum_q w_q |v_q|^(alpha-2) N_q N_q'`` (L^alpha), which
+        for ``alpha < 2`` is infinite where some ``v_q = 0``."""
+        if self.norm.kind == "h1":
+            return self.G.data
+        D = self.data.wdet * np.abs(self._gauss(v)) ** (self.a - 2.0)
+        return self.data.node_operator((self.a - 1.0) * D)
 
 
 def field_norm_V(dz: np.ndarray, mesh: Mesh, norm: NormSpec) -> float:

@@ -25,30 +25,33 @@ from .model import DIRICHLET_RAMP, LoadProgram, MaterialModel, NormSpec
 
 
 def stable_set_distance(density: np.ndarray, weights: np.ndarray,
-                        kappa: float, norm: NormSpec) -> float:
+                        kappa: float, norm: NormSpec, at_zero=False) -> float:
     """Closed-form dual distance for a nodal driving-force density.
 
-    The stable multipliers are exactly the densities bounded below by
-    ``-kappa``, so the pointwise projection leaves the positive part of
-    ``density - kappa`` and the distance is its dual norm (L^{alpha'} for
-    the L^alpha ball, an L^2 surrogate for H1).
+    The stable multipliers are the densities bounded below by ``-kappa``,
+    plus, at the nodes of the mask ``at_zero`` (``z = 0``), the normal cone
+    of ``z >= 0``, which takes up any force toward negative ``z``.  So the
+    pointwise projection leaves the positive part of ``density - kappa``
+    off ``at_zero`` and nothing on it, and the distance is its dual norm
+    (L^{alpha'} for the L^alpha ball, an L^2 surrogate for H1).
     """
-    excess = np.maximum(np.asarray(density) - kappa, 0.0)
+    excess = np.where(at_zero, 0.0, np.maximum(density, kappa) - kappa)
     return dual_norm_lumped(excess, weights, norm)
 
 
 def dual_distance(state: State, mesh: Mesh, model: MaterialModel,
                   norm: NormSpec) -> float:
     """Distance (in the dual of the ball norm) from the negative damage
-    gradient to the set of stable multipliers.
+    gradient to the set of stable multipliers, ``z >= 0`` being active
+    where ``z == 0`` (the damage solve pins exact zeros).
 
     Zero exactly at locally stable states; positive while the damage field
     is being driven.  For the H1 ball this returns an L2 surrogate
     (``norm.dual_is_surrogate`` is then True).
     """
     _, d = grad_z(state, mesh, model)
-    w = lumped_weights(mesh)
-    return stable_set_distance(d, w, model.r_coefficient, norm)
+    return stable_set_distance(d, lumped_weights(mesh), model.r_coefficient,
+                               norm, at_zero=state.z == 0.0)
 
 
 @dataclass

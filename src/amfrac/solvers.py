@@ -10,21 +10,20 @@ complementarity conditions (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
 (lower side) and solves for the free ones exactly.  When the box solution
 leaves the ball it is retracted onto the sphere along the ray from
 ``z_prev``, and bordered Newton steps on the free values and the ball
-multiplier take over, the active sets being updated after each step.  On
-the feasible cone the L^alpha ball is smooth; its gradient singularity at
-``z = z_prev`` is removed by a negligible regularization of the alpha-th
-power sum (``assembly.VNorm``).
+multiplier take over, the active sets being updated after each step.  The
+steps write the ball as its power sum, ``S(v)/a <= rho^a/a`` with
+``N(v) = S(v)^(1/a)`` (``assembly.VNorm``): the same KKT points as
+``N(v) <= rho``, and a Hessian that is a sum over Gauss points.  Its
+multiplier ``nu`` gives the one of ``N <= rho`` as ``mu = nu N^(a-1)``.
 
 Every system factored here is symmetric positive definite (the stiffness
 because ``eta > 0``; ``Q = H + c1 M + c2 L`` with ``c1 > 0`` plus the ball
-curvature ``mu sum_q D_q N_q N_q'``, ``mu >= 0``; the negative rank-one
-part of the L^alpha curvature goes through Sherman-Morrison), so ``splu``
-factors it by LAPACK band Cholesky in the one band order of its pattern,
-the narrower of the two coordinate sweeps of the nodes
-(``assembly.BandLayout``).  Constrained values are not sliced out: their
-rows are pinned to identity rows with zero coupling, so the free values
-solve the free block's system and the pinned ones equal their right-hand
-side.
+curvature ``nu grad^2(S/a)``, ``nu >= 0``), so ``splu`` factors it by
+LAPACK band Cholesky in the one band order of its pattern, the narrower of
+the two coordinate sweeps of the nodes (``assembly.BandLayout``).
+Constrained values are not sliced out: their rows are pinned to identity
+rows with zero coupling, so the free values solve the free block's system
+and the pinned ones equal their right-hand side.
 """
 
 from __future__ import annotations
@@ -104,45 +103,28 @@ def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
 
 
 # ---------------------------------------------------------------------------
-# Ball-constraint machinery
-# ---------------------------------------------------------------------------
-
-def _solve_with_rank1(solve, c: float, a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (H + c a a') x = rhs given a solver of H; ``rhs`` may hold
-    several right-hand sides as columns.  Raises ``SolverFailure`` when the
-    update makes the matrix singular."""
-    x = solve(rhs)
-    if c == 0.0:
-        return x
-    y = solve(a)
-    denom = 1.0 + c * float(a @ y)
-    if abs(denom) < 1e-14:
-        raise SolverFailure("rank-one update makes the bordered system "
-                            "singular", denominator=denom)
-    return x - np.multiply.outer(y, (c / denom) * (a @ x))
-
-
-def _bordered_step(Q, btot, z, z_prev, mu, band, active, ball: VNorm, rho):
-    """One Newton step on the ball-active KKT equalities in ``(z_F, mu)``:
-
-        (Q z - btot + mu gN(v))_F = 0,   N(v) = rho,   v = z - z_prev,
-
-    with the box-active nodes (mask ``active``) held at their values by
-    pinned rows.  Updates ``z`` in place and returns the new multiplier."""
-    N, gN, curv, a, c = ball.newton_parts(z - z_prev, mu)
-    solve = _factor(band, Q.data + curv, active)
-    g = np.where(active, 0.0, gN)
-    r = np.where(active, 0.0, Q @ z - btot + mu * gN)
-    s = _solve_with_rank1(solve, c, np.where(active, 0.0, a),
-                          np.column_stack([r, g]))
-    dmu = (N - rho - float(g @ s[:, 0])) / float(g @ s[:, 1])
-    z -= s[:, 0] + dmu * s[:, 1]
-    return mu + dmu
-
-
-# ---------------------------------------------------------------------------
 # Damage solve
 # ---------------------------------------------------------------------------
+
+def _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball: VNorm, rho):
+    """One Newton step on the ball-active KKT equalities in ``(z_F, nu)``:
+
+        (Q z - btot + nu grad(S/a))_F = 0,   (S - rho^a) / a = 0,
+
+    at ``v = z - z_prev``, with the box-active nodes (mask ``pinned``) held
+    at their values by pinned rows.  Updates ``z`` in place and returns the
+    new multiplier."""
+    v = z - z_prev
+    N, g = ball.parts(v)
+    solve = _factor(band, Q.data + nu * ball.curvature(v), pinned)
+    g = np.where(pinned, 0.0, g)
+    r = np.where(pinned, 0.0, Q @ z - btot) + nu * g
+    s = solve(np.column_stack([r, g]))
+    a = ball.a
+    dnu = ((N ** a - rho ** a) / a - float(g @ s[:, 0])) / float(g @ s[:, 1])
+    z -= s[:, 0] + dnu * s[:, 1]
+    return nu + dnu
+
 
 _MAX_ITERATIONS = 50  # box solves and bordered Newton steps per damage solve
 
@@ -157,7 +139,9 @@ class ZSolveReport:
     Newton steps); a pass with every node box-active solves nothing.
     ``lam`` is the multiplier of ``z <= z_prev`` and ``lower_clamps`` the
     number of nodes that the last pass held at ``z = 0`` (a retraction onto
-    the sphere in that pass can lift them slightly).
+    the sphere in that pass can lift them slightly).  ``mu = nu N^(a-1)``
+    is the multiplier of ``N(z - z_prev) <= rho``, for the multiplier
+    ``nu`` of its power-sum form, and ``xi = nu grad(S/a) = mu grad N``.
     """
 
     z: np.ndarray
@@ -204,8 +188,8 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     z = z_prev.copy()
     active = g0 < 0.0  # lam0 = btot - Q z_prev > 0
     lower = np.zeros(n, dtype=bool)  # held at z = 0
-    mu, ball_on = 0.0, False
-    N, gN = 0.0, None
+    nu, ball_on = 0.0, False  # multiplier of S/a <= rho^a/a
+    N, gS = 0.0, None
     box_sets = set()
     passes, solves, new_pass = 0, 0, True
     stat = math.inf
@@ -226,7 +210,7 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
         z[pinned] = pin[pinned]
         if ball_on:
             if free.any():
-                mu = _bordered_step(Q, btot, z, z_prev, mu, band, pinned, ball,
+                nu = _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball,
                                     rho)
                 solves += 1
         else:
@@ -243,27 +227,27 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
         was_on = ball_on
         v = z - z_prev
         if has_ball:
-            N, gN = ball.grad(v)
+            N, gS = ball.parts(v)
             if N > rho:
                 # retract onto the sphere; N is 1-homogeneous and the ray
                 # from z_prev keeps v <= 0 wherever it already was
                 v *= rho / N
                 z = z_prev + v
-                N, gN = ball.grad(v)
+                N, gS = ball.parts(v)
                 if not ball_on:
                     # least-squares multiplier of the retracted point; a
                     # negative fit starts at 0 rather than dropping the ball
                     # straight back into the same box pass
                     ball_on = True
                     r = (Q @ z - btot)[free]
-                    g = gN[free]
-                    mu = max(0.0, -float(r @ g) / float(g @ g))
-            if mu < 0.0:
-                ball_on, mu = False, 0.0
+                    g = gS[free]
+                    nu = max(0.0, -float(r @ g) / float(g @ g))
+            if nu < 0.0:
+                ball_on, nu = False, 0.0
 
         r = Q @ z - btot
         if ball_on:
-            r += mu * gN
+            r += nu * gS
         lam = np.where(active, -r, 0.0)
         new_active = np.where(active, lam >= 0.0, v > enter_tol)
         # the lower multiplier is r itself: release a node where it is < 0
@@ -288,15 +272,11 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
 
     dz_norm = ball.value(z - z_prev)
 
-    if ball_on and mu > 0.0:
-        _, gN = ball.grad(z - z_prev)
-        xi = mu * gN
-    else:
-        xi = np.zeros(n)
+    xi = nu * gS if ball_on and nu > 0.0 else np.zeros(n)
     return ZSolveReport(
         z=z,
         lam=lam,
-        mu=mu,
+        mu=nu * N ** (ball.a - 1.0),
         xi=xi,
         xi_norm_dual=dual_norm_lumped(xi / w, w, norm) if np.any(xi) else 0.0,
         constraint_active=bool(has_ball and

@@ -257,6 +257,22 @@ class TestFieldNorm:
         ref = ref_field_norm_lalpha(dz, mesh, 4.0, order=4)
         assert norm == pytest.approx(ref, rel=1e-8)
 
+    def test_gradient_is_finite_below_alpha_2(self):
+        """At alpha = 1.5 the gradient of ``S/alpha`` is finite where whole
+        elements have ``v_q = 0`` and matches its finite differences."""
+        from amfrac.assembly import VNorm
+
+        mesh = af.build_ct_mesh(1.0, 0.125, 0.125, notch=False)
+        v = np.zeros(mesh.n_nodes)
+        rng = np.random.default_rng(5)
+        v[rng.choice(mesh.n_nodes, 5, replace=False)] = -rng.uniform(
+            0.01, 0.1, 5)
+        ball = VNorm(mesh, af.NormSpec("lalpha", 1.5))
+        _, g = ball.parts(v)
+        assert np.isfinite(g).all()
+        fd = fd_gradient(lambda x: ball.value(x) ** 1.5 / 1.5, v)
+        assert np.abs(g - fd).max() <= 1e-6 * np.abs(fd).max()
+
     def test_invalid_alpha(self):
         from amfrac.model import ModelConfigError
         with pytest.raises(ModelConfigError):
@@ -464,26 +480,32 @@ class TestPatternAssembly:
 
     @pytest.mark.parametrize("kind", ["lalpha", "h1"])
     def test_ball_curvature(self, name, kind):
+        """``VNorm.parts`` and ``curvature`` against a COO assembly of the
+        gradient and Hessian of ``S/a`` (a = 3 for L^3, 2 for H1)."""
         import scipy.sparse as sp
         from amfrac.assembly import VNorm
 
         mesh = PATTERN_MESHES[name]()
         data = element_data(mesh)
-        norm = af.NormSpec(kind, 3.0)
         v = -np.random.default_rng(2).uniform(0.0, 0.1, mesh.n_nodes)
-        mult = 0.7
-        ball = VNorm(mesh, norm)
-        N, gN, curv, _, _ = ball.newton_parts(v, mult)
-        N_ref, gN_ref = ball.grad(v)
-        assert N == N_ref and np.array_equal(gN, gN_ref)
+        ball = VNorm(mesh, af.NormSpec(kind, 3.0))
+        N, g = ball.parts(v)
         if kind == "lalpha":
             P, w = ref_gauss_interpolation(mesh)
             vq = P @ v
             S = np.sum(w * np.abs(vq) ** 3.0)
-            D = w * np.abs(vq)
-            ref = (mult * 2.0 * S ** (1 / 3 - 1)) * (P.T @ sp.diags(D) @ P)
+            g_ref = P.T @ (w * np.sign(vq) * vq ** 2)
+            ref = P.T @ sp.diags(2.0 * w * np.abs(vq)) @ P
             assert N == pytest.approx(S ** (1 / 3), rel=1e-14)
         else:
-            G = data.mass + data.laplacian
-            ref = (mult / N) * G
-        assert_same_operator(data.node_pattern.matrix(curv), ref.tocsr())
+            conn = mesh.elements
+            ref = coo_operator(
+                np.repeat(conn, 4, axis=1), np.tile(conn, (1, 4)),
+                np.einsum("eq,qab->eab", data.wdet, data.NN)
+                + np.einsum("eq,eqai,eqbi->eab", data.wdet, data.dNdx,
+                            data.dNdx), mesh.n_nodes)
+            g_ref = ref @ v
+            assert N == pytest.approx(np.sqrt(v @ g_ref), rel=1e-14)
+        assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+        assert_same_operator(data.node_pattern.matrix(ball.curvature(v)),
+                             ref.tocsr())

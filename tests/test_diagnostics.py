@@ -65,6 +65,20 @@ class TestDualDistance:
             ref = projection_oracle(d, w, kappa, alpha)
             assert closed == pytest.approx(ref, rel=1e-8, abs=1e-10)
 
+    def test_lower_bound_takes_up_the_force_at_zero(self):
+        # a force toward negative z beyond kappa at every node: where z = 0
+        # the normal cone of z >= 0 balances it, elsewhere it counts
+        w = np.array([0.2, 0.3, 0.5])
+        d = np.array([2.0, 3.0, 0.1])
+        norm = af.NormSpec("lalpha", 2.0)
+        at_zero = np.array([True, False, False])
+        assert stable_set_distance(d, w, 0.5, norm,
+                                   at_zero=np.ones(3, dtype=bool)) == 0.0
+        assert stable_set_distance(d, w, 0.5, norm, at_zero=at_zero) == \
+            pytest.approx(math.sqrt(0.3 * 2.5 ** 2))
+        assert stable_set_distance(d, w, 0.5, norm) == \
+            pytest.approx(math.sqrt(0.2 * 1.5 ** 2 + 0.3 * 2.5 ** 2))
+
     def test_state_level_evaluation(self, ct_coarse_setup):
         mesh, model, load, params = ct_coarse_setup
         # strongly driven state has positive distance; intact unloaded has 0
@@ -91,6 +105,26 @@ class TestComplementarity:
         assert jump_ks, "fixture must contain a jump"
         # distances during the jump are positive, yet no violation is flagged
         assert any(trace.records[k - 1].dual_distance > 1e-6 for k in jump_ks)
+        assert complementarity_check(trace) == []
+
+    def test_no_violations_on_the_coarse_lshape(self, tmp_path):
+        # the coarse L-shaped panel holds nodes at z = 0 while the ball is
+        # active; their force toward negative z is no instability.  If the
+        # run stops before T (its ball-active damage solve can cycle), the
+        # partial trace is checked.
+        from amfrac.cli import load_config
+        from amfrac.solvers import SolverFailure
+
+        path = tmp_path / "lshape.cfg"
+        path.write_text("[experiment]\nname = lshape\n"
+                        "[mesh]\ncoarse_h = 50\nfine_h = 25\n")
+        cfg = load_config(path)
+        try:
+            trace = af.run(cfg.mesh, cfg.material, cfg.load, cfg.scheme,
+                           cfg.z0)
+        except SolverFailure as exc:
+            trace = exc.partial_trace
+        assert trace.n_steps > 200
         assert complementarity_check(trace) == []
 
     def test_fault_injection_detected(self, ct_coarse_trace):

@@ -1,12 +1,13 @@
 """Outer loop: staggered fixpoints, the adaptive time update and full runs."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import amfrac as af
-from amfrac.diagnostics import check_trace_invariants
+from amfrac.diagnostics import check_trace_invariants, complementarity_check
 from amfrac.driver import FieldProblem, evolve
 from amfrac.solvers import SolverFailure
 from amfrac.zerodim import ScalarProblem, ZeroDimModel, run_zero_dim
@@ -200,6 +201,24 @@ class TestRun:
         *_, trace = analysis_traction_trace
         report = check_trace_invariants(trace)
         assert report.ok(), report
+
+    @pytest.mark.parametrize(
+        "norm", [af.NormSpec("lalpha", a) for a in (1.5, 2.0, 3.0, 4.0, 8.0)]
+        + [af.NormSpec("h1")],
+        ids=lambda n: "h1" if n.kind == "h1" else f"lalpha-{n.alpha}")
+    def test_every_ball_reaches_the_same_end(self, analysis_traction_setup,
+                                             norm):
+        # the ball shapes the damage path, not its stable end state; below
+        # alpha = 2 the ball gradient must stay finite where v_q = 0
+        mesh, model, load, params = analysis_traction_setup
+        params = dataclasses.replace(params, norm_V=norm)
+        trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
+        assert trace.records[-1].t == params.T
+        report = check_trace_invariants(trace)
+        assert report.ok(), report
+        assert complementarity_check(trace) == []
+        assert trace.records[-1].energy == pytest.approx(-7.131690076664977,
+                                                         rel=1e-12)
 
     def test_final_time_exact(self, ct_coarse_trace):
         *_, params, trace = *ct_coarse_trace[:3], ct_coarse_trace[3], ct_coarse_trace[4]

@@ -459,8 +459,8 @@ class TestOrderedSolves:
 
 
 class TestFactorFailures:
-    """The factorization and the rank-one update raise instead of returning
-    a wrong solution."""
+    """The band factorization raises instead of returning a wrong
+    solution."""
 
     def test_indefinite_band_matrix_raises(self):
         # [[1, 2, 0], [2, 1, 0], [0, 0, 1]]: the 2x2 leading minor is -3
@@ -468,19 +468,3 @@ class TestFactorFailures:
         with pytest.raises(SolverFailure) as err:
             amfrac.solvers.splu(ab)
         assert err.value.residuals["leading_minor"] == 2
-
-    def test_singular_rank_one_update_raises(self):
-        n = 6
-        H = 4.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
-        ab = np.zeros((2, n), order="F")
-        ab[0], ab[1, :-1] = 4.0, -1.0
-        solve = amfrac.solvers.splu(ab).solve
-        a = np.random.default_rng(2).normal(size=n)
-        rhs = np.ones(n)
-        c = 0.5
-        x = amfrac.solvers._solve_with_rank1(solve, c, a, rhs)
-        assert np.allclose((H + c * np.outer(a, a)) @ x, rhs, atol=1e-12)
-        c = -1.0 / float(a @ np.linalg.solve(H, a))
-        with pytest.raises(SolverFailure) as err:
-            amfrac.solvers._solve_with_rank1(solve, c, a, rhs)
-        assert abs(err.value.residuals["denominator"]) < 1e-14
