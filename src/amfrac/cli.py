@@ -8,7 +8,8 @@ lower-cased init fields of ``MaterialModel`` and ``ZeroDimModel`` (and
 Unset keys keep the dataclass defaults, and three presets set the values
 that differ from them: ``ct`` (square plate with a mid-height slit),
 ``lshape`` and ``zerodim``; ``custom`` is the ``ct`` preset under another
-name.  Unknown keys, and mesh keys the chosen geometry does not read, are
+name.  Unknown keys, keys set in the file that the chosen geometry, ball
+or load mode does not read, and output formats other than csv and vtk are
 rejected.  ``load_config`` also builds the mesh and the initial damage, so
 a mesh with no grid is a ``ConfigError`` too, raised before any file is
 written.
@@ -216,11 +217,16 @@ def _build_run(data: dict) -> RunConfig:
     sch.setdefault("T", 100.0 * sch["rho"])  # default: 100 steps of rho
     out_cfg = merged("output")
     output_dir = str(out_cfg.pop("directory", "out"))
-    formats = tuple(s.strip() for s in out_cfg.pop("formats", "csv,vtk").split(",")
-                    if s)
+    formats = out_cfg.pop("formats", "csv,vtk").split(",")
+    formats = tuple(filter(None, map(str.strip, formats)))
+    unknown = [f for f in formats if f not in ("csv", "vtk")]
+    if unknown:
+        raise ConfigError(f"[output] formats: unknown {', '.join(unknown)}")
+    kind = sch.pop("norm_V", NormSpec.kind)
+    if kind == "h1" and "alpha" in data.get("scheme", {}):
+        raise ConfigError(f"[scheme] alpha: not read by the {kind} ball")
     # the rest of [output] are SchemeParams fields
-    scheme = SchemeParams(norm_V=NormSpec(sch.pop("norm_V", NormSpec.kind),
-                                          sch.pop("alpha", NormSpec.alpha)),
+    scheme = SchemeParams(norm_V=NormSpec(kind, sch.pop("alpha", NormSpec.alpha)),
                           **sch, **out_cfg)
     cfg = RunConfig(experiment=experiment, scheme=scheme,
                     output_dir=output_dir, formats=formats)
@@ -246,6 +252,9 @@ def _build_run(data: dict) -> RunConfig:
                     traction_rate=load_cfg.get("traction_rate", 1.0))
     else:
         raise ConfigError(f"unknown load mode {mode!r}")
+    unread = "u_max" if ramp["mode"] == TRACTION_RAMP else "traction_rate"
+    if unread in data.get("load", {}):
+        raise ConfigError(f"[load] {unread}: not read by the {mode} load")
     cfg.load = LoadProgram(T=scheme.T, direction=direction, **ramp)
 
     mesh_cfg = merged("mesh")
@@ -461,11 +470,7 @@ def sweep_point(config_path, name: str, val: float) -> RunConfig:
     needs an L^alpha ball."""
     data = _read_sections(config_path)
     data.setdefault("scheme", {})[name] = val
-    cfg = _resolve(data)
-    if name == "alpha" and cfg.scheme.norm_V.kind != "lalpha":
-        raise ConfigError(f"alpha does not enter the {cfg.scheme.norm_V.kind} "
-                          "ball")
-    return cfg
+    return _resolve(data)
 
 
 def main(argv=None) -> int:

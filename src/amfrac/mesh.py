@@ -145,7 +145,7 @@ def graded_ticks(length: float, coarse_h: float, fine_h: float,
     if fine_h > coarse_h:
         raise MeshConfigError(f"fine_h = {fine_h} exceeds coarse_h = {coarse_h}")
     n_total = _to_units(length, fine_h, "domain length")
-    coarse_units = max(1, int(coarse_h / fine_h + 1e-9))
+    coarse_units = _to_units(coarse_h, fine_h, "coarse_h")
     if band is None:
         band_lo = band_hi = 0
     else:

@@ -89,17 +89,15 @@ def _factor(band: BandLayout, data: np.ndarray, pinned: np.ndarray):
 def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
             load: LoadProgram) -> np.ndarray:
     """Equilibrium displacement at fixed damage: the unique minimizer of the
-    displacement-quadratic energy under the current Dirichlet data."""
+    displacement-quadratic energy under the current Dirichlet data, from one
+    band Cholesky solve: it is backward stable, so the free residual is at
+    round-off of ``max|K| max|u|``."""
     K = assemble_K(z, mesh, model)
     f = load.force_vector(mesh, t)
     mask, values = load.dirichlet_dofs(mesh)
     u = values(t)  # zero on the free dofs
     solve = _factor(element_data(mesh).dof_pattern.band, K.data, mask)
-    u = solve(np.where(mask, u, f - K @ u))
-    # one step of iterative refinement keeps the equilibrium residual at
-    # round-off even on badly graded meshes
-    u += solve(np.where(mask, 0.0, f - K @ u))
-    return u
+    return solve(np.where(mask, u, f - K @ u))
 
 
 # ---------------------------------------------------------------------------

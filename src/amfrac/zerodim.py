@@ -7,8 +7,9 @@ The energy is ``E(t, u, z) = 1/2 (z^2 + eta) a u^2 - ell(t) u
 It preserves the separately-quadratic structure of the field model.
 ``ScalarProblem`` implements the subproblem interface of ``driver.evolve``,
 so a scalar run goes through the same evolution loop and AM loop as a
-field run, and every code path of the adaptive scheme (staggered loop,
-ball constraint, irreversibility bound, time update, dual distance) is
+field run.  Both of its solves are closed form, the damage step a clipped
+quotient, and every code path of the adaptive scheme (staggered loop, ball
+constraint, irreversibility bound, time update, dual distance) is
 exercised against closed forms and against grid search.
 """
 
@@ -23,8 +24,6 @@ from .driver import StepRecord, Trace, evolve
 from .model import TRACTION_RAMP, ModelConfigError, SchemeParams
 from .solvers import SolverFailure
 
-_Z_TOL = 1e-14  # relative step size at which the damage Newton stops
-_Z_MAX_ITER = 50
 _GRID_STEP = 1e-4  # cell of the grid oracle behind check_oracle
 
 
@@ -75,39 +74,32 @@ class ZeroDimModel:
 
 def z_step(t: float, u: float, z_prev: float, rho: float,
            model: ZeroDimModel):
-    """Bounded scalar Newton for the damage step.
+    """The damage step in closed form.
 
-    Minimizes ``E(t, u, .) + R(. - z_prev)`` over
-    ``[max(0, z_prev - rho), z_prev]``.  Returns (z, mu, lam): the solution
-    and the multipliers of the ball (lower) and irreversibility (upper)
-    bounds.  It is evaluated in Python floats with comparisons in place of
-    ``min``, ``max`` and ``abs``: each comparison picks the operand the
-    builtin returns (``max(a, b)`` is ``b if b > a else a``), so the result
-    is the builtin evaluation's bit for bit, -0.0 and NaN included.
+    Minimizes ``E(t, u, .) + R(. - z_prev)``, ``c z^2 / 2 - kappa_R z`` plus
+    a constant with ``c = a u^2 + kappa_E``, over ``[lo, z_prev]``, ``lo =
+    max(0, z_prev - rho)``: ``z = min(max(kappa_R / c, lo), z_prev)``, NaN
+    if ``z_prev`` is.  Returns (z, mu, lam) with the multipliers of the ball
+    (lower) and irreversibility (upper) bounds read off the bound ``z``
+    equals.  Comparisons stand in for ``min`` and ``max``, each picking the
+    operand the builtin returns (``max(a, b)`` is ``b if b > a else a``), so
+    the result is the builtin evaluation's bit for bit, -0.0 and NaN included.
     """
     lo = z_prev - rho
     if not lo > 0.0:  # max(0.0, z_prev - rho)
         lo = 0.0
-    hi = z_prev
     c = model.a * u * u + model.kappa_E
     kappa_R = model.kappa_R
-    z = z_prev
-    for _ in range(_Z_MAX_ITER):
-        z_new = z - (c * z - kappa_R) / c
-        if lo > z_new:  # min(max(z_new, lo), hi)
-            z_new = lo
-        if hi < z_new:
-            z_new = hi
-        # abs(z_new - z) <= _Z_TOL * max(1.0, abs(z))
-        bound = _Z_TOL * (z if z > 1.0 else -z if z < -1.0 else 1.0)
-        if -bound <= z_new - z <= bound:
-            z = z_new
-            break
-        z = z_new
+    z = kappa_R / c
+    # min(max(z, lo), z_prev), and NaN when z_prev is (min(x, nan) is x)
+    if lo > z:
+        z = lo
+    if z_prev < z or z_prev != z_prev:
+        z = z_prev
     g = c * z - kappa_R
-    ball_side = z_prev - rho >= 0.0 and z <= lo + _Z_TOL
+    ball_side = z_prev - rho >= 0.0 and z == lo
     mu = g if ball_side and g > 0.0 else 0.0  # ball pushes from below
-    lam = -g if g < 0.0 and z >= hi - _Z_TOL else 0.0
+    lam = -g if g < 0.0 and z == z_prev else 0.0
     return z, mu, lam
 
 

@@ -163,29 +163,19 @@ def ref_brute_force_z_step(t, u, z_prev, rho, model, grid_step):
     return float(grid[int(np.argmin(vals))])
 
 
-_REF_Z_TOL = 1e-14
-_REF_Z_MAX_ITER = 50
-
-
 def ref_z_step(t, u, z_prev, rho, model):
-    """Bounded scalar Newton for the damage step with the builtins ``min``,
-    ``max`` and ``abs``: the evaluation that ``zerodim.z_step`` reproduces
-    with comparisons, bit for bit."""
+    """The closed-form damage step with the builtins ``min`` and ``max``:
+    the evaluation that ``zerodim.z_step`` reproduces with comparisons, bit
+    for bit."""
     lo = max(0.0, z_prev - rho)
-    hi = z_prev
     c = model.a * u * u + model.kappa_E
-    z = z_prev
-    for _ in range(_REF_Z_MAX_ITER):
-        g = c * z - model.kappa_R
-        z_new = min(max(z - g / c, lo), hi)
-        if abs(z_new - z) <= _REF_Z_TOL * max(1.0, abs(z)):
-            z = z_new
-            break
-        z = z_new
+    z = min(max(model.kappa_R / c, lo), z_prev)
+    if math.isnan(z_prev):  # min(x, nan) is x
+        z = z_prev
     g = c * z - model.kappa_R
-    ball_side = z_prev - rho >= 0.0 and z <= lo + _REF_Z_TOL
+    ball_side = z_prev - rho >= 0.0 and z == lo
     mu = max(0.0, g) if ball_side else 0.0  # ball pushes from below
-    lam = max(0.0, -g) if z >= hi - _REF_Z_TOL else 0.0
+    lam = max(0.0, -g) if z == z_prev else 0.0
     return z, mu, lam
 
 

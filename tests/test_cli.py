@@ -84,6 +84,13 @@ fine_h = 0.05
         assert cfg.material.young_E == 50.0
         assert cfg.mesh_args["coarse_h"] == 0.2
 
+    def test_output_formats(self, tmp_path):
+        text = "[experiment]\nname = zerodim\n[output]\nformats = "
+        cfg = load_config(write(tmp_path, text + "csv, \n"))
+        assert cfg.formats == ("csv",)
+        with pytest.raises(ConfigError, match="formats: unknown vtu"):
+            load_config(write(tmp_path, text + "vtu\n"))
+
     def test_unknown_key_rejected(self, tmp_path):
         # beta0 configured the removed augmented-Lagrangian damage solve
         for key in ("rho_typo", "beta0"):
@@ -496,6 +503,10 @@ class TestMain:
         ("custom", "[mesh]\ncoarse_h = 0.2\nfine_h = 0.1\nnotch = damage\n"
          "band_x0 = 0.6\nband_x1 = 1.0\nband_y0 = 0.25\nband_y1 = 0.75\n",
          None),
+        ("custom", "[mesh]\ncoarse_h = 0.15\nfine_h = 0.1\n", None),
+        ("zerodim", "[scheme]\nnorm_v = h1\nalpha = 3\n", None),
+        ("ct", "[load]\nmode = traction\nu_max = 0.1\n", None),
+        ("ct", "[load]\ntraction_rate = 2\n", None),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
             "sweep_alpha=1", "sweep_alpha_h1", "zerodim_material",
@@ -505,7 +516,8 @@ class TestMain:
             "custom_no_grid", "sweep_custom_no_grid", "eta=nan",
             "young_e=inf", "u_max=nan", "zerodim_kappa_e=0",
             "zerodim_kappa_e=-0.5", "damage_notch_off_mid_height",
-            "damage_notch_tip_off_grid"])
+            "damage_notch_tip_off_grid", "coarse_h_off_fine_grid",
+            "h1_alpha", "traction_u_max", "dirichlet_traction_rate"])
     def test_invalid_input_is_config_error(self, tmp_path, capsys, experiment,
                                            extra, sweep):
         text = ZERODIM_CFG.replace("zerodim", experiment)

@@ -126,6 +126,11 @@ class TestGradedTicks:
         sizes = np.diff(ticks[inside])
         assert np.allclose(sizes, 0.0125)
 
+    @pytest.mark.parametrize("coarse_h, fine_h", [(0.15, 0.1), (0.125, 0.05)])
+    def test_coarse_h_off_the_fine_grid_is_rejected(self, coarse_h, fine_h):
+        with pytest.raises(MeshConfigError, match="coarse_h"):
+            graded_ticks(1.0, coarse_h, fine_h, (0.4, 0.6))
+
 
 class TestMeshInvariants:
     @pytest.fixture(params=["ct", "ct_fine", "lshape"])

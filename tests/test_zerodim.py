@@ -57,6 +57,29 @@ class TestZStep:
             oracle = brute_force_z_step(t, u, z_prev, rho, zm, grid_step)
             assert abs(z - oracle) <= 2 * grid_step
 
+    def test_closed_form_and_multipliers(self):
+        """The clipped minimizer, its multipliers on the bound it equals
+        (the ball's only where the ball gives the lower bound), and the
+        stationarity ``c z - kappa_R - mu + lam = 0`` to round-off."""
+        rng = np.random.default_rng(18)
+        for _ in range(3000):
+            zm = ZeroDimModel(a=rng.uniform(0.1, 3.0),
+                              kappa_E=rng.uniform(0.01, 2.0),
+                              kappa_R=rng.uniform(0.0, 2.0))
+            u, z_prev = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
+            rho = 10.0 ** rng.uniform(-6.0, 0.0)
+            z, mu, lam = z_step(0.0, u, z_prev, rho, zm)
+            c = zm.a * u * u + zm.kappa_E
+            lo = max(0.0, z_prev - rho)
+            assert z == min(max(zm.kappa_R / c, lo), z_prev)
+            assert mu >= 0.0 and lam >= 0.0
+            if mu > 0.0:
+                assert z == lo and z_prev - rho >= 0.0
+            if lam > 0.0:
+                assert z == z_prev
+            residual = c * z - zm.kappa_R - mu + lam
+            assert abs(residual) <= 4e-16 * (c * z + zm.kappa_R)
+
     def test_grid_step_validation(self):
         with pytest.raises(ValueError):
             brute_force_z_step(0.0, 1.0, 0.5, 0.1, ZeroDimModel(), 0.0)
