@@ -30,9 +30,16 @@ construction), in ``element_data(mesh)``:
   about the number of nodes on one line, so the sweep whose lines cross
   the fewer ticks wins.  Every system the
   solvers factor is symmetric positive definite, so band Cholesky in that
-  order applies.  A constrained system pins its rows to identity rows
-  instead of gathering a sub-block, so the one order serves every
-  Dirichlet mask and every damage active set;
+  order applies.  A damage system pins its rows to identity rows instead
+  of gathering a sub-block, so the one order serves every active set;
+- built when first needed: the strain and gradient operators of all Gauss
+  points of an element in one matrix each (``strain_op``, ``grad_op``),
+  so a field's strains or gradients are one batched product; and for the
+  last Dirichlet mask, the stiffness band of its free dofs
+  (``FreeBand``): the free dofs in the dof pattern's band order and the
+  band slot of each element entry between two of them, so the
+  displacement solve fills its band from the element values by one
+  ``np.bincount``, with no CSR operator and no pinned rows;
 - for the last input only (``memo``): the element products ``B' C B`` of
   the last material; the Gauss-point elastic density and the damage
   quadratic ``z_quadratic``, keyed on the bytes of ``u`` and on the
@@ -157,6 +164,52 @@ class BandLayout:
         return flat.reshape((self.kd + 1, self.n), order="F")
 
 
+class FreeBand:
+    """The stiffness block of the free dofs of one Dirichlet mask, as a
+    band matrix in LAPACK lower band storage, filled straight from the
+    element entries (the flat ``(nel, 64)`` values of ``element_stiffness``).
+
+    ``dofs`` are the free dofs in the band order ``perm`` of the dof
+    pattern: row ``i`` of the band matrix is dof ``dofs[i]``, and ``kd`` is
+    its half-bandwidth.  ``where`` maps the element entries ``entries``
+    that lie in the lower band between two free dofs into the column-major
+    ``(kd + 1, n)`` band array.  ``couple`` are the entries from a free row
+    to a pinned column, ``couple_rows`` the band rows of their free dofs and
+    ``couple_cols`` their pinned dofs.
+    """
+
+    def __init__(self, udofs: np.ndarray, perm: np.ndarray, mask: np.ndarray):
+        self.dofs = perm[~mask[perm]]
+        n = self.n = self.dofs.size
+        pos = np.full(mask.size, -1)
+        pos[self.dofs] = np.arange(n)
+        cols = np.tile(udofs, (1, 8)).ravel()
+        prow = pos[np.repeat(udofs, 8, axis=1).ravel()]
+        pcol = pos[cols]
+        lower = (prow >= pcol) & (pcol >= 0)
+        self.entries = np.flatnonzero(lower)
+        offset = prow[lower] - pcol[lower]
+        self.kd = int(offset.max(initial=0))
+        self.where = offset + (self.kd + 1) * pcol[lower]
+        cross = (prow >= 0) & (pcol < 0)
+        self.couple = np.flatnonzero(cross)
+        self.couple_rows, self.couple_cols = prow[cross], cols[cross]
+
+    def fill(self, vals: np.ndarray) -> np.ndarray:
+        """Band array of the free block for the element entries ``vals``."""
+        flat = np.bincount(self.where, weights=vals.ravel()[self.entries],
+                           minlength=(self.kd + 1) * self.n)
+        return flat.reshape((self.kd + 1, self.n), order="F")
+
+    def coupling(self, vals: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``K[free][:, pinned] @ u[pinned]`` in band order, for the
+        element entries ``vals``."""
+        return np.bincount(
+            self.couple_rows,
+            weights=vals.ravel()[self.couple] * u[self.couple_cols],
+            minlength=self.n)
+
+
 class _ElementData:
     """Per-mesh quadrature cache."""
 
@@ -232,6 +285,28 @@ class _ElementData:
             2 * self.n_nodes,
             tuple(np.column_stack([2 * s, 2 * s + 1]).ravel()
                   for s in self.sweeps))
+
+    def free_band(self, mask: np.ndarray) -> FreeBand:
+        """The stiffness band of the free dofs of the Dirichlet ``mask``,
+        kept for the last mask."""
+        return self.memo("free_band", mask.tobytes(), lambda: FreeBand(
+            self.udofs, self.dof_pattern.band.perm, mask))
+
+    @cached_property
+    def strain_op(self) -> np.ndarray:
+        """``B`` as (nel, 8, nq * 3): entry ``[e, j, 3q + i]`` is strain
+        ``i`` at Gauss point ``q`` of element ``e`` per unit of its dof
+        ``j``."""
+        nel, nq = self.wdet.shape
+        return self.B.transpose(0, 3, 1, 2).reshape(nel, 8, nq * 3)
+
+    @cached_property
+    def grad_op(self) -> np.ndarray:
+        """The shape gradients as (nel, 4, 2 * nq): entry ``[e, a, i nq +
+        q]`` is component ``i`` of the gradient of node ``a``'s shape
+        function at Gauss point ``q`` of element ``e``."""
+        nel, nq = self.wdet.shape
+        return self.dNdx.transpose(0, 2, 3, 1).reshape(nel, 4, 2 * nq)
 
     @cached_property
     def node_pattern(self) -> SparsePattern:
@@ -318,8 +393,8 @@ def strains_at_gauss(u: np.ndarray, mesh: Mesh) -> np.ndarray:
     """Engineering strain (eps_xx, eps_yy, gamma_xy) at Gauss points,
     (nel, nq, 3)."""
     data = element_data(mesh)
-    ue = u[data.udofs]
-    return np.einsum("eqij,ej->eqi", data.B, ue)
+    eps = u[data.udofs][:, None, :] @ data.strain_op
+    return eps.reshape(data.wdet.shape + (3,))
 
 
 def elastic_density_at_gauss(u: np.ndarray, mesh: Mesh,
@@ -352,8 +427,9 @@ def total_energy(state: State, mesh: Mesh, model: MaterialModel,
     data = element_data(mesh)
     psi = elastic_density_at_gauss(state.u, mesh, model)
     zq = data.gauss(state.z)
-    gz = np.einsum("eqni,en->eqi", data.dNdx, state.z[data.conn])
-    gz_sq = np.einsum("eqi,eqi->eq", gz, gz)
+    gz = (state.z[data.conn][:, None, :] @ data.grad_op).reshape(
+        zq.shape[0], 2, -1)
+    gz_sq = gz[:, 0] * gz[:, 0] + gz[:, 1] * gz[:, 1]
     dens = (0.5 * degradation(zq, model.eta) * psi
             + fracture_density(zq, gz_sq, model))
     energy = float(np.sum(data.wdet * dens))
@@ -361,17 +437,24 @@ def total_energy(state: State, mesh: Mesh, model: MaterialModel,
     return energy - float(f @ state.u)
 
 
-def assemble_K(z: np.ndarray, mesh: Mesh, model: MaterialModel) -> sp.csr_matrix:
-    """Degraded stiffness operator; symmetric, SPD after Dirichlet
-    elimination because the degradation factor is bounded below by eta."""
+def element_stiffness(z: np.ndarray, mesh: Mesh,
+                      model: MaterialModel) -> np.ndarray:
+    """Element matrices of the degraded stiffness, (nel, 64): entry
+    ``[e, 8a + b]`` couples the dofs ``a`` and ``b`` of element ``e``."""
     _check_state_dims(mesh, None, z)
     data = element_data(mesh)
     coef = data.wdet * degradation(data.gauss(z), model.eta)
     btcb = data.memo("btcb", model.C.tobytes(), lambda: np.einsum(
         "eqia,ij,eqjb->eqab", data.B, model.C, data.B))
     nel, nq = coef.shape
-    vals = coef[:, None, :] @ btcb.reshape(nel, nq, -1)
-    return data.dof_pattern.matrix(data.dof_pattern.fill(vals))
+    return (coef[:, None, :] @ btcb.reshape(nel, nq, -1)).reshape(nel, -1)
+
+
+def assemble_K(z: np.ndarray, mesh: Mesh, model: MaterialModel) -> sp.csr_matrix:
+    """Degraded stiffness operator; symmetric, SPD after Dirichlet
+    elimination because the degradation factor is bounded below by eta."""
+    pattern = element_data(mesh).dof_pattern
+    return pattern.matrix(pattern.fill(element_stiffness(z, mesh, model)))
 
 
 def grad_u(state: State, mesh: Mesh, model: MaterialModel,

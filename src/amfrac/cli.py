@@ -18,8 +18,11 @@ Artifacts per run directory: ``trace.csv`` (one column per ``StepRecord``
 field, written incrementally, so a crash retains the partial trace),
 ``balance.csv`` (one column per ``BalanceRow`` field), VTK field
 snapshots and ``manifest.json`` with the init fields of the run's
-dataclasses.  Runs are deterministic: identical config gives
-byte-identical trace.csv.
+dataclasses.  ``trace.csv``, ``balance.csv`` and ``manifest.json`` are
+always written, because ``verify`` reads them: ``[output] formats`` only
+adds the VTK snapshots of a field run (``vtk``), so ``formats = csv`` and
+an empty ``formats`` write the same files.  Runs are deterministic:
+identical config gives byte-identical trace.csv.
 """
 
 from __future__ import annotations
@@ -288,13 +291,16 @@ def _build_run(data: dict) -> RunConfig:
 
 def _manifest(cfg: RunConfig) -> dict:
     """Every parameter that affects results: the init fields of the run's
-    dataclasses, with the scheme's ball as ``norm_V`` and ``alpha``."""
+    dataclasses, with the scheme's ball as ``norm_V`` and, for an L^alpha
+    ball, ``alpha``."""
+    norm = cfg.scheme.norm_V
+    scheme = dict(_init_values(cfg.scheme, _SCHEME_UNKEYED), norm_V=norm.kind)
+    if norm.kind == "lalpha":
+        scheme["alpha"] = norm.alpha
     out = {
         "version": __version__,
         "experiment": cfg.experiment,
-        "scheme": dict(_init_values(cfg.scheme, _SCHEME_UNKEYED),
-                       norm_V=cfg.scheme.norm_V.kind,
-                       alpha=cfg.scheme.norm_V.alpha),
+        "scheme": scheme,
         "output": {"directory": cfg.output_dir, "formats": list(cfg.formats)},
     }
     if cfg.zerodim is not None:
@@ -414,9 +420,11 @@ def verify_dir(trace_dir) -> int:
         return 1
     try:
         scheme = dict(json.loads(manifest)["scheme"])
-        params = SchemeParams(
-            norm_V=NormSpec(scheme.pop("norm_V"), scheme.pop("alpha")),
-            **scheme)
+        kind = scheme.pop("norm_V")
+        norm = (NormSpec(kind, scheme.pop("alpha")) if kind == "lalpha"
+                else NormSpec(kind))
+        scheme.pop("alpha", None)  # older manifests record one for H1 too
+        params = SchemeParams(norm_V=norm, **scheme)
     except (ValueError, KeyError, TypeError):
         return _malformed("manifest.json")
     if rows[:1] != [TRACE_HEADER]:

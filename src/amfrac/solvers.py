@@ -1,29 +1,33 @@
 """Inner minimizations of the staggered scheme.
 
 The displacement subproblem is a symmetric positive definite linear solve
-after Dirichlet elimination.  The damage subproblem minimizes a convex
-quadratic under the nodal irreversibility bound ``z <= z_prev`` and the
-arc-length ball ``||z - z_prev||_V <= rho``.  The box ``0 <= z <= z_prev``
-is handled by a primal-dual active-set method, i.e. semismooth Newton on its
-complementarity conditions (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13,
-2002): each pass pins the active nodes to ``z_prev`` (upper side) or to 0
-(lower side) and solves for the free ones exactly.  When the box solution
-leaves the ball it is retracted onto the sphere along the ray from
-``z_prev``, and bordered Newton steps on the free values and the ball
-multiplier take over, the active sets being updated after each step.  The
-steps write the ball as its power sum, ``S(v)/a <= rho^a/a`` with
-``N(v) = S(v)^(1/a)`` (``assembly.VNorm``): the same KKT points as
-``N(v) <= rho``, and a Hessian that is a sum over Gauss points.  Its
-multiplier ``nu`` gives the one of ``N <= rho`` as ``mu = nu N^(a-1)``.
+on the free dofs: its band is filled straight from the element stiffness
+(``assembly.FreeBand``), and the prescribed values enter the right-hand
+side through the free-to-pinned element entries.  The damage subproblem
+minimizes a convex quadratic under the nodal irreversibility bound
+``z <= z_prev`` and the arc-length ball ``||z - z_prev||_V <= rho``.  The
+box ``0 <= z <= z_prev`` is handled by a primal-dual active-set method,
+i.e. semismooth Newton on its complementarity conditions (Hintermueller,
+Ito & Kunisch, SIAM J. Optim. 13, 2002): each pass pins the active nodes
+to ``z_prev`` (upper side) or to 0 (lower side) and solves for the free
+ones exactly.  When the box solution leaves the ball it is retracted onto
+the sphere along the ray from ``z_prev``, and bordered Newton steps on the
+free values and the ball multiplier take over, the active sets being
+updated after each step.  The steps write the ball as its power sum,
+``S(v)/a <= rho^a/a`` with ``N(v) = S(v)^(1/a)`` (``assembly.VNorm``): the
+same KKT points as ``N(v) <= rho``, and a Hessian that is a sum over Gauss
+points.  Its multiplier ``nu`` gives the one of ``N <= rho`` as
+``mu = nu N^(a-1)``.  The gradient of ``S`` is evaluated only while the
+ball binds.
 
 Every system factored here is symmetric positive definite (the stiffness
 because ``eta > 0``; ``Q = H + c1 M + c2 L`` with ``c1 > 0`` plus the ball
 curvature ``nu grad^2(S/a)``, ``nu >= 0``), so ``splu`` factors it by
 LAPACK band Cholesky in the one band order of its pattern, the narrower of
-the two coordinate sweeps of the nodes (``assembly.BandLayout``).
-Constrained values are not sliced out: their rows are pinned to identity
-rows with zero coupling, so the free values solve the free block's system
-and the pinned ones equal their right-hand side.
+the two coordinate sweeps of the nodes (``assembly.BandLayout``).  The
+damage solve's box-active values are not sliced out: their rows are pinned
+to identity rows with zero coupling, so the free values solve the free
+block's system and the pinned ones equal their right-hand side.
 """
 
 from __future__ import annotations
@@ -40,10 +44,13 @@ from .assembly import (
     VNorm,
     dual_norm_lumped,
     element_data,
+    element_stiffness,
     lumped_weights,
-    assemble_K,
     z_quadratic,
 )
+# not called here: perfbench still patches this name to time assemblies
+# (ROADMAP item 8 frees it)
+from .assembly import assemble_K  # noqa: F401
 from .mesh import Mesh
 from .model import LoadProgram, MaterialModel, SchemeParams
 
@@ -72,6 +79,32 @@ def splu(ab: np.ndarray) -> SimpleNamespace:
     return SimpleNamespace(solve=lambda b: dpbtrs(c, b, lower=1)[0])
 
 
+def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
+            load: LoadProgram) -> np.ndarray:
+    """Equilibrium displacement at fixed damage: the unique minimizer of the
+    displacement-quadratic energy under the current Dirichlet data, from one
+    band Cholesky solve of the free block: it is backward stable, so the
+    free residual is at round-off of ``max|K| max|u|``.  With no load at all
+    the minimizer is ``u = 0`` (``K`` is SPD) and nothing is factored."""
+    f = load.force_vector(mesh, t)
+    mask, values = load.dirichlet_dofs(mesh)
+    u = values(t)  # zero on the free dofs
+    prescribed = u.any()
+    if not (prescribed or f.any()):
+        return u
+    block = element_data(mesh).free_band(mask)
+    vals = element_stiffness(z, mesh, model)
+    rhs = f[block.dofs]
+    if prescribed:
+        rhs -= block.coupling(vals, u)
+    u[block.dofs] = splu(block.fill(vals)).solve(rhs)
+    return u
+
+
+# ---------------------------------------------------------------------------
+# Damage solve
+# ---------------------------------------------------------------------------
+
 def _factor(band: BandLayout, data: np.ndarray, pinned: np.ndarray):
     """Solver of the operator with data vector ``data`` on the pattern of
     ``band``, the rows ``pinned`` replaced by identity rows.  Right-hand
@@ -85,24 +118,6 @@ def _factor(band: BandLayout, data: np.ndarray, pinned: np.ndarray):
 
     return solve
 
-
-def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
-            load: LoadProgram) -> np.ndarray:
-    """Equilibrium displacement at fixed damage: the unique minimizer of the
-    displacement-quadratic energy under the current Dirichlet data, from one
-    band Cholesky solve: it is backward stable, so the free residual is at
-    round-off of ``max|K| max|u|``."""
-    K = assemble_K(z, mesh, model)
-    f = load.force_vector(mesh, t)
-    mask, values = load.dirichlet_dofs(mesh)
-    u = values(t)  # zero on the free dofs
-    solve = _factor(element_data(mesh).dof_pattern.band, K.data, mask)
-    return solve(np.where(mask, u, f - K @ u))
-
-
-# ---------------------------------------------------------------------------
-# Damage solve
-# ---------------------------------------------------------------------------
 
 def _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball: VNorm, rho):
     """One Newton step on the ball-active KKT equalities in ``(z_F, nu)``:
@@ -225,7 +240,8 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
         was_on = ball_on
         v = z - z_prev
         if has_ball:
-            N, gS = ball.parts(v)
+            # the gradient of S is read only while the ball binds
+            N = ball.value(v)
             if N > rho:
                 # retract onto the sphere; N is 1-homogeneous and the ray
                 # from z_prev keeps v <= 0 wherever it already was
@@ -240,6 +256,8 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
                     r = (Q @ z - btot)[free]
                     g = gS[free]
                     nu = max(0.0, -float(r @ g) / float(g @ g))
+            elif ball_on:
+                N, gS = ball.parts(v)
             if nu < 0.0:
                 ball_on, nu = False, 0.0
 

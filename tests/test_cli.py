@@ -423,6 +423,55 @@ class TestExecute:
         assert rows[0] == TRACE_HEADER
         assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(6))
 
+    def test_h1_manifest_records_no_alpha(self, tmp_path, capsys):
+        out = tmp_path / "zd"
+        text = ZERODIM_CFG.format(out=out) + "[scheme]\nnorm_v = h1\n"
+        assert execute(load_config(write(tmp_path, text))) == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["scheme"]["norm_V"] == "h1"
+        assert "alpha" not in manifest["scheme"]
+        assert verify_dir(out) == 0
+        # a manifest that still records an alpha for the H1 ball verifies
+        manifest["scheme"]["alpha"] = 2.0
+        path.write_text(json.dumps(manifest))
+        assert verify_dir(out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines)
+
+    def test_lalpha_manifest_without_alpha_is_malformed(self, tmp_path,
+                                                        capsys):
+        out = tmp_path / "zd"
+        execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["scheme"]["norm_V"] == "lalpha"
+        del manifest["scheme"]["alpha"]
+        path.write_text(json.dumps(manifest))
+        assert verify_dir(out) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL manifest.json is malformed"]
+
+    @pytest.mark.parametrize("formats, vtk", [("csv", False), ("vtk", True),
+                                              ("", False)],
+                             ids=["csv", "vtk", "empty"])
+    def test_formats_only_adds_vtk(self, tmp_path, formats, vtk):
+        """The csv artifacts and the manifest are written whatever
+        ``formats`` says, because ``verify`` reads them."""
+        out = tmp_path / "fem"
+        text = (CUSTOM_CFG.format(out=out).replace("[scheme]\n",
+                                                   "[scheme]\nt = 0.1\n")
+                + f"formats = {formats}\n")
+        cfg = load_config(write(tmp_path, text))
+        assert execute(cfg) == 0
+        files = {p.name for p in out.iterdir()}
+        steps = len((out / "trace.csv").read_text().splitlines()) - 1
+        assert steps > 1
+        snapshots = ({f"fields_{k:06d}.vtk" for k in range(steps)} if vtk
+                     else set())
+        assert files == {"manifest.json", "trace.csv", "balance.csv",
+                         *snapshots}
+
 
 class TestMain:
     def test_run_verb(self, tmp_path):

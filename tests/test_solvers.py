@@ -34,6 +34,23 @@ class TestSolveU:
         u = af.solve_u(0.0, np.ones(mesh.n_nodes), mesh, model, load)
         assert np.abs(u).max() == 0.0
 
+    def test_no_load_factors_nothing(self, monkeypatch):
+        """At t = 0 under a traction load the minimizer is u = 0, since K is
+        SPD: it comes back exact, with nothing factored."""
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+        model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02)
+        load = af.LoadProgram(mode="TRACTION_RAMP", T=1.0, direction=(1, 0),
+                              traction_rate=3.0)
+
+        def splu(ab):
+            raise AssertionError("solve_u factored a matrix")
+
+        monkeypatch.setattr(amfrac.solvers, "splu", splu)
+        z = np.random.default_rng(2).uniform(0.2, 1.0, mesh.n_nodes)
+        u = af.solve_u(0.0, z, mesh, model, load)
+        assert u.shape == (2 * mesh.n_nodes,)
+        assert np.all(u == 0.0)
+
     def test_uniform_uniaxial_strain(self):
         # nu = 0, unnotched: the ramp produces a uniform strain field
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
@@ -395,6 +412,41 @@ class TestOrderedSolves:
         expected[pinned, pinned] = 1.0
         assert np.array_equal(lower(band.fill(A.data, pinned)),
                               in_band_order(expected))
+
+    @pytest.mark.parametrize("mode", ["TRACTION_RAMP", "DIRICHLET_RAMP"])
+    def test_free_band_round_trip(self, mode, monkeypatch):
+        """The band that ``solve_u`` factors, read back densely, is the
+        lower triangle of ``K[free][:, free]`` with the free dofs in the dof
+        pattern's band order: the traction plate of the benchmark and the
+        Dirichlet mask of the L-shaped panel."""
+        if mode == "TRACTION_RAMP":
+            mesh = af.build_ct_mesh(1.0, 0.05, 0.05, notch=False)
+        else:
+            mesh = af.build_lshape_mesh(250.0, 50.0, 25.0)
+        model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02)
+        load = af.LoadProgram(mode=mode, T=1.0, direction=(0, 1),
+                              ubar_rate=0.5, traction_rate=2.0)
+        factored = []
+        splu = amfrac.solvers.splu
+        monkeypatch.setattr(amfrac.solvers, "splu",
+                            lambda ab: factored.append(ab.copy()) or splu(ab))
+        z = np.random.default_rng(9).uniform(0.2, 1.0, mesh.n_nodes)
+        af.solve_u(0.7, z, mesh, model, load)
+        (ab,) = factored
+        mask, _ = load.dirichlet_dofs(mesh)
+        order = [d for d in element_data(mesh).dof_pattern.band.perm
+                 if not mask[d]]
+        n = len(order)
+        assert ab.shape[1] == n == np.count_nonzero(~mask)
+        if mode == "TRACTION_RAMP":
+            # the 42 clamped dofs of the left edge leave the band
+            assert ab.shape == (46, 840)
+        L = np.zeros((n, n))
+        for d in range(ab.shape[0]):
+            i = np.arange(n - d)
+            L[i + d, i] = ab[d, :n - d]
+        K = af.assemble_K(z, mesh, model)
+        assert np.array_equal(L, np.tril(K[order][:, order].toarray()))
 
     def test_one_order_per_pattern_per_run(self, monkeypatch):
         sizes = []
