@@ -15,31 +15,30 @@ construction), in ``element_data(mesh)``:
   values return to the nodes by one ``np.bincount`` (``scatter``); the
   energy, the stiffness, the lumped weights and the L^alpha ball all go
   through these two;
-- built when first needed: one ``SparsePattern`` for the 2n-dof operators
-  and one for the n-node operators, each with the map from element entries
-  to CSR data slots.  Every operator is then a data vector on its pattern:
-  assembly is one ``np.bincount`` and ``Q = H + c1 M + c2 L`` is arithmetic
-  on data vectors.  Also the mass and Laplacian data and the H1 Gram
-  matrix;
-- per pattern, one ``BandLayout``: the narrower of the two coordinate
-  sweeps of the nodes, x-major and y-major (a dof order takes both dofs of
-  a node in turn; the x-major one on a tie), and the map from the
-  lower-triangle data slots into a LAPACK band array.  On a tensor-product
-  grid a sweep is a level structure line by line (Gibbs, Poole &
-  Stockmeyer, SIAM J. Numer. Anal. 13, 1976) and its half-bandwidth is
-  about the number of nodes on one line, so the sweep whose lines cross
-  the fewer ticks wins.  Every system the
+- built when first needed: one ``SparsePattern`` for the n-node operators
+  (and one for the 2n-dof stiffness, which only ``assemble_K`` reads),
+  with the map from element entries to CSR data slots.  Every operator is
+  then a data vector on its pattern: assembly is one ``np.bincount`` and
+  ``Q = H + c1 M + c2 L`` is arithmetic on data vectors.  Also the mass
+  and Laplacian data and the H1 Gram matrix;
+- built when first needed: one band ``order`` of the nodes, the narrower
+  of the two coordinate sweeps, x-major and y-major (the x-major one on a
+  tie).  On a tensor-product grid a sweep is a level structure line by
+  line (Gibbs, Poole & Stockmeyer, SIAM J. Numer. Anal. 13, 1976) and its
+  half-bandwidth is about the number of nodes on one line, so the sweep
+  whose lines cross the fewer ticks wins.  A dof order takes both dofs of
+  a node in turn, so its half-bandwidth is ``2 kd + 1``.  Every system the
   solvers factor is symmetric positive definite, so band Cholesky in that
-  order applies.  A damage system pins its rows to identity rows instead
-  of gathering a sub-block, so the one order serves every active set;
+  order applies.  Each ``Band`` maps an operator's entries into a LAPACK
+  band array, filled by one ``np.bincount``: ``node_band`` from the
+  node-pattern data vectors, whose rows a damage system pins to identity
+  rows instead of gathering a sub-block, so that one band serves every
+  active set; and, for the last Dirichlet mask, ``free_band`` from the
+  element stiffness entries between two free dofs, so the displacement
+  solve builds no CSR operator and no pinned rows;
 - built when first needed: the strain and gradient operators of all Gauss
   points of an element in one matrix each (``strain_op``, ``grad_op``),
-  so a field's strains or gradients are one batched product; and for the
-  last Dirichlet mask, the stiffness band of its free dofs
-  (``FreeBand``): the free dofs in the dof pattern's band order and the
-  band slot of each element entry between two of them, so the
-  displacement solve fills its band from the element values by one
-  ``np.bincount``, with no CSR operator and no pinned rows;
+  so a field's strains or gradients are one batched product;
 - for the last input only (``memo``): the element products ``B' C B`` of
   the last material; the Gauss-point elastic density and the damage
   quadratic ``z_quadratic``, keyed on the bytes of ``u`` and on the
@@ -89,12 +88,10 @@ class SparsePattern:
 
     ``slot`` maps each element entry to its slot in the CSR data vector, so
     an assembly is one ``np.bincount`` (``fill``) and a sum of operators is
-    a sum of data vectors.  Column indices are sorted.  ``sweeps`` are the
-    two candidate orders of the rows for the band layout.
+    a sum of data vectors.  Column indices are sorted.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int,
-                 sweeps: tuple):
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int):
         keys, self.slot = np.unique(rows.ravel() * n + cols.ravel(),
                                     return_inverse=True)
         self.n = n
@@ -102,7 +99,6 @@ class SparsePattern:
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(np.bincount(keys // n, minlength=n), out=self.indptr[1:])
-        self.sweeps = sweeps
 
     def fill(self, vals: np.ndarray) -> np.ndarray:
         """Data vector of the operator with element entries ``vals``."""
@@ -113,79 +109,30 @@ class SparsePattern:
         return sp.csr_matrix((data, self.indices, self.indptr),
                              shape=(self.n, self.n))
 
-    def half_bandwidth(self, perm: np.ndarray) -> int:
-        """Half-bandwidth of the operator in the order ``perm``: row ``i``
-        of the reordered operator is row ``perm[i]``."""
-        pos = np.empty(self.n, dtype=np.intp)
-        pos[perm] = np.arange(self.n)
-        rows = np.repeat(pos, np.diff(self.indptr))
-        return int(np.abs(rows - pos[self.indices]).max(initial=0))
 
-    @cached_property
-    def band(self) -> "BandLayout":
-        """The band layout in the narrower of the two ``sweeps`` (the first
-        on a tie), built on first use."""
-        return BandLayout(self, min(self.sweeps, key=self.half_bandwidth))
+class Band:
+    """An operator on the unknowns outside the mask ``fixed``, as a band
+    matrix in LAPACK lower band storage.
 
-
-class BandLayout:
-    """A pattern's operator as a band matrix in LAPACK lower band storage,
-    in the order ``perm``: row ``i`` of the band matrix is row ``perm[i]``
-    of the operator, and ``kd`` is its half-bandwidth.  ``where`` maps the
-    lower-triangle data slots ``slots`` into the column-major
-    ``(kd + 1, n)`` band array, which holds entry ``(i, j)``, ``i >= j``,
-    at ``[i - j, j]``.
+    The operator's entries have the rows ``rows`` and columns ``cols``:
+    CSR slots, or element entries, which are summed where they repeat.
+    ``dofs`` are the unknowns of the band in the order ``perm``: row ``i``
+    of the band matrix is unknown ``dofs[i]``, and ``kd`` is its
+    half-bandwidth.  ``where`` maps the entries ``entries`` that lie in the
+    lower band into the column-major ``(kd + 1, n)`` band array, which
+    holds entry ``(i, j)``, ``i >= j``, at ``[i - j, j]``.  ``couple`` are
+    the entries from a row of the band to a fixed column, ``couple_rows``
+    their band rows and ``couple_cols`` their fixed unknowns.
     """
 
-    def __init__(self, pattern: SparsePattern, perm: np.ndarray):
-        n = self.n = pattern.n
-        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
-        cols = pattern.indices
-        self.perm = perm
-        pos = np.empty(n, dtype=np.intp)
-        pos[perm] = np.arange(n)
-        lower = pos[rows] >= pos[cols]
-        self.slots = np.flatnonzero(lower)
-        self.rows, self.cols = rows[lower], cols[lower]
-        offset = pos[self.rows] - pos[self.cols]
-        self.kd = int(offset.max(initial=0))
-        self.where = offset + (self.kd + 1) * pos[self.cols]
-        self.diag = (self.kd + 1) * pos
-
-    def fill(self, data: np.ndarray, pinned: np.ndarray) -> np.ndarray:
-        """Band array of the operator with data vector ``data``, the rows of
-        the mask ``pinned`` replaced by identity rows: their off-diagonal
-        entries, in row and column, are zero and their diagonal is one."""
-        vals = data[self.slots]
-        vals[pinned[self.rows] | pinned[self.cols]] = 0.0
-        flat = np.zeros((self.kd + 1) * self.n)
-        flat[self.where] = vals
-        flat[self.diag[pinned]] = 1.0
-        return flat.reshape((self.kd + 1, self.n), order="F")
-
-
-class FreeBand:
-    """The stiffness block of the free dofs of one Dirichlet mask, as a
-    band matrix in LAPACK lower band storage, filled straight from the
-    element entries (the flat ``(nel, 64)`` values of ``element_stiffness``).
-
-    ``dofs`` are the free dofs in the band order ``perm`` of the dof
-    pattern: row ``i`` of the band matrix is dof ``dofs[i]``, and ``kd`` is
-    its half-bandwidth.  ``where`` maps the element entries ``entries``
-    that lie in the lower band between two free dofs into the column-major
-    ``(kd + 1, n)`` band array.  ``couple`` are the entries from a free row
-    to a pinned column, ``couple_rows`` the band rows of their free dofs and
-    ``couple_cols`` their pinned dofs.
-    """
-
-    def __init__(self, udofs: np.ndarray, perm: np.ndarray, mask: np.ndarray):
-        self.dofs = perm[~mask[perm]]
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, perm: np.ndarray,
+                 fixed: np.ndarray):
+        self.dofs = perm[~fixed[perm]]
         n = self.n = self.dofs.size
-        pos = np.full(mask.size, -1)
+        pos = np.full(fixed.size, -1)
         pos[self.dofs] = np.arange(n)
-        cols = np.tile(udofs, (1, 8)).ravel()
-        prow = pos[np.repeat(udofs, 8, axis=1).ravel()]
-        pcol = pos[cols]
+        cols = cols.ravel()
+        prow, pcol = pos[rows.ravel()], pos[cols]
         lower = (prow >= pcol) & (pcol >= 0)
         self.entries = np.flatnonzero(lower)
         offset = prow[lower] - pcol[lower]
@@ -195,15 +142,32 @@ class FreeBand:
         self.couple = np.flatnonzero(cross)
         self.couple_rows, self.couple_cols = prow[cross], cols[cross]
 
-    def fill(self, vals: np.ndarray) -> np.ndarray:
-        """Band array of the free block for the element entries ``vals``."""
-        flat = np.bincount(self.where, weights=vals.ravel()[self.entries],
+    @cached_property
+    def _ends(self) -> tuple:
+        """Band column and band row of each entry of ``where``."""
+        col, offset = np.divmod(self.where, self.kd + 1)
+        return col, col + offset
+
+    def fill(self, vals: np.ndarray, pinned: np.ndarray | None = None
+             ) -> np.ndarray:
+        """Band array for the entry values ``vals``.  The rows of the mask
+        ``pinned`` (over all unknowns) become identity rows: their
+        off-diagonal entries, in row and column, are zero and their
+        diagonal is one."""
+        v = vals.ravel()[self.entries]
+        if pinned is not None:
+            p = pinned[self.dofs]
+            col, row = self._ends
+            v[p[col] | p[row]] = 0.0
+        flat = np.bincount(self.where, weights=v,
                            minlength=(self.kd + 1) * self.n)
+        if pinned is not None:
+            flat[(self.kd + 1) * np.flatnonzero(p)] = 1.0
         return flat.reshape((self.kd + 1, self.n), order="F")
 
     def coupling(self, vals: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``K[free][:, pinned] @ u[pinned]`` in band order, for the
-        element entries ``vals``."""
+        """``A[band][:, fixed] @ u[fixed]`` in band order, for the entry
+        values ``vals``."""
         return np.bincount(
             self.couple_rows,
             weights=vals.ravel()[self.couple] * u[self.couple_cols],
@@ -267,30 +231,36 @@ class _ElementData:
         return np.bincount(self.conn.ravel(), weights=(c @ self.N).ravel(),
                            minlength=self.n_nodes)
 
-    # The patterns and what is filled into them are built on first use: a
+    # The patterns, the band order and the bands are built on first use: a
     # mesh that is only measured never pays for them.
     @cached_property
-    def sweeps(self) -> tuple:
-        """Coordinate sweeps of the nodes, x-major and y-major: on a
-        tensor-product grid each orders the nodes line by line, so a node
-        couples only to the neighbouring lines."""
+    def order(self) -> np.ndarray:
+        """The band order of the nodes: the narrower of the two coordinate
+        sweeps, x-major and y-major, measured on the element connectivity
+        (the x-major one on a tie).  On a tensor-product grid each orders
+        the nodes line by line, so a node couples only to the neighbouring
+        lines."""
         x, y = self.node_xy.T
-        return np.lexsort((y, x)), np.lexsort((x, y))
+
+        def width(sweep):
+            return np.ptp(np.argsort(sweep)[self.conn], axis=1).max(initial=0)
+
+        return min(np.lexsort((y, x)), np.lexsort((x, y)), key=width)
 
     @cached_property
     def dof_pattern(self) -> SparsePattern:
         """Pattern of the 2n-dof operators (stiffness)."""
-        return SparsePattern(
-            np.repeat(self.udofs, 8, axis=1), np.tile(self.udofs, (1, 8)),
-            2 * self.n_nodes,
-            tuple(np.column_stack([2 * s, 2 * s + 1]).ravel()
-                  for s in self.sweeps))
+        return SparsePattern(np.repeat(self.udofs, 8, axis=1),
+                             np.tile(self.udofs, (1, 8)), 2 * self.n_nodes)
 
-    def free_band(self, mask: np.ndarray) -> FreeBand:
+    def free_band(self, mask: np.ndarray) -> Band:
         """The stiffness band of the free dofs of the Dirichlet ``mask``,
-        kept for the last mask."""
-        return self.memo("free_band", mask.tobytes(), lambda: FreeBand(
-            self.udofs, self.dof_pattern.band.perm, mask))
+        filled from the element entries; the dofs of a node follow each
+        other in the node ``order``.  Kept for the last mask."""
+        return self.memo("free_band", mask.tobytes(), lambda: Band(
+            np.repeat(self.udofs, 8, axis=1), np.tile(self.udofs, (1, 8)),
+            np.column_stack([2 * self.order, 2 * self.order + 1]).ravel(),
+            mask))
 
     @cached_property
     def strain_op(self) -> np.ndarray:
@@ -313,8 +283,15 @@ class _ElementData:
         """Pattern of the n-node operators (mass, Laplacian, damage Hessian,
         ball curvature)."""
         return SparsePattern(np.repeat(self.conn, 4, axis=1),
-                             np.tile(self.conn, (1, 4)), self.n_nodes,
-                             self.sweeps)
+                             np.tile(self.conn, (1, 4)), self.n_nodes)
+
+    @cached_property
+    def node_band(self) -> Band:
+        """The band of the node-pattern operators, filled from their data
+        vectors, in the node ``order``."""
+        p = self.node_pattern
+        return Band(np.repeat(np.arange(p.n), np.diff(p.indptr)), p.indices,
+                    self.order, np.zeros(p.n, dtype=bool))
 
     def node_operator(self, gauss_coef: np.ndarray) -> np.ndarray:
         """Node-pattern data of ``sum_q c_eq N_qa N_qb`` over the elements,

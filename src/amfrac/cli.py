@@ -441,8 +441,12 @@ def verify_dir(trace_dir) -> int:
     checks.append(("complementarity", not complementarity_check(trace)))
     bal_path = trace_dir / "balance.csv"
     if bal_path.exists():
+        bal_rows = bal_path.read_text().strip().splitlines()
+        if bal_rows[:1] != [BALANCE_HEADER]:
+            print("FAIL balance.csv header mismatch")
+            return 1
         try:
-            bal = _from_rows(BalanceRow, bal_path.read_text().strip().splitlines()[1:])
+            bal = _from_rows(BalanceRow, bal_rows[1:])
         except ValueError:
             return _malformed("balance.csv")
         if not bal:

@@ -2,7 +2,7 @@
 
 The displacement subproblem is a symmetric positive definite linear solve
 on the free dofs: its band is filled straight from the element stiffness
-(``assembly.FreeBand``), and the prescribed values enter the right-hand
+(``assembly.Band``), and the prescribed values enter the right-hand
 side through the free-to-pinned element entries.  The damage subproblem
 minimizes a convex quadratic under the nodal irreversibility bound
 ``z <= z_prev`` and the arc-length ball ``||z - z_prev||_V <= rho``.  The
@@ -18,15 +18,17 @@ updated after each step.  The steps write the ball as its power sum,
 same KKT points as ``N(v) <= rho``, and a Hessian that is a sum over Gauss
 points.  Its multiplier ``nu`` gives the one of ``N <= rho`` as
 ``mu = nu N^(a-1)``.  The gradient of ``S`` is evaluated only while the
-ball binds.
+ball binds.  For ``a < 2`` the Hessian of ``S`` is infinite on an element
+where ``v`` vanishes; the step raises ``SolverFailure`` once such an
+element has a free node.
 
 Every system factored here is symmetric positive definite (the stiffness
 because ``eta > 0``; ``Q = H + c1 M + c2 L`` with ``c1 > 0`` plus the ball
 curvature ``nu grad^2(S/a)``, ``nu >= 0``), so ``splu`` factors it by
-LAPACK band Cholesky in the one band order of its pattern, the narrower of
-the two coordinate sweeps of the nodes (``assembly.BandLayout``).  The
-damage solve's box-active values are not sliced out: their rows are pinned
-to identity rows with zero coupling, so the free values solve the free
+LAPACK band Cholesky in the one band order of the mesh, the narrower of
+the two coordinate sweeps of the nodes (``assembly.Band``).  The damage
+solve's box-active values are not sliced out: their rows are pinned to
+identity rows with zero coupling, so the free values solve the free
 block's system and the pinned ones equal their right-hand side.
 """
 
@@ -40,7 +42,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .assembly import (
-    BandLayout,
+    Band,
     VNorm,
     dual_norm_lumped,
     element_data,
@@ -105,15 +107,14 @@ def solve_u(t: float, z: np.ndarray, mesh: Mesh, model: MaterialModel,
 # Damage solve
 # ---------------------------------------------------------------------------
 
-def _factor(band: BandLayout, data: np.ndarray, pinned: np.ndarray):
-    """Solver of the operator with data vector ``data`` on the pattern of
-    ``band``, the rows ``pinned`` replaced by identity rows.  Right-hand
-    sides and solutions are in the operator's numbering."""
-    lu = splu(band.fill(data, pinned))
+def _solver(band: Band, ab: np.ndarray):
+    """Solver of the band array ``ab`` of ``band``.  Right-hand sides and
+    solutions are in the operator's numbering."""
+    lu = splu(ab)
 
     def solve(b: np.ndarray) -> np.ndarray:
         x = np.empty_like(b)
-        x[band.perm] = lu.solve(b[band.perm])
+        x[band.dofs] = lu.solve(b[band.dofs])
         return x
 
     return solve
@@ -129,7 +130,14 @@ def _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball: VNorm, rho):
     new multiplier."""
     v = z - z_prev
     N, g = ball.parts(v)
-    solve = _factor(band, Q.data + nu * ball.curvature(v), pinned)
+    # for a < 2 the curvature is infinite on an element where v vanishes;
+    # the pinned rows drop it unless the element has a free node
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ab = band.fill(Q.data + nu * ball.curvature(v), pinned)
+    if not np.isfinite(ab).all():
+        raise SolverFailure("damage solve: the ball curvature is infinite "
+                            "on the free block", alpha=ball.a)
+    solve = _solver(band, ab)
     g = np.where(pinned, 0.0, g)
     r = np.where(pinned, 0.0, Q @ z - btot) + nu * g
     s = solve(np.column_stack([r, g]))
@@ -186,7 +194,7 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
     norm = params.norm_V
     has_ball = np.isfinite(rho)
     ball = VNorm(mesh, norm)
-    band = element_data(mesh).node_pattern.band
+    band = element_data(mesh).node_band
 
     g0 = Q @ z_prev - btot
     stat_scale = max(1.0, dual_norm_lumped(g0 / w, w, norm))
@@ -234,7 +242,8 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
             box_sets.add(key)
             if free.any():
                 rhs = btot - Q @ pin
-                z = _factor(band, Q.data, pinned)(np.where(pinned, pin, rhs))
+                z = _solver(band, band.fill(Q.data, pinned))(
+                    np.where(pinned, pin, rhs))
                 solves += 1
 
         was_on = ball_on

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -398,6 +399,21 @@ class TestExecute:
         assert capsys.readouterr().out.splitlines() == [
             f"FAIL {name} is malformed"]
 
+    def test_verify_fails_on_permuted_balance_header(self, tmp_path, capsys):
+        """``balance.csv``'s header is checked like ``trace.csv``'s: two
+        swapped columns would otherwise be read by position."""
+        out = tmp_path / "zd"
+        execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
+        path = out / "balance.csv"
+        rows = path.read_text().splitlines()
+        assert rows[0].endswith(",residual,cum_residual")
+        rows[0] = rows[0].replace(",residual,cum_residual",
+                                  ",cum_residual,residual")
+        path.write_text("\n".join(rows) + "\n")
+        assert verify_dir(out) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL balance.csv header mismatch"]
+
     def test_verify_fails_on_unconverged_am_step(self, tmp_path, capsys):
         # two AM iterations are too few for some steps of the scalar run;
         # the run itself goes on, verify must not
@@ -413,6 +429,23 @@ class TestExecute:
         execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
         assert verify_dir(out) == 0
         assert "PASS AM converged" in capsys.readouterr().out.splitlines()
+
+    def test_lalpha_ball_below_2_names_the_infinite_curvature(self, tmp_path,
+                                                               capsys):
+        """Below alpha = 2 the ball's curvature is infinite on an element
+        where ``v = 0``.  When such an element has a free node, the damage
+        solve fails with that cause, and no numpy warning is raised."""
+        out = tmp_path / "tl"
+        text = TRACTION_H1_CFG.replace("norm_v = h1", "alpha = 1.5")
+        cfg = load_config(write(tmp_path, text.format(out=out)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert execute(cfg) == 1
+        err = capsys.readouterr().err
+        assert "ball curvature is infinite on the free block" in err
+        assert "iteration budget" not in err
+        rows = (out / "trace.csv").read_text().splitlines()
+        assert int(rows[-1].split(",", 1)[0]) == 24
 
     def test_zerodim_trace_written_incrementally(self, tmp_path):
         out = tmp_path / "zd"

@@ -25,6 +25,31 @@ def default_params(rho=0.05, alpha=4.0, **kw):
                            norm_V=af.NormSpec("lalpha", alpha), **kw)
 
 
+def dof_order(order):
+    """The dof order that takes both dofs of each node in the node
+    ``order``."""
+    return np.column_stack([2 * order, 2 * order + 1]).ravel()
+
+
+def half_bandwidth(pattern, perm):
+    """Half-bandwidth of the pattern's operator in the order ``perm``: row
+    ``i`` of the reordered operator is row ``perm[i]``."""
+    pos = np.empty(pattern.n, dtype=np.intp)
+    pos[perm] = np.arange(pattern.n)
+    rows = np.repeat(pos, np.diff(pattern.indptr))
+    return int(np.abs(rows - pos[pattern.indices]).max(initial=0))
+
+
+def dense_lower(ab):
+    """The lower triangle held by the LAPACK lower band array ``ab``."""
+    n = ab.shape[1]
+    L = np.zeros((n, n))
+    for d in range(ab.shape[0]):
+        i = np.arange(n - d)
+        L[i + d, i] = ab[d, :n - d]
+    return L
+
+
 class TestSolveU:
     def test_zero_load_gives_zero(self):
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25)
@@ -320,8 +345,8 @@ class TestSolveZ:
 
 
 class TestOrderedSolves:
-    """Solves through the band layout, in the one cached order of each
-    pattern, agree with a plain sparse solve of the sliced system."""
+    """Solves through a ``Band``, in the one cached band order of the mesh,
+    agree with a plain sparse solve of the sliced system."""
 
     @pytest.mark.parametrize("mode", ["DIRICHLET_RAMP", "TRACTION_RAMP"])
     def test_solve_u_matches_spsolve(self, mode):
@@ -342,7 +367,7 @@ class TestOrderedSolves:
         assert np.abs(ref).max() > 0
         assert np.abs(u - ref).max() <= 1e-10 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("which", ["random", "all", "one", "dirichlet"])
+    @pytest.mark.parametrize("which", ["random", "all", "one"])
     def test_pinned_rows_match_free_block(self, which):
         """Pinned rows leave the free values the solution of the free block
         ``A[F][:, F]`` and return the pinned values as given."""
@@ -351,22 +376,14 @@ class TestOrderedSolves:
                                  preset="AT", g_c=1.0, theta=0.1)
         rng = np.random.default_rng(5)
         n = mesh.n_nodes
-        data = element_data(mesh)
-        if which == "dirichlet":
-            A = af.assemble_K(rng.uniform(0.2, 1.0, n), mesh, model)
-            load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0,
-                                  direction=(0, 1), ubar_rate=0.5)
-            pinned, _ = load.dirichlet_dofs(mesh)
-            band = data.dof_pattern.band
-        else:
-            A, _, _ = z_quadratic(0.05 * rng.normal(size=2 * n), mesh, model)
-            pinned = {"random": rng.random(n) < 0.5,
-                      "all": np.zeros(n, dtype=bool),
-                      "one": np.arange(n) != n // 2}[which]
-            band = data.node_pattern.band
+        band = element_data(mesh).node_band
+        A, _, _ = z_quadratic(0.05 * rng.normal(size=2 * n), mesh, model)
+        pinned = {"random": rng.random(n) < 0.5,
+                  "all": np.zeros(n, dtype=bool),
+                  "one": np.arange(n) != n // 2}[which]
         free = ~pinned
-        rhs = rng.normal(size=A.shape[0])
-        x = amfrac.solvers._factor(band, A.data, pinned)(rhs)
+        rhs = rng.normal(size=n)
+        x = amfrac.solvers._solver(band, band.fill(A.data, pinned))(rhs)
         ref = rhs.copy()
         ref[free] = spsolve(A[free][:, free].tocsc(), rhs[free])
         assert np.array_equal(x[pinned], rhs[pinned])
@@ -374,8 +391,9 @@ class TestOrderedSolves:
 
     @pytest.mark.parametrize("pattern", ["node", "dof"])
     def test_band_round_trip(self, pattern):
-        """The band array read back densely is the pattern's operator, and
-        a pinned row is an identity row with zero coupling."""
+        """The band array read back densely is the operator, filled from
+        its CSR data (node) or from its element entries (dof), and a pinned
+        row is an identity row with zero coupling."""
         mesh = af.build_lshape_mesh(250.0, 50.0, 25.0)
         model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02)
         rng = np.random.default_rng(8)
@@ -383,41 +401,35 @@ class TestOrderedSolves:
         if pattern == "node":
             A, _, _ = z_quadratic(rng.normal(size=2 * mesh.n_nodes), mesh,
                                   model)
-            band = data.node_pattern.band
+            band, vals = data.node_band, A.data
         else:
-            A = af.assemble_K(rng.uniform(0.2, 1.0, mesh.n_nodes), mesh, model)
-            band = data.dof_pattern.band
+            z = rng.uniform(0.2, 1.0, mesh.n_nodes)
+            A = af.assemble_K(z, mesh, model)
+            band = data.free_band(np.zeros(A.shape[0], dtype=bool))
+            vals = amfrac.assembly.element_stiffness(z, mesh, model)
         n = A.shape[0]
 
-        def lower(ab):
-            """The lower triangle held by ``ab``, in band order."""
-            L = np.zeros((n, n))
-            for d in range(band.kd + 1):
-                i = np.arange(n - d)
-                L[i + d, i] = ab[d, :n - d]
-            return L
-
         def in_band_order(M):
-            return np.tril(M[np.ix_(band.perm, band.perm)])
+            return np.tril(M[np.ix_(band.dofs, band.dofs)])
 
         # the stiffness is symmetric up to round-off; the band holds the
         # lower triangle of the band order
-        assert band.kd < n - 1
-        assert np.array_equal(lower(band.fill(A.data, np.zeros(n, dtype=bool))),
+        assert band.kd < n - 1 and band.n == n
+        assert np.array_equal(dense_lower(band.fill(vals)),
                               in_band_order(A.toarray()))
         pinned = rng.random(n) < 0.3
         expected = A.toarray()
         expected[pinned] = 0.0
         expected[:, pinned] = 0.0
         expected[pinned, pinned] = 1.0
-        assert np.array_equal(lower(band.fill(A.data, pinned)),
+        assert np.array_equal(dense_lower(band.fill(vals, pinned)),
                               in_band_order(expected))
 
     @pytest.mark.parametrize("mode", ["TRACTION_RAMP", "DIRICHLET_RAMP"])
     def test_free_band_round_trip(self, mode, monkeypatch):
         """The band that ``solve_u`` factors, read back densely, is the
-        lower triangle of ``K[free][:, free]`` with the free dofs in the dof
-        pattern's band order: the traction plate of the benchmark and the
+        lower triangle of ``K[free][:, free]`` with the free dofs in the
+        band order of the mesh: the traction plate of the benchmark and the
         Dirichlet mask of the L-shaped panel."""
         if mode == "TRACTION_RAMP":
             mesh = af.build_ct_mesh(1.0, 0.05, 0.05, notch=False)
@@ -434,29 +446,18 @@ class TestOrderedSolves:
         af.solve_u(0.7, z, mesh, model, load)
         (ab,) = factored
         mask, _ = load.dirichlet_dofs(mesh)
-        order = [d for d in element_data(mesh).dof_pattern.band.perm
-                 if not mask[d]]
+        order = [d for d in dof_order(element_data(mesh).order) if not mask[d]]
         n = len(order)
         assert ab.shape[1] == n == np.count_nonzero(~mask)
         if mode == "TRACTION_RAMP":
             # the 42 clamped dofs of the left edge leave the band
             assert ab.shape == (46, 840)
-        L = np.zeros((n, n))
-        for d in range(ab.shape[0]):
-            i = np.arange(n - d)
-            L[i + d, i] = ab[d, :n - d]
         K = af.assemble_K(z, mesh, model)
-        assert np.array_equal(L, np.tril(K[order][:, order].toarray()))
+        assert np.array_equal(dense_lower(ab),
+                              np.tril(K[order][:, order].toarray()))
 
-    def test_one_order_per_pattern_per_run(self, monkeypatch):
-        sizes = []
-        layout = amfrac.assembly.BandLayout
-
-        def counting(pattern, perm):
-            sizes.append(pattern.n)
-            return layout(pattern, perm)
-
-        monkeypatch.setattr(amfrac.assembly, "BandLayout", counting)
+    @staticmethod
+    def _small_traction_run():
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
         model = af.MaterialModel(young_E=30.0, poisson_nu=0.2, eta=0.02,
                                  preset="ANALYSIS", kappa_E=0.15, kappa_R=0.08)
@@ -466,8 +467,37 @@ class TestOrderedSolves:
                               traction_rate=3.0)
         trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
         assert any(r.ball_active for r in trace.records)
-        assert sorted(sizes) == [mesh.n_nodes, 2 * mesh.n_nodes]
+        return mesh, load
 
+    def test_one_order_per_pattern_per_run(self, monkeypatch):
+        """A traction run builds two bands: the node band of the damage
+        solve and the band of the free dofs of the displacement solve."""
+        sizes = []
+        band = amfrac.assembly.Band
+
+        def counting(*args):
+            built = band(*args)
+            sizes.append(built.n)
+            return built
+
+        monkeypatch.setattr(amfrac.assembly, "Band", counting)
+        mesh, load = self._small_traction_run()
+        mask, _ = load.dirichlet_dofs(mesh)
+        assert sorted(sizes) == [mesh.n_nodes, np.count_nonzero(~mask)]
+
+    def test_traction_run_builds_no_dof_pattern(self, monkeypatch):
+        """The CSR stiffness pattern serves only ``assemble_K``, which a
+        traction run does not call."""
+        sizes = []
+        pattern = amfrac.assembly.SparsePattern
+
+        def counting(rows, cols, n):
+            sizes.append(n)
+            return pattern(rows, cols, n)
+
+        monkeypatch.setattr(amfrac.assembly, "SparsePattern", counting)
+        mesh, _ = self._small_traction_run()
+        assert sizes == [mesh.n_nodes]
 
     @pytest.mark.parametrize("pattern", ["dof_pattern", "node_pattern"])
     @pytest.mark.parametrize("mesh, sweep", [
@@ -481,21 +511,34 @@ class TestOrderedSolves:
         (lambda: af.build_lshape_mesh(250.0, 50.0, 2.0), 0),
         # a square uniform grid: both sweeps tie
         (lambda: af.build_ct_mesh(1.0, 0.25, 0.25, notch=False), 0),
+        (lambda: af.build_ct_mesh(1.0, 1.0, 1.0, notch=False), 0),
     ], ids=["ct", "ct-no-notch", "lshape", "ct-y-refined", "lshape-preset",
-            "uniform-tie"])
+            "uniform-tie", "single-element"])
     def test_band_order_is_no_wider_than_rcm(self, mesh, sweep, pattern):
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        p = getattr(element_data(mesh()), pattern)
+        mesh = mesh()
+        data = element_data(mesh)
+        p = getattr(data, pattern)
+        if pattern == "node_pattern":
+            band, order = data.node_band, data.order
+        else:
+            band = data.free_band(np.zeros(p.n, dtype=bool))
+            order = dof_order(data.order)
+            # the two dofs of a node follow each other
+            assert band.kd == 2 * data.node_band.kd + 1
         rcm = reverse_cuthill_mckee(p.matrix(np.ones(p.nnz)),
                                     symmetric_mode=True)
-        assert p.band.kd == p.half_bandwidth(p.band.perm)
-        assert p.band.kd <= p.half_bandwidth(rcm)
-        assert np.array_equal(np.sort(p.band.perm), np.arange(p.n))
+        assert np.array_equal(band.dofs, order)
+        assert np.array_equal(np.sort(order), np.arange(p.n))
+        assert band.kd == half_bandwidth(p, order)
+        assert band.kd <= half_bandwidth(p, rcm)
         # the narrower sweep is taken, the x-major one on a tie
-        widths = [p.half_bandwidth(s) for s in p.sweeps]
+        x, y = mesh.nodes.T
+        sweeps = [np.lexsort((y, x)), np.lexsort((x, y))]
+        widths = [half_bandwidth(data.node_pattern, s) for s in sweeps]
         assert int(np.argmin(widths)) == sweep
-        assert p.band.perm is p.sweeps[sweep]
+        assert np.array_equal(data.order, sweeps[sweep])
 
     def test_field_run_does_not_import_csgraph(self):
         """The band order is a coordinate sweep: importing amfrac and
@@ -524,7 +567,8 @@ class TestOrderedSolves:
     def test_band_order_halves_the_traction_mesh(self):
         # the mesh of the traction_jumps benchmark: RCM gives 83 and 41
         data = element_data(af.build_ct_mesh(1.0, 0.05, 0.05, notch=False))
-        assert (data.dof_pattern.band.kd, data.node_pattern.band.kd) == (45, 22)
+        dofs = data.free_band(np.zeros(2 * data.n_nodes, dtype=bool))
+        assert (dofs.kd, data.node_band.kd) == (45, 22)
 
 
 class TestFactorFailures:
