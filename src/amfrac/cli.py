@@ -162,12 +162,14 @@ def _coerce(raw: str, typ, field: str):
 def _read_sections(path) -> dict:
     """Section -> {name: value}: a key is a name in ``_SECTIONS``, lower
     cased, and its value is coerced to that name's type."""
-    if not Path(path).exists():
-        raise ConfigError(f"config file {path} does not exist")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             parser.read_file(f)
+    except FileNotFoundError:
+        raise ConfigError(f"config file {path} does not exist") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         lineno = getattr(exc, "lineno", "?")
         raise ConfigError(f"{path}: parse error at line {lineno}: {exc}") from exc
@@ -399,25 +401,25 @@ def read_trace(rows: list, params: SchemeParams) -> Trace:
     return Trace(records=_from_rows(StepRecord, rows), scheme=params)
 
 
-def _malformed(name: str) -> int:
-    print(f"FAIL {name} is malformed")
-    return 1
+class _ArtifactError(Exception):
+    """A missing or malformed artifact: the one FAIL line of ``verify``."""
 
 
-def verify_dir(trace_dir) -> int:
-    """Re-run the trace-level diagnostics on stored artifacts.
-
-    The checks that need the damage fields are reported as not checked:
-    ``trace.csv`` holds none.  A missing or malformed artifact gives one
-    FAIL line that names it.
-    """
-    trace_dir = Path(trace_dir)
+def _read(trace_dir: Path, name: str) -> str:
+    """The text of artifact ``name``; ``_ArtifactError`` if it cannot be
+    read as UTF-8 text."""
     try:
-        manifest = (trace_dir / "manifest.json").read_text()
-        rows = (trace_dir / "trace.csv").read_text().strip().splitlines()
-    except FileNotFoundError as exc:
-        print(f"FAIL {Path(exc.filename).name} is missing")
-        return 1
+        return (trace_dir / name).read_text(encoding="utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise _ArtifactError(f"{name} is missing") from None
+    except (OSError, UnicodeDecodeError):
+        raise _ArtifactError(f"{name} is malformed") from None
+
+
+def _artifact_checks(trace_dir: Path) -> list:
+    """(name, verdict) pairs of the checks that ``verify_dir`` reports."""
+    manifest = _read(trace_dir, "manifest.json")
+    rows = _read(trace_dir, "trace.csv").strip().splitlines()
     try:
         scheme = dict(json.loads(manifest)["scheme"])
         kind = scheme.pop("norm_V")
@@ -426,31 +428,31 @@ def verify_dir(trace_dir) -> int:
         scheme.pop("alpha", None)  # older manifests record one for H1 too
         params = SchemeParams(norm_V=norm, **scheme)
     except (ValueError, KeyError, TypeError):
-        return _malformed("manifest.json")
+        raise _ArtifactError("manifest.json is malformed") from None
     if rows[:1] != [TRACE_HEADER]:
-        print("FAIL trace.csv header mismatch")
-        return 1
+        raise _ArtifactError("trace.csv header mismatch")
     if len(rows) < 2:
-        print("FAIL trace.csv holds no steps")
-        return 1
+        raise _ArtifactError("trace.csv holds no steps")
     try:
         trace = read_trace(rows[1:], params)
     except ValueError:
-        return _malformed("trace.csv")
+        raise _ArtifactError("trace.csv is malformed") from None
+    # a dropped or repeated jump row passes every per-step check
+    steps = [r.k for r in trace.records]
+    if steps != list(range(len(steps))):
+        raise _ArtifactError("trace.csv is malformed")
     checks = list(check_trace_invariants(trace).verdicts().items())
     checks.append(("complementarity", not complementarity_check(trace)))
-    bal_path = trace_dir / "balance.csv"
-    if bal_path.exists():
-        bal_rows = bal_path.read_text().strip().splitlines()
+    if (trace_dir / "balance.csv").exists():
+        bal_rows = _read(trace_dir, "balance.csv").strip().splitlines()
         if bal_rows[:1] != [BALANCE_HEADER]:
-            print("FAIL balance.csv header mismatch")
-            return 1
+            raise _ArtifactError("balance.csv header mismatch")
         try:
             bal = _from_rows(BalanceRow, bal_rows[1:])
         except ValueError:
-            return _malformed("balance.csv")
-        if not bal:
-            return _malformed("balance.csv")
+            raise _ArtifactError("balance.csv is malformed") from None
+        if [r.k for r in bal] != steps:
+            raise _ArtifactError("balance.csv is malformed")
         col = {name: np.array([getattr(r, name) for r in bal])
                for name in _init_fields(BalanceRow)}
         ident = col["dE"] + col["R_inc"] + col["visc"] - col["work"] - col["residual"]
@@ -459,6 +461,23 @@ def verify_dir(trace_dir) -> int:
         checks.append(("balance cumulative consistent",
                        bool(np.allclose(np.cumsum(col["residual"]), col["cum_residual"],
                                         atol=1e-12 * max(1, abs(col["cum_residual"][-1]))))))
+    return checks
+
+
+def verify_dir(trace_dir) -> int:
+    """Re-run the trace-level diagnostics on stored artifacts.
+
+    The checks that need the damage fields are reported as not checked:
+    ``trace.csv`` holds none.  A missing or malformed artifact gives one
+    FAIL line that names it: one that is not UTF-8 text, a ``trace.csv``
+    whose steps are not 0, 1, ..., N, or a ``balance.csv`` whose steps
+    differ from those of ``trace.csv`` is malformed.
+    """
+    try:
+        checks = _artifact_checks(Path(trace_dir))
+    except _ArtifactError as exc:
+        print(f"FAIL {exc}")
+        return 1
     status = 0
     for name, ok in checks:
         if ok is None:
@@ -521,10 +540,11 @@ def main(argv=None) -> int:
 
     name, _, values = args.param.partition("=")
     if not values:
-        print("sweep --param expects name=v1,v2,...", file=sys.stderr)
+        print("config error: --param expects name=v1,v2,...", file=sys.stderr)
         return 2
     if name not in ("rho", "alpha"):
-        print(f"unsupported sweep parameter {name!r}", file=sys.stderr)
+        print(f"config error: unsupported sweep parameter {name!r}",
+              file=sys.stderr)
         return 2
     try:
         points = [(raw, sweep_point(args.config, name, float(raw)))

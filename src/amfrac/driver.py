@@ -16,24 +16,28 @@ advances.
 -> (z, report)``, ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM
 stopping rule, the per-step ``record(k, t, dt, res, z_prev) ->
 StepRecord``, which carries ``||z - z_prev||_V`` for the time update,
-``fields(u, z)``, the snapshot of one step as a pair of arrays, and the two
-methods of the predicted start below.  ``FieldProblem`` is the
+``fields(u, z)``, the snapshot of one step as a pair of arrays,
+``predict(z_prev, z_pp)`` and, under a Dirichlet load only,
+``energy_bound(t, u_prev, z_prev)``.  ``FieldProblem`` is the
 finite-element implementation and ``zerodim.ScalarProblem`` the
 closed-form scalar one.
 
 Predicted start.  The artificial time advances by the same ``rho`` at
-every step, so the last damage increment predicts the next one: from step
-k = 1 on (with ``z_{-1} = z0``), the AM loop's first displacement solve
-sees ``predict(z_{k-1}, z_{k-2}) = min(z_{k-1}, max(0, 2 z_{k-1} -
-z_{k-2}))`` in place of ``z_{k-1}``.  Every damage solve keeps ``z_{k-1}``
-as its irreversibility bound and ball centre; the stopping rule is
-unchanged.  Plain AM from ``z_{k-1}`` decreases the energy at each solve,
-so its step meets the one-step bound ``E_k + R_k <= B_k = E(t_k, u~_{k-1},
-z_{k-1})``, where ``u~_{k-1}`` is ``u_{k-1}`` with its Dirichlet values
-moved to ``t_k``.  ``energy_bound(t, last, u_prev, z_prev)`` gives ``B_k``
-from the last record ``last``; it is evaluated before the loop.  A
-predicted step that breaks the bound (beyond round-off) is redone from
-``z_{k-1}``, that result is kept, and its record has ``am_redone`` set.
+every step, so the last damage increment predicts the next one: the AM
+loop's first displacement solve sees ``predict(z_{k-1}, z_{k-2}) =
+min(z_{k-1}, max(0, 2 z_{k-1} - z_{k-2}))`` in place of ``z_{k-1}``.
+Every damage solve keeps ``z_{k-1}`` as its irreversibility bound and ball
+centre; the stopping rule is unchanged.  Plain AM from ``z_{k-1}``
+decreases the energy at each solve, so its step meets the one-step bound
+``E_k + R_k <= B_k = E(t_k, u~_{k-1}, z_{k-1})``, where ``u~_{k-1}`` is
+``u_{k-1}`` with its Dirichlet values moved to ``t_k``.  A predicted step
+that breaks the bound (beyond round-off) is redone from ``z_{k-1}``, that
+result is kept, and its record has ``am_redone`` set.  Under a traction
+ramp ``B_k = E_{k-1} - (t_k - t_{k-1}) P_{k-1}``, with ``P`` the load
+power of the last record; under a Dirichlet load ``energy_bound`` gives
+it.  Step 0 runs through the same body with ``z_{-2} = z_{-1} = z0``, so
+its prediction is ``z0``, and with ``B_0 = +inf``: there is no previous
+state to bound it.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .assembly import State, field_norm_V, lumped_weights, reaction_force, total
 from .mesh import Mesh
 from .model import (
     DIRICHLET_RAMP,
+    TRACTION_RAMP,
     LoadProgram,
     MaterialModel,
     SchemeParams,
@@ -117,13 +122,13 @@ class Trace:
 
 @dataclass(eq=False)
 class AMResult:
-    """Outcome of one AM loop; ``z_report`` is the subproblem's report of
-    the last damage solve."""
+    """Outcome of one AM loop: the last displacement and damage iterates,
+    the number of iterations, the subproblem's report of the last damage
+    solve and whether the stopping rule was met."""
 
     u: np.ndarray
     z: np.ndarray
     iters: int
-    first_u: np.ndarray
     z_report: object
     converged: bool
 
@@ -143,13 +148,11 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
     tol = problem.params.tol_am
     z_i = z_prev if z_start is None else z_start
     u_ref = u_prev
-    first_u = report = None
+    report = None
     converged = False
     i = 0
     for i in range(1, problem.params.max_am_iters + 1):
         u_i = problem.solve_u(t, z_i)
-        if i == 1:
-            first_u = u_i
         z_new, report = problem.solve_z(t, u_i, z_prev, rho)
         if u_ref is None:
             du = math.inf
@@ -162,7 +165,7 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
             converged = True
             break
     # positional: the scalar model runs this once per step
-    return AMResult(u_ref, z_i, i, first_u, report, converged)
+    return AMResult(u_ref, z_i, i, report, converged)
 
 
 def time_update(t_k: float, dz_norm_V: float, rho: float, T: float) -> float:
@@ -207,10 +210,12 @@ def evolve(problem, z0, times: np.ndarray | None = None,
 
     Without ``times`` the steps are adaptive (radius ``params.rho``, time
     update ``time_update``).  With ``times`` the ball is switched off
-    (``rho = inf``) and step k runs at ``times[k]``.  The first step (k = 0)
-    re-minimizes at the initial time against ``z0``, so a jump at the
-    initial time is detected.  A ``SolverFailure`` aborts the run with the
-    partial trace attached as ``partial_trace``.
+    (``rho = inf``) and step k runs at ``times[k]``.  Every step, the
+    first (k = 0) included, runs the predicted AM loop of the module
+    docstring; step 0 re-minimizes at the initial time against ``z0``, so
+    a jump at the initial time is detected.  ``trace.u_init`` is the
+    displacement solve at ``z0`` and the initial time.  A ``SolverFailure``
+    aborts the run with the partial trace attached as ``partial_trace``.
     """
     if not (np.min(z0) >= 0.0 and np.max(z0) <= 1.0):
         raise ValueError("initial damage must lie in [0, 1]")
@@ -219,32 +224,26 @@ def evolve(problem, z0, times: np.ndarray | None = None,
     rho = params.rho if adaptive else math.inf
     max_steps = params.max_steps or (10 * math.ceil(params.T / params.rho)
                                      + 100000)
+    traction = problem.load_mode == TRACTION_RAMP
     trace = Trace(scheme=params, z0=np.array(z0, ndmin=1),
                   load_mode=problem.load_mode)
     z_prev = z_pp = z0
     u_prev = None
     t = t_prev = 0.0 if adaptive else times[0]
+    bound = math.inf
     k = 0
     try:
+        u_init = problem.solve_u(t, z0)
+        trace.u_init = np.array(u_init, ndmin=1)
+        trace.energy_init = problem.energy(0.0, u_init, z0)
         while True:
-            if k == 0:
-                res = am_loop(problem, t, z_prev, rho)
-                trace.u_init = np.array(res.first_u, ndmin=1)
-                trace.energy_init = problem.energy(0.0, res.first_u, z0)
-                record = problem.record(k, t, 0.0, res, z_prev)
-            else:
-                # before the loop, so that a bound evaluated at a new
-                # displacement does not evict what the record reuses
-                bound = problem.energy_bound(t, trace.records[-1], u_prev,
-                                             z_prev)
-                res = am_loop(problem, t, z_prev, rho, u_prev,
-                              problem.predict(z_prev, z_pp))
-                dt = t - t_prev
-                record = problem.record(k, t, dt, res, z_prev)
-                if _breaks_bound(record, bound):
-                    res = am_loop(problem, t, z_prev, rho, u_prev)
-                    record = problem.record(k, t, dt, res, z_prev)
-                    record.am_redone = True
+            res = am_loop(problem, t, z_prev, rho, u_prev,
+                          problem.predict(z_prev, z_pp))
+            record = problem.record(k, t, t - t_prev, res, z_prev)
+            if _breaks_bound(record, bound):
+                res = am_loop(problem, t, z_prev, rho, u_prev)
+                record = problem.record(k, t, t - t_prev, res, z_prev)
+                record.am_redone = True
             prev_dt = trace.records[-1].dt if trace.records else 1.0
             is_final = t >= params.T if adaptive else k == len(times) - 1
             if _store_snapshot(k, record.dt, prev_dt, is_final, params):
@@ -261,6 +260,12 @@ def evolve(problem, z0, times: np.ndarray | None = None,
                                     steps=k, t=t)
             else:
                 t_next = time_update(t, record.dz_norm_V, params.rho, params.T)
+            # after the record, so that a bound evaluated at a new
+            # displacement does not evict what the record reuses
+            if traction:
+                bound = record.energy - (t_next - t) * record.load_power
+            else:
+                bound = problem.energy_bound(t_next, res.u, res.z)
             z_pp, z_prev, u_prev = z_prev, res.z, res.u
             t_prev, t = t, t_next
             k += 1
@@ -305,13 +310,11 @@ class FieldProblem:
         ``[0, z_prev]``."""
         return np.minimum(z_prev, np.maximum(0.0, 2.0 * z_prev - z_pp))
 
-    def energy_bound(self, t, last: StepRecord, u_prev, z_prev) -> float:
-        """``E(t, u~, z_prev)``, with ``u~`` the last displacement
-        ``u_prev`` with its Dirichlet values moved to ``t``."""
-        if self.load_mode == DIRICHLET_RAMP:
-            mask, values = self.load.dirichlet_dofs(self.mesh)
-            return self.energy(t, np.where(mask, values(t), u_prev), z_prev)
-        return last.energy - (t - last.t) * last.load_power
+    def energy_bound(self, t, u_prev, z_prev) -> float:
+        """``E(t, u~, z_prev)`` under a Dirichlet load, with ``u~`` the last
+        displacement ``u_prev`` with its Dirichlet values moved to ``t``."""
+        mask, values = self.load.dirichlet_dofs(self.mesh)
+        return self.energy(t, np.where(mask, values(t), u_prev), z_prev)
 
     @staticmethod
     def fields(u, z):

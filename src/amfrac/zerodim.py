@@ -183,13 +183,6 @@ class ScalarProblem:
         return z if z < z_prev else z_prev
 
     @staticmethod
-    def energy_bound(t, last, u_prev, z_prev):
-        """``E(t, u_prev, z_prev)`` from the last record: the load is a
-        traction ramp, so the energy falls by the load power times the
-        time increment."""
-        return last.energy - (t - last.t) * last.load_power
-
-    @staticmethod
     def fields(u: float, z: float):
         return np.array([u]), np.array([z])
 

@@ -106,6 +106,22 @@ class TestTotalEnergy:
         with pytest.raises(ValueError):
             af.total_energy(st, mesh, model, no_load())
 
+    def test_damage_dimension_mismatch(self):
+        mesh = small_mesh()
+        model = af.MaterialModel(young_E=1.0, poisson_nu=0.0)
+        st = af.State(0.0, np.zeros(2 * mesh.n_nodes), np.ones(3))
+        with pytest.raises(ValueError, match="damage vector of size"):
+            af.total_energy(st, mesh, model, no_load())
+
+    def test_clockwise_element_is_rejected(self):
+        mesh = af.Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
+                                       [0.0, 1.0]]),
+                       elements=np.array([[0, 3, 2, 1]]),
+                       boundary_sets={"clamped": np.array([0, 3]),
+                                      "loaded": np.array([1, 2])})
+        with pytest.raises(ValueError, match="non-positive Jacobian"):
+            element_data(mesh)
+
 
 class TestGradU:
     def test_zero_state(self):

@@ -388,13 +388,34 @@ class TestExecute:
         ("trace.csv", lambda rows: rows[:3] + ["3,abc"] + rows[4:]),
         ("manifest.json", lambda rows: ["{"]),
         ("balance.csv", lambda rows: rows[:2] + ["1,0.5"]),
-    ], ids=["trace-row-cut", "manifest-not-json", "balance-row-cut"])
+        # row i + 1 is step i; step 47 is a jump, so dt + ||dz||_V = rho
+        # holds on both sides of the gap
+        ("trace.csv", lambda rows: rows[:48] + rows[49:]),
+        ("trace.csv", lambda rows: rows[:49] + rows[48:]),
+        ("balance.csv", lambda rows: rows[:15] + [
+            "99," + rows[15].split(",", 1)[1]] + rows[16:]),
+        ("balance.csv", lambda rows: rows[:1]),
+    ], ids=["trace-row-cut", "manifest-not-json", "balance-row-cut",
+            "trace-step-missing", "trace-step-repeated", "balance-step-99",
+            "balance-header-only"])
     def test_verify_fails_on_malformed_artifact(self, tmp_path, capsys, name,
                                                 edit):
         out = tmp_path / "zd"
         execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
         path = out / name
         path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        assert verify_dir(out) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"FAIL {name} is malformed"]
+
+    @pytest.mark.parametrize("name", ["manifest.json", "trace.csv",
+                                      "balance.csv"])
+    def test_verify_fails_on_an_artifact_that_is_not_utf8(self, tmp_path,
+                                                          capsys, name):
+        out = tmp_path / "zd"
+        execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
+        path = out / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
         assert verify_dir(out) == 1
         assert capsys.readouterr().out.splitlines() == [
             f"FAIL {name} is malformed"]
@@ -513,6 +534,13 @@ class TestMain:
         assert main(["run", str(cfg_path)]) == 0
         assert (out / "trace.csv").exists()
 
+    def test_run_out_overrides_the_output_directory(self, tmp_path):
+        out, other = tmp_path / "zd", tmp_path / "other"
+        cfg_path = write(tmp_path, ZERODIM_CFG.format(out=out))
+        assert main(["run", str(cfg_path), "--out", str(other)]) == 0
+        assert (other / "trace.csv").exists()
+        assert not out.exists()
+
     def test_sweep_verb(self, tmp_path):
         out = tmp_path / "sweep"
         cfg_path = write(tmp_path, ZERODIM_CFG.format(out=out))
@@ -549,6 +577,25 @@ class TestMain:
     def test_config_error_exit_code(self, tmp_path):
         bad = write(tmp_path, "[experiment]\nname = nope\n")
         assert main(["run", str(bad)]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        out = tmp_path / "zd"
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(ZERODIM_CFG.format(out=out).encode() + b"#\xff\n")
+        assert main(["run", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_of_a_file_names_the_missing_manifest(self, tmp_path,
+                                                         capsys):
+        path = write(tmp_path, "not a run directory\n", "notes.txt")
+        assert main(["verify", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL manifest.json is missing"]
 
     @pytest.mark.parametrize("experiment, extra, sweep", [
         ("zerodim", "[scheme]\nrho = -1\n", None),
@@ -589,6 +636,11 @@ class TestMain:
         ("zerodim", "[scheme]\nnorm_v = h1\nalpha = 3\n", None),
         ("ct", "[load]\nmode = traction\nu_max = 0.1\n", None),
         ("ct", "[load]\ntraction_rate = 2\n", None),
+        ("ct", "[load]\ndirection = z\n", None),
+        ("ct", "[load]\nmode = pressure\n", None),
+        ("ct", "[mesh]\nnotch = hole\n", None),
+        ("zerodim", "", "rho"),
+        ("zerodim", "", "theta=0.1"),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
             "sweep_alpha=1", "sweep_alpha_h1", "zerodim_material",
@@ -599,7 +651,9 @@ class TestMain:
             "young_e=inf", "u_max=nan", "zerodim_kappa_e=0",
             "zerodim_kappa_e=-0.5", "damage_notch_off_mid_height",
             "damage_notch_tip_off_grid", "coarse_h_off_fine_grid",
-            "h1_alpha", "traction_u_max", "dirichlet_traction_rate"])
+            "h1_alpha", "traction_u_max", "dirichlet_traction_rate",
+            "load_direction_z", "load_mode_pressure", "notch_hole",
+            "sweep_without_values", "sweep_theta"])
     def test_invalid_input_is_config_error(self, tmp_path, capsys, experiment,
                                            extra, sweep):
         text = ZERODIM_CFG.replace("zerodim", experiment)

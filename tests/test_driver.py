@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import amfrac as af
+import amfrac.driver as driver
 from amfrac.diagnostics import check_trace_invariants, complementarity_check
 from amfrac.driver import FieldProblem, evolve
 from amfrac.solvers import SolverFailure
@@ -252,6 +253,12 @@ class TestRun:
 
 
 class TestPureAM:
+    def test_time_grid_must_start_at_zero(self, ct_coarse_setup):
+        mesh, model, load, params = ct_coarse_setup
+        with pytest.raises(ValueError, match="start at 0"):
+            af.run_pure_am(mesh, model, load, params, np.ones(mesh.n_nodes),
+                           n_steps=0, times=[0.5, 1.0])
+
     def test_large_radius_matches_pure_am_on_same_grid(self, ct_coarse_setup):
         """Once the radius exceeds every damage increment, the adaptive
         scheme is a staggered run; replaying its own grid without the ball
@@ -340,8 +347,9 @@ class TestPredictedStart:
 
         predicted = run()
         with monkeypatch.context() as m:
-            for cls in (FieldProblem, ScalarProblem):
-                m.setattr(cls, "energy_bound", lambda *args: -math.inf)
+            # every finite bound breaks; step 0's bound is +inf
+            m.setattr(driver, "_breaks_bound",
+                      lambda record, bound: bound < math.inf)
             redone = run()
         for cls in (FieldProblem, ScalarProblem):
             monkeypatch.setattr(cls, "predict",

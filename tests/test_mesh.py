@@ -82,6 +82,13 @@ class TestCTMesh:
             af.build_ct_mesh(1.0, 0.1, 0.01, refine_band=((0.9, 0.2), (0.4, 0.6)))
         with pytest.raises(MeshConfigError):
             af.build_ct_mesh(1.0, 0.1, 0.01, refine_band=((2.0, 3.0), (0.4, 0.6)))
+        with pytest.raises(MeshConfigError, match="positive"):
+            af.build_ct_mesh(1.0, 0.1, 0.0)
+        # the L-shape builder clips its band to the plate, so a band wholly
+        # outside it is empty
+        with pytest.raises(MeshConfigError, match="degenerate"):
+            af.build_lshape_mesh(250.0, 50.0, 25.0,
+                                 refine_band=((600.0, 700.0), (0.0, 100.0)))
 
 
 class TestLShapeMesh:

@@ -136,6 +136,15 @@ class TestValidation:
         with pytest.raises(ModelConfigError):
             af.MaterialModel(young_E=1.0, poisson_nu=0.0, eta=0.0)
 
+    def test_bad_load_mode(self):
+        with pytest.raises(ModelConfigError, match="unknown load mode"):
+            af.LoadProgram(mode="PRESSURE_RAMP", T=1.0)
+
+    def test_displacement_control_needs_an_axis_aligned_direction(self):
+        load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(1, 1))
+        with pytest.raises(ModelConfigError, match="axis-aligned"):
+            load.dirichlet_dofs(af.build_ct_mesh(1.0, 0.5, 0.5, notch=False))
+
     def test_load_direction_normalized(self):
         load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(0, 2))
         assert load.direction == (0.0, 1.0)
