@@ -572,11 +572,11 @@ def dual_norm_lumped(d: np.ndarray, weights: np.ndarray, norm: NormSpec) -> floa
 # ---------------------------------------------------------------------------
 
 def reaction_force(state: State, mesh: Mesh, model: MaterialModel,
-                   load: LoadProgram, node_set: str = "loaded") -> float:
-    """Reaction along the load direction on a Dirichlet node set (N)."""
+                   load: LoadProgram) -> float:
+    """Reaction along the load direction on the "loaded" node set (N)."""
     if load.mode != DIRICHLET_RAMP:
         raise ValueError("reaction_force is defined for displacement control only")
     r = grad_u(state, mesh, model, load)
-    nodes = mesh.boundary_sets[node_set]
+    nodes = mesh.boundary_sets["loaded"]
     d = np.asarray(load.direction)
     return float(d[0] * r[2 * nodes].sum() + d[1] * r[2 * nodes + 1].sum())

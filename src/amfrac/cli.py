@@ -345,10 +345,13 @@ def execute(cfg: RunConfig) -> int:
     """Run one configured experiment; artifacts land in cfg.output_dir.
 
     Returns a process exit status; solver failures keep partial artifacts
-    and return nonzero.
+    and return nonzero.  The VTK snapshots of an earlier run into the same
+    directory are removed first, so the directory holds this run's only.
     """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
+    for stale in outdir.glob("fields_*.vtk"):
+        stale.unlink()
     with open(outdir / "manifest.json", "w") as f:
         json.dump(_manifest(cfg), f, indent=2, sort_keys=True)
 
@@ -394,11 +397,15 @@ def execute(cfg: RunConfig) -> int:
 # Verification of stored artifacts
 # ---------------------------------------------------------------------------
 
-def read_trace(rows: list, params: SchemeParams) -> Trace:
-    """A ``Trace`` without fields from the data rows of ``trace.csv`` and
-    the scheme of ``manifest.json``.  Raises ``ValueError`` on a malformed
+def read_trace(rows: list, params: SchemeParams, load_mode: str) -> Trace:
+    """A ``Trace`` without fields from the data rows of ``trace.csv``, the
+    scheme of ``manifest.json`` and the run's load mode (``TRACTION_RAMP``
+    for the scalar model), which selects the work term of
+    ``energy_balance``.  ``trace.csv`` does not hold the initial energy,
+    so ``energy_init`` is left at 0.  Raises ``ValueError`` on a malformed
     row."""
-    return Trace(records=_from_rows(StepRecord, rows), scheme=params)
+    return Trace(records=_from_rows(StepRecord, rows), scheme=params,
+                 load_mode=load_mode)
 
 
 class _ArtifactError(Exception):
@@ -417,24 +424,33 @@ def _read(trace_dir: Path, name: str) -> str:
 
 
 def _artifact_checks(trace_dir: Path) -> list:
-    """(name, verdict) pairs of the checks that ``verify_dir`` reports."""
-    manifest = _read(trace_dir, "manifest.json")
-    rows = _read(trace_dir, "trace.csv").strip().splitlines()
+    """(name, verdict) pairs of the checks that ``verify_dir`` reports: the
+    trace invariants, complementarity, and whether ``balance.csv`` is the
+    ledger that ``energy_balance`` derives from ``trace.csv`` under the
+    manifest's load.  The one value that ``trace.csv`` lacks, the initial
+    energy, is taken from ``balance.csv``'s first row as ``E_0 - dE_0``;
+    every other cell must match within 1e-12 of the largest magnitude in
+    its column."""
     try:
-        scheme = dict(json.loads(manifest)["scheme"])
+        manifest = json.loads(_read(trace_dir, "manifest.json"))
+        scheme = dict(manifest["scheme"])
         kind = scheme.pop("norm_V")
         norm = (NormSpec(kind, scheme.pop("alpha")) if kind == "lalpha"
                 else NormSpec(kind))
         scheme.pop("alpha", None)  # older manifests record one for H1 too
         params = SchemeParams(norm_V=norm, **scheme)
+        load = (None if "zerodim" in manifest
+                else LoadProgram(T=params.T, **manifest["load"]))
     except (ValueError, KeyError, TypeError):
         raise _ArtifactError("manifest.json is malformed") from None
+    rows = _read(trace_dir, "trace.csv").strip().splitlines()
     if rows[:1] != [TRACE_HEADER]:
         raise _ArtifactError("trace.csv header mismatch")
     if len(rows) < 2:
         raise _ArtifactError("trace.csv holds no steps")
     try:
-        trace = read_trace(rows[1:], params)
+        trace = read_trace(rows[1:], params,
+                           TRACTION_RAMP if load is None else load.mode)
     except ValueError:
         raise _ArtifactError("trace.csv is malformed") from None
     # a dropped or repeated jump row passes every per-step check
@@ -443,24 +459,20 @@ def _artifact_checks(trace_dir: Path) -> list:
         raise _ArtifactError("trace.csv is malformed")
     checks = list(check_trace_invariants(trace).verdicts().items())
     checks.append(("complementarity", not complementarity_check(trace)))
-    if (trace_dir / "balance.csv").exists():
-        bal_rows = _read(trace_dir, "balance.csv").strip().splitlines()
-        if bal_rows[:1] != [BALANCE_HEADER]:
-            raise _ArtifactError("balance.csv header mismatch")
-        try:
-            bal = _from_rows(BalanceRow, bal_rows[1:])
-        except ValueError:
-            raise _ArtifactError("balance.csv is malformed") from None
-        if [r.k for r in bal] != steps:
-            raise _ArtifactError("balance.csv is malformed")
-        col = {name: np.array([getattr(r, name) for r in bal])
-               for name in _init_fields(BalanceRow)}
-        ident = col["dE"] + col["R_inc"] + col["visc"] - col["work"] - col["residual"]
-        checks.append(("balance rows close",
-                       bool(np.all(np.abs(ident) <= 1e-10 * (1 + np.abs(col["dE"]).max())))))
-        checks.append(("balance cumulative consistent",
-                       bool(np.allclose(np.cumsum(col["residual"]), col["cum_residual"],
-                                        atol=1e-12 * max(1, abs(col["cum_residual"][-1]))))))
+    bal_rows = _read(trace_dir, "balance.csv").strip().splitlines()
+    if bal_rows[:1] != [BALANCE_HEADER]:
+        raise _ArtifactError("balance.csv header mismatch")
+    try:
+        bal = _from_rows(BalanceRow, bal_rows[1:])
+    except ValueError:
+        raise _ArtifactError("balance.csv is malformed") from None
+    if [r.k for r in bal] != steps:
+        raise _ArtifactError("balance.csv is malformed")
+    trace.energy_init = trace.records[0].energy - bal[0].dE
+    stored, derived = (np.array([dataclasses.astuple(r) for r in ledger])
+                       for ledger in (bal, energy_balance(trace, load).rows))
+    close = np.abs(derived - stored) <= 1e-12 * np.abs(stored).max(axis=0)
+    checks.append(("balance.csv is the ledger of trace.csv", bool(close.all())))
     return checks
 
 
@@ -468,10 +480,13 @@ def verify_dir(trace_dir) -> int:
     """Re-run the trace-level diagnostics on stored artifacts.
 
     The checks that need the damage fields are reported as not checked:
-    ``trace.csv`` holds none.  A missing or malformed artifact gives one
-    FAIL line that names it: one that is not UTF-8 text, a ``trace.csv``
-    whose steps are not 0, 1, ..., N, or a ``balance.csv`` whose steps
-    differ from those of ``trace.csv`` is malformed.
+    ``trace.csv`` holds none.  ``balance.csv`` is checked against the
+    ledger that ``energy_balance`` derives from ``trace.csv``.  A missing
+    or malformed artifact gives one FAIL line that names it: one that is
+    not UTF-8 text, a ``trace.csv`` whose steps are not 0, 1, ..., N, or a
+    ``balance.csv`` whose steps differ from those of ``trace.csv`` is
+    malformed.  ``balance.csv`` is read after the checks of ``trace.csv``,
+    so a trace without steps is named as such.
     """
     try:
         checks = _artifact_checks(Path(trace_dir))

@@ -246,15 +246,23 @@ class TestArtifactFormat:
                 return traces[-1]
             monkeypatch.setattr(cli, name, keep)
         out = tmp_path / "out"
-        assert execute(load_config(write(tmp_path, text.format(out=out)))) == 0
+        cfg = load_config(write(tmp_path, text.format(out=out)))
+        assert execute(cfg) == 0
         rows = (out / "trace.csv").read_text().splitlines()
         (trace,) = traces
-        assert read_trace(rows[1:], trace.scheme).records == trace.records
+        read = read_trace(rows[1:], trace.scheme, trace.load_mode)
+        assert read.records == trace.records
+        # with the initial energy, which trace.csv lacks, the ledger of the
+        # read-back trace is balance.csv
+        read.energy_init = trace.energy_init
+        balance = (out / "balance.csv").read_text().splitlines()
+        assert [cli._csv_row(row) for row in
+                energy_balance(read, cfg.load).rows] == balance[1:]
 
     def test_read_trace_of_an_h1_scheme_flags_the_surrogate(self, h1_trace):
         mesh, model, load, params, trace = h1_trace
         rows = [cli._csv_row(r) for r in trace.records]
-        read = read_trace(rows, params)
+        read = read_trace(rows, params, load.mode)
         assert read.dual_surrogate
         assert energy_balance(read, load).dual_surrogate
 
@@ -369,10 +377,10 @@ class TestExecute:
         assert "not checked: irreversibility" in captured.err
 
     def test_verify_fails_on_trace_without_steps(self, tmp_path, capsys):
-        # a header-only trace, an empty trace and a missing manifest each
-        # give one FAIL line
+        # a header-only trace, an empty trace, a missing manifest and a
+        # missing balance.csv each give one FAIL line
         cases = [("trace.csv", TRACE_HEADER + "\n"), ("trace.csv", ""),
-                 ("manifest.json", None)]
+                 ("manifest.json", None), ("balance.csv", None)]
         for i, (name, text) in enumerate(cases):
             out = tmp_path / f"zd{i}"
             execute(load_config(write(tmp_path, ZERODIM_CFG.format(out=out))))
@@ -383,6 +391,45 @@ class TestExecute:
             assert verify_dir(out) == 1
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == 1 and lines[0].startswith("FAIL"), lines
+
+    @pytest.mark.parametrize("text", [ZERODIM_CFG, CUSTOM_CFG, TRACTION_H1_CFG],
+                             ids=["zerodim", "custom", "traction-h1"])
+    def test_verify_fails_on_a_ledger_that_is_not_the_traces(self, tmp_path,
+                                                              capsys, text):
+        """An edit of ``balance.csv`` that keeps every row's identity
+        ``dE + R_inc + visc - work = residual`` and the running sum of the
+        residuals is caught: the ledger is derived again from
+        ``trace.csv``."""
+        out = tmp_path / "out"
+        assert execute(load_config(write(tmp_path, text.format(out=out)))) == 0
+        path = out / "balance.csv"
+        header, *rows = path.read_text().splitlines()
+        ledger = cli._from_rows(BalanceRow, rows)
+        j = len(ledger) // 2
+        ledger[j].R_inc += 1.0
+        ledger[j].residual += 1.0
+        for row in ledger[j:]:
+            row.cum_residual += 1.0
+        path.write_text("\n".join([header, *map(cli._csv_row, ledger)]) + "\n")
+        assert verify_dir(out) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith("PASS")] == [
+            "FAIL balance.csv is the ledger of trace.csv"]
+
+    def test_a_rerun_replaces_the_snapshots(self, tmp_path):
+        """A second run into a directory leaves the files that a fresh
+        directory gets: the first run's VTK snapshots are gone."""
+        def run_into(out, T):
+            text = CUSTOM_CFG.format(out=out).replace("[scheme]\n",
+                                                      f"[scheme]\nt = {T}\n")
+            assert execute(load_config(write(tmp_path, text))) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()
+                    if p.name != "manifest.json"}  # it records the directory
+
+        first = run_into(tmp_path / "again", 0.3)
+        second = run_into(tmp_path / "again", 0.1)
+        assert len(first) > len(second)
+        assert second == run_into(tmp_path / "fresh", 0.1)
 
     @pytest.mark.parametrize("name, edit", [
         ("trace.csv", lambda rows: rows[:3] + ["3,abc"] + rows[4:]),

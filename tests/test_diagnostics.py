@@ -274,32 +274,61 @@ class TestNormalizationResiduals:
 
 
 class TestInvariantReport:
-    def test_time_decrease_fails_monotone_time(self, zerodim_trace):
+    # each edit replaces fields of one record, given that record, the one
+    # before it and rho; k = 50 is a step in the middle of the scalar run
+    @pytest.mark.parametrize("k, edit, failed", [
+        (50, lambda r, prev, rho: dict(t=prev.t - 1e-9), ["monotone time"]),
+        (50, lambda r, prev, rho: dict(dt=-1e-3),
+         ["dt within [0, rho]", "normalization identity"]),
+        (50, lambda r, prev, rho: dict(dt=2 * rho),
+         ["dt within [0, rho]", "normalization identity"]),
+        (50, lambda r, prev, rho: dict(dz_norm_V=2 * rho),
+         ["dz within ball", "normalization identity"]),
+        (-1, lambda r, prev, rho: dict(t=r.t - 1e-3), ["final time reached"]),
+        (-1, lambda r, prev, rho: dict(dt=rho), ["last step bounded"]),
+    ], ids=["time-decrease", "dt-negative", "dt-above-rho", "dz-outside-ball",
+            "final-time-short", "last-step-full"])
+    def test_time_decrease_fails_monotone_time(self, zerodim_trace, k, edit,
+                                               failed):
+        """Every verdict on the scalars of ``trace.csv`` fails on an edit of
+        one record, and only the verdicts that the edit breaks fail."""
         trace = zerodim_trace[-1]
         assert check_trace_invariants(trace).ok()
         recs = list(trace.records)
-        k = len(recs) // 2
-        recs[k] = dataclasses.replace(recs[k], t=recs[k - 1].t - 1e-9)
+        recs[k] = dataclasses.replace(
+            recs[k], **edit(recs[k], recs[k - 1], trace.scheme.rho))
         report = check_trace_invariants(dataclasses.replace(trace, records=recs))
-        failed = [name for name, ok in report.verdicts().items() if ok is False]
-        assert failed == ["monotone time"]
+        assert [name for name, ok in report.verdicts().items()
+                if ok is False] == failed
         assert not report.ok()
 
-    def test_partial_trace_is_checked_on_its_stored_steps(self):
+    @pytest.mark.parametrize("stored_step, shift, failed", [
+        (-2, 1e-3, ["irreversibility"]),
+        (-1, None, ["z within [0, 1]"]),
+    ], ids=["irreversibility", "z-below-0"])
+    def test_partial_trace_is_checked_on_its_stored_steps(self, stored_step,
+                                                          shift, failed):
         """A run with the default ``store_all_snapshots=False`` keeps some
-        fields; irreversibility runs from z0 through the stored steps."""
+        fields; irreversibility runs from z0 through the stored steps, and
+        the bounds of z hold at each of them.  ``shift`` raises a stored
+        step's z above that of the stored step before it; without one, a
+        z entry of the stored step is set to -0.1."""
         trace = run_zero_dim(ZeroDimModel(), af.SchemeParams(rho=0.02, T=1.0))
         stored = sorted(trace.snapshots)
         assert 1 < len(stored) < len(trace.records)
         assert check_trace_invariants(trace).ok()
-        k_prev, k = stored[-3], stored[-2]
+        k = stored[stored_step]
         u, z = trace.snapshots[k]
-        snapshots = {**trace.snapshots, k: (u, trace.snapshots[k_prev][1] + 1e-3)}
-        assert snapshots[k][1].max() <= 1.0
+        if shift is None:
+            z = z.copy()
+            z[0] = -0.1
+        else:
+            z = trace.snapshots[stored[stored_step - 1]][1] + shift
+            assert z.max() <= 1.0
         report = check_trace_invariants(
-            dataclasses.replace(trace, snapshots=snapshots))
-        failed = [name for name, ok in report.verdicts().items() if ok is False]
-        assert failed == ["irreversibility"]
+            dataclasses.replace(trace, snapshots={**trace.snapshots, k: (u, z)}))
+        assert [name for name, ok in report.verdicts().items()
+                if ok is False] == failed
 
 
 class TestEnergyBalance:
