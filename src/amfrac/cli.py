@@ -345,11 +345,17 @@ def execute(cfg: RunConfig) -> int:
     """Run one configured experiment; artifacts land in cfg.output_dir.
 
     Returns a process exit status; solver failures keep partial artifacts
-    and return nonzero.  The VTK snapshots of an earlier run into the same
-    directory are removed first, so the directory holds this run's only.
+    and return nonzero.  An output directory that cannot be created (a
+    file in its place) is a ``ConfigError``, raised before anything is
+    written.  The VTK snapshots of an earlier run into the same directory
+    are removed first, so the directory holds this run's only.
     """
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: "
+                          f"{exc.strerror}") from None
     for stale in outdir.glob("fields_*.vtk"):
         stale.unlink()
     with open(outdir / "manifest.json", "w") as f:
@@ -519,6 +525,34 @@ def sweep_point(config_path, name: str, val: float) -> RunConfig:
     return _resolve(data)
 
 
+def _execute_verb(args) -> int:
+    """Exit status of ``run`` or ``sweep``; ``ConfigError`` on an invalid
+    config, ``--param`` or output directory."""
+    cfg = load_config(args.config)
+    if args.out:
+        cfg.output_dir = args.out
+
+    if args.verb == "run":
+        return execute(cfg)
+
+    name, _, values = args.param.partition("=")
+    if not values:
+        raise ConfigError("--param expects name=v1,v2,...")
+    if name not in ("rho", "alpha"):
+        raise ConfigError(f"unsupported sweep parameter {name!r}")
+    try:
+        points = [(raw, sweep_point(args.config, name, float(raw)))
+                  for raw in values.split(",")]
+    except ValueError as exc:  # ConfigError, float()
+        raise ConfigError(f"--param {name}: {exc}") from exc
+    status = 0
+    base = Path(cfg.output_dir)
+    for raw, sub_cfg in points:
+        sub_cfg.output_dir = str(base / f"{name}_{raw}")
+        status |= execute(sub_cfg)
+    return status
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="amfrac",
                                  description="adaptive phase-field fracture runs")
@@ -541,38 +575,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.verb == "verify":
         return verify_dir(args.trace_dir)
-
     try:
-        cfg = load_config(args.config)
+        return _execute_verb(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        cfg.output_dir = args.out
-
-    if args.verb == "run":
-        return execute(cfg)
-
-    name, _, values = args.param.partition("=")
-    if not values:
-        print("config error: --param expects name=v1,v2,...", file=sys.stderr)
-        return 2
-    if name not in ("rho", "alpha"):
-        print(f"config error: unsupported sweep parameter {name!r}",
-              file=sys.stderr)
-        return 2
-    try:
-        points = [(raw, sweep_point(args.config, name, float(raw)))
-                  for raw in values.split(",")]
-    except ValueError as exc:  # ConfigError, float()
-        print(f"config error: --param {name}: {exc}", file=sys.stderr)
-        return 2
-    status = 0
-    base = Path(cfg.output_dir)
-    for raw, sub_cfg in points:
-        sub_cfg.output_dir = str(base / f"{name}_{raw}")
-        status |= execute(sub_cfg)
-    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,13 +15,16 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .assembly import State, dual_norm_lumped, grad_z, lumped_weights
-from .driver import Trace
 from .mesh import Mesh
 from .model import DIRICHLET_RAMP, LoadProgram, MaterialModel, NormSpec
+
+if TYPE_CHECKING:
+    from .driver import Trace
 
 
 def stable_set_distance(density: np.ndarray, weights: np.ndarray,

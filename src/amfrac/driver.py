@@ -47,6 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import diagnostics
 from .assembly import State, field_norm_V, lumped_weights, reaction_force, total_energy
 from .mesh import Mesh
 from .model import (
@@ -321,8 +322,6 @@ class FieldProblem:
         return u.copy(), z.copy()
 
     def record(self, k, t, dt, res: AMResult, z_prev) -> StepRecord:
-        from .diagnostics import dual_distance  # diagnostics imports Trace
-
         state = State(t, res.u, res.z)
         dz = res.z - z_prev
         rep = res.z_report
@@ -336,8 +335,8 @@ class FieldProblem:
             R_increment=self.dissipation(dz),
             reaction=(reaction_force(state, self.mesh, self.model, self.load)
                       if self.load.mode == DIRICHLET_RAMP else 0.0),
-            dual_distance=dual_distance(state, self.mesh, self.model,
-                                        self.params.norm_V),
+            dual_distance=diagnostics.dual_distance(
+                state, self.mesh, self.model, self.params.norm_V),
             xi_norm=rep.xi_norm_dual,
             ball_active=rep.constraint_active,
             load_power=float(self.f1 @ res.u),

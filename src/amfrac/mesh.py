@@ -9,7 +9,8 @@ duplicates the slit-row nodes left of its tip, and the L-shape drops the
 cells of the cut quadrant.  No list of slit edges is kept; the two lips are
 the pairs of coincident nodes.  All coordinates are quantized to the fine
 cell size, so geometric anchors (notch line, re-entrant corner) always
-coincide with grid lines.
+coincide with grid lines.  ``graded_ticks`` checks every axis of both
+specimens: its lengths, cell sizes and refinement band.
 """
 
 from __future__ import annotations
@@ -139,25 +140,31 @@ def _to_units(value: float, fine: float, what: str) -> int:
 def graded_ticks(length: float, coarse_h: float, fine_h: float,
                  band: tuple | None) -> np.ndarray:
     """1D grid coordinates on [0, length] with spacing ``fine_h`` inside
-    ``band`` and graded (size-doubling) cells toward ``coarse_h`` outside."""
-    if fine_h <= 0 or coarse_h <= 0:
-        raise MeshConfigError("cell sizes must be positive")
-    if fine_h > coarse_h:
-        raise MeshConfigError(f"fine_h = {fine_h} exceeds coarse_h = {coarse_h}")
+    ``band = (lo, hi)``, snapped outward onto the fine grid, and graded
+    (size-doubling) cells toward ``coarse_h`` outside; ``band = None``
+    grades from ``0``.
+
+    The one geometry check of both specimens: raises ``MeshConfigError``
+    unless the cell sizes are finite with ``0 < fine_h <= coarse_h``,
+    ``length`` is finite and at least one fine cell, both are integer
+    multiples of ``fine_h``, and ``0 <= lo < hi <= length`` (NaN fails
+    every comparison).  A band is never clipped to the axis."""
+    if not 0 < fine_h <= coarse_h < math.inf:
+        raise MeshConfigError(
+            f"cell sizes must be finite and positive with fine_h <= coarse_h,"
+            f" got fine_h = {fine_h}, coarse_h = {coarse_h}")
+    if not fine_h <= length < math.inf:
+        raise MeshConfigError(
+            f"domain length {length} must be finite and at least fine_h = {fine_h}")
     n_total = _to_units(length, fine_h, "domain length")
     coarse_units = _to_units(coarse_h, fine_h, "coarse_h")
-    if band is None:
-        band_lo = band_hi = 0
-    else:
+    band_lo = band_hi = 0
+    if band is not None:
         lo, hi = band
-        lo, hi = max(0.0, lo), min(length, hi)
-        if hi <= lo:
-            raise MeshConfigError(f"degenerate refinement band {band}")
-        # snap the requested band outward onto the fine grid
+        if not 0 <= lo < hi <= length:
+            raise MeshConfigError(f"refinement band {band} outside [0, {length}]")
         band_lo = int(math.floor(lo / fine_h + 1e-9))
-        band_hi = int(math.ceil(hi / fine_h - 1e-9))
-        band_lo = max(0, min(band_lo, n_total))
-        band_hi = max(band_lo, min(band_hi, n_total))
+        band_hi = min(int(math.ceil(hi / fine_h - 1e-9)), n_total)
     sizes = list(reversed(_graded_cell_sizes(band_lo, coarse_units, fine_h)))
     sizes += [fine_h] * (band_hi - band_lo)
     sizes += _graded_cell_sizes(n_total - band_hi, coarse_units, fine_h)
@@ -178,15 +185,6 @@ def _tensor_grid(xt: np.ndarray, yt: np.ndarray):
     return nodes, elements
 
 
-def _axis_bands(refine_band, default, coarse_h: float, fine_h: float):
-    """Refinement bands ``(xband, yband)``: ``refine_band`` if given, else
-    ``default`` on a graded grid (``fine_h < coarse_h``) and no band,
-    ``(None, None)``, on a uniform one."""
-    if refine_band is not None:
-        return refine_band
-    return default if fine_h < coarse_h else (None, None)
-
-
 def check_slit_on_grid(x, y, side_len: float) -> None:
     """Raise ``MeshConfigError`` unless the mid-height slit line and the
     slit tip of a plate of ``side_len`` lie on the grid lines through the
@@ -205,17 +203,17 @@ def build_ct_mesh(side_len: float, coarse_h: float, fine_h: float,
 
     The slit runs from the left edge to mid-span at half height and is
     realized by node duplication, so the two lips share coordinates but no
-    stiffness coupling.  ``refine_band`` is ``((x0, x1), (y0, y1))``; the
-    default refines the expected crack corridor ahead of the slit tip.
-    Boundary sets: "clamped" (left edge, both lips at the slit mouth) and
-    "loaded" (right edge).
+    stiffness coupling.  ``refine_band`` is ``((x0, x1), (y0, y1))``, each
+    interval inside ``[0, side_len]``; the default refines the expected
+    crack corridor ahead of the slit tip (on a uniform grid every band
+    builds the same grid).  ``graded_ticks`` checks both axes.  Boundary
+    sets: "clamped" (left edge, both lips at the slit mouth) and "loaded"
+    (right edge).
     """
     L = float(side_len)
-    xband, yband = _axis_bands(
-        refine_band, ((0.45 * L, L), (0.375 * L, 0.625 * L)), coarse_h, fine_h)
-    if xband is not None and not all(0 <= lo < hi <= L for lo, hi in (xband, yband)):
-        raise MeshConfigError(f"refinement band {(xband, yband)} outside domain")
-
+    if refine_band is None:
+        refine_band = ((0.45 * L, L), (0.375 * L, 0.625 * L))
+    xband, yband = refine_band
     xt = graded_ticks(L, coarse_h, fine_h, xband)
     yt = graded_ticks(L, coarse_h, fine_h, yband)
 
@@ -247,14 +245,18 @@ def build_ct_mesh(side_len: float, coarse_h: float, fine_h: float,
 def build_lshape_mesh(leg_len: float, coarse_h: float, fine_h: float,
                       refine_band: tuple | None = None) -> Mesh:
     """L-shaped plate: the (2*leg_len)^2 square minus its upper-right
-    quadrant.  Refinement concentrates around the re-entrant corner where
-    the crack initiates.  Boundary sets: "clamped" (bottom edge) and
-    "loaded" (top face of the right leg within one coarse cell of its tip).
+    quadrant.  ``refine_band`` is ``((x0, x1), (y0, y1))``, each interval
+    inside ``[0, 2*leg_len]``; the default concentrates refinement around
+    the re-entrant corner where the crack initiates.  ``graded_ticks``
+    checks both axes, and the corner must lie on a grid line.  Boundary
+    sets: "clamped" (bottom edge) and "loaded" (top face of the right leg
+    within one coarse cell of its tip).
     """
     leg = float(leg_len)
     S = 2.0 * leg
-    xband, yband = _axis_bands(
-        refine_band, ((0.34 * S, 0.54 * S), (0.44 * S, 0.55 * S)), coarse_h, fine_h)
+    if refine_band is None:
+        refine_band = ((0.34 * S, 0.54 * S), (0.44 * S, 0.55 * S))
+    xband, yband = refine_band
     xt = graded_ticks(S, coarse_h, fine_h, xband)
     yt = graded_ticks(S, coarse_h, fine_h, yband)
     for ticks, name in ((xt, "x"), (yt, "y")):

@@ -226,6 +226,23 @@ directory = {out}
 formats = csv
 """
 
+# the lshape preset on a coarse grid, to T = 2 at the preset's ramp rate
+# (u_max / T = 1 / 8.658)
+LSHAPE_COARSE_CFG = """
+[experiment]
+name = lshape
+[mesh]
+coarse_h = 50
+fine_h = 25
+[scheme]
+t = 2.0
+[load]
+u_max = 0.231
+[output]
+directory = {out}
+formats = csv
+"""
+
 
 class TestArtifactFormat:
     def test_headers_are_the_dataclass_fields(self):
@@ -301,6 +318,15 @@ class TestExecute:
             assert r.z.min() >= -tol
             assert np.count_nonzero(np.abs(r.z) <= tol) >= r.lower_clamps
             assert r.dz_norm_V <= cfg.scheme.rho * (1.0 + 1e-6)
+
+    def test_coarse_lshape_reaches_T_and_verifies(self, tmp_path, capsys):
+        out = tmp_path / "ls"
+        cfg = load_config(write(tmp_path, LSHAPE_COARSE_CFG.format(out=out)))
+        assert execute(cfg) == 0
+        assert verify_dir(out) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "PASS final time reached" in lines
+        assert all(line.startswith("PASS") for line in lines)
 
     def test_zerodim_run_artifacts(self, tmp_path):
         out = tmp_path / "zd"
@@ -637,6 +663,23 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb, where", [
+        ("run", "--out"), ("run", "[output]"), ("sweep", "--out"),
+        ("sweep", "[output]")])
+    def test_output_directory_that_is_a_file_is_config_error(
+            self, tmp_path, capsys, verb, where):
+        afile = write(tmp_path, "not a directory\n", "afile")
+        out = afile if where == "[output]" else tmp_path / "zd"
+        cfg_path = write(tmp_path, ZERODIM_CFG.format(out=out))
+        argv = [verb, str(cfg_path)]
+        argv += ["--param", "rho=0.1"] if verb == "sweep" else []
+        argv += ["--out", str(afile)] if where == "--out" else []
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: cannot create output directory" in err
+        assert afile.read_text() == "not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]
+
     def test_verify_of_a_file_names_the_missing_manifest(self, tmp_path,
                                                          capsys):
         path = write(tmp_path, "not a run directory\n", "notes.txt")
@@ -688,6 +731,14 @@ class TestMain:
         ("ct", "[mesh]\nnotch = hole\n", None),
         ("zerodim", "", "rho"),
         ("zerodim", "", "theta=0.1"),
+        ("ct", "[mesh]\nfine_h = nan\n", None),
+        ("ct", "[mesh]\ncoarse_h = inf\n", None),
+        ("lshape", "[mesh]\nleg_len = nan\n", None),
+        ("ct", "[mesh]\nside_len = 1e-12\nnotch = none\n", None),
+        ("lshape", "[mesh]\ncoarse_h = 50\nfine_h = 25\nband_x0 = nan\n"
+         "band_x1 = nan\nband_y0 = 0\nband_y1 = 100\n", None),
+        ("lshape", "[mesh]\ncoarse_h = 50\nfine_h = 25\nband_x0 = -100\n"
+         "band_x1 = 300\nband_y0 = 0\nband_y1 = 100\n", None),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
             "sweep_alpha=1", "sweep_alpha_h1", "zerodim_material",
@@ -700,7 +751,9 @@ class TestMain:
             "damage_notch_tip_off_grid", "coarse_h_off_fine_grid",
             "h1_alpha", "traction_u_max", "dirichlet_traction_rate",
             "load_direction_z", "load_mode_pressure", "notch_hole",
-            "sweep_without_values", "sweep_theta"])
+            "sweep_without_values", "sweep_theta", "fine_h=nan",
+            "coarse_h=inf", "leg_len=nan", "side_len=1e-12",
+            "lshape_band_nan", "lshape_band_outside"])
     def test_invalid_input_is_config_error(self, tmp_path, capsys, experiment,
                                            extra, sweep):
         text = ZERODIM_CFG.replace("zerodim", experiment)

@@ -1,5 +1,7 @@
 """Mesh construction, refinement counting, weights and the slit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -84,11 +86,14 @@ class TestCTMesh:
             af.build_ct_mesh(1.0, 0.1, 0.01, refine_band=((2.0, 3.0), (0.4, 0.6)))
         with pytest.raises(MeshConfigError, match="positive"):
             af.build_ct_mesh(1.0, 0.1, 0.0)
-        # the L-shape builder clips its band to the plate, so a band wholly
-        # outside it is empty
-        with pytest.raises(MeshConfigError, match="degenerate"):
+        # the L-shape builder checks its band as the CT builder does: a band
+        # wholly or partly outside the plate is rejected, never clipped
+        with pytest.raises(MeshConfigError, match="outside"):
             af.build_lshape_mesh(250.0, 50.0, 25.0,
                                  refine_band=((600.0, 700.0), (0.0, 100.0)))
+        with pytest.raises(MeshConfigError, match="outside"):
+            af.build_lshape_mesh(250.0, 50.0, 12.5,
+                                 refine_band=((-10.0, 600.0), (240.0, 260.0)))
 
 
 class TestLShapeMesh:
@@ -137,6 +142,30 @@ class TestGradedTicks:
     def test_coarse_h_off_the_fine_grid_is_rejected(self, coarse_h, fine_h):
         with pytest.raises(MeshConfigError, match="coarse_h"):
             graded_ticks(1.0, coarse_h, fine_h, (0.4, 0.6))
+
+    @pytest.mark.parametrize("length, coarse_h, fine_h, band, match", [
+        (1.0, 0.1, math.nan, (0.4, 0.6), "cell sizes"),
+        (1.0, math.inf, 0.1, (0.4, 0.6), "cell sizes"),
+        (1.0, math.nan, 0.1, (0.4, 0.6), "cell sizes"),
+        (1.0, 0.1, -0.1, (0.4, 0.6), "cell sizes"),
+        (math.nan, 0.1, 0.1, (0.4, 0.6), "domain length"),
+        (math.inf, 0.1, 0.1, (0.4, 0.6), "domain length"),
+        (1e-12, 0.1, 0.1, None, "domain length"),
+        (0.0, 0.1, 0.1, None, "domain length"),
+        (1.0, 0.1, 0.1, (math.nan, math.nan), "band"),
+        (1.0, 0.1, 0.1, (0.4, math.nan), "band"),
+        (1.0, 0.1, 0.1, (-0.1, 0.6), "band"),
+        (1.0, 0.1, 0.1, (0.4, 1.1), "band"),
+        (1.0, 0.1, 0.1, (0.6, 0.4), "band"),
+        (1.0, 0.1, 0.1, (0.4, 0.4), "band"),
+    ], ids=["fine_h=nan", "coarse_h=inf", "coarse_h=nan", "fine_h<0",
+            "length=nan", "length=inf", "length<fine_h", "length=0",
+            "band=nan", "band_hi=nan", "band_lo<0", "band_hi>length",
+            "band_reversed", "band_empty"])
+    def test_invalid_axis_is_rejected(self, length, coarse_h, fine_h, band,
+                                      match):
+        with pytest.raises(MeshConfigError, match=match):
+            graded_ticks(length, coarse_h, fine_h, band)
 
 
 class TestMeshInvariants:
@@ -234,7 +263,7 @@ LSHAPE_CASES = [
     ((250.0, 50.0, 50.0), {}),
     ((1.0, 0.25, 0.0625), {}),
     ((250.0, 50.0, 10.0), {"refine_band": ((200.0, 300.0), (150.0, 350.0))}),
-    ((250.0, 50.0, 12.5), {"refine_band": ((-10.0, 600.0), (240.0, 260.0))}),
+    ((250.0, 50.0, 12.5), {"refine_band": ((0.0, 500.0), (240.0, 260.0))}),
 ]
 
 
