@@ -5,7 +5,6 @@ scheme's structural properties on computed traces."""
 __version__ = "0.1.0"
 
 from .assembly import (
-    State,
     assemble_K,
     field_norm_V,
     grad_u,
@@ -40,8 +39,8 @@ from .solvers import SolverFailure, ZSolveReport, solve_u, solve_z
 from .zerodim import ZeroDimModel, brute_force_z_step, run_zero_dim
 
 __all__ = [
-    "State", "assemble_K", "field_norm_V", "grad_u", "grad_z",
-    "reaction_force", "total_energy",
+    "assemble_K", "field_norm_V", "grad_u", "grad_z", "reaction_force",
+    "total_energy",
     "BalanceReport", "InterpolantView", "check_trace_invariants",
     "complementarity_check", "dual_distance", "energy_balance",
     "normalization_residuals", "sample_interpolants",

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -72,15 +71,6 @@ from .model import (
     degradation,
     fracture_density,
 )
-
-@dataclass(eq=False)
-class State:
-    """Solver state: physical time, nodal displacements (2 dofs/node) and
-    nodal damage (1 dof/node)."""
-
-    t: float
-    u: np.ndarray
-    z: np.ndarray
 
 
 class SparsePattern:
@@ -393,25 +383,25 @@ def elastic_density_at_gauss(u: np.ndarray, mesh: Mesh,
 # Energies and gradients
 # ---------------------------------------------------------------------------
 
-def total_energy(state: State, mesh: Mesh, model: MaterialModel,
-                 load: LoadProgram) -> float:
+def total_energy(t: float, u: np.ndarray, z: np.ndarray, mesh: Mesh,
+                 model: MaterialModel, load: LoadProgram) -> float:
     """Total stored energy minus the external-load pairing.
 
     In displacement control the loading enters through the boundary data,
     not through a load term.
     """
-    _check_state_dims(mesh, state.u, state.z)
+    _check_state_dims(mesh, u, z)
     data = element_data(mesh)
-    psi = elastic_density_at_gauss(state.u, mesh, model)
-    zq = data.gauss(state.z)
-    gz = (state.z[data.conn][:, None, :] @ data.grad_op).reshape(
+    psi = elastic_density_at_gauss(u, mesh, model)
+    zq = data.gauss(z)
+    gz = (z[data.conn][:, None, :] @ data.grad_op).reshape(
         zq.shape[0], 2, -1)
     gz_sq = gz[:, 0] * gz[:, 0] + gz[:, 1] * gz[:, 1]
     dens = (0.5 * degradation(zq, model.eta) * psi
             + fracture_density(zq, gz_sq, model))
     energy = float(np.sum(data.wdet * dens))
-    f = load.force_vector(mesh, state.t)
-    return energy - float(f @ state.u)
+    f = load.force_vector(mesh, t)
+    return energy - float(f @ u)
 
 
 def element_stiffness(z: np.ndarray, mesh: Mesh,
@@ -434,12 +424,12 @@ def assemble_K(z: np.ndarray, mesh: Mesh, model: MaterialModel) -> sp.csr_matrix
     return pattern.matrix(pattern.fill(element_stiffness(z, mesh, model)))
 
 
-def grad_u(state: State, mesh: Mesh, model: MaterialModel,
-           load: LoadProgram) -> np.ndarray:
+def grad_u(t: float, u: np.ndarray, z: np.ndarray, mesh: Mesh,
+           model: MaterialModel, load: LoadProgram) -> np.ndarray:
     """Assembled displacement residual K(z) u - f(t) (pre-elimination)."""
-    _check_state_dims(mesh, state.u, state.z)
-    K = assemble_K(state.z, mesh, model)
-    return K @ state.u - load.force_vector(mesh, state.t)
+    _check_state_dims(mesh, u, z)
+    K = assemble_K(z, mesh, model)
+    return K @ u - load.force_vector(mesh, t)
 
 
 def z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
@@ -480,15 +470,15 @@ def _z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
     return data.node_pattern.matrix(q), b, c0
 
 
-def grad_z(state: State, mesh: Mesh, model: MaterialModel):
+def grad_z(u: np.ndarray, z: np.ndarray, mesh: Mesh, model: MaterialModel):
     """Damage gradient of the energy.
 
     Returns ``(g, d)``: the assembled gradient vector and the nodal density
     ``d_i = g_i / w_i`` with lumped weights, the Riesz identification used
     by the pointwise dual-distance formula.
     """
-    Q, b, _ = z_quadratic(state.u, mesh, model)
-    g = Q @ state.z - b
+    Q, b, _ = z_quadratic(u, mesh, model)
+    g = Q @ z - b
     return g, g / lumped_weights(mesh)
 
 
@@ -571,12 +561,12 @@ def dual_norm_lumped(d: np.ndarray, weights: np.ndarray, norm: NormSpec) -> floa
 # Reactions
 # ---------------------------------------------------------------------------
 
-def reaction_force(state: State, mesh: Mesh, model: MaterialModel,
-                   load: LoadProgram) -> float:
+def reaction_force(t: float, u: np.ndarray, z: np.ndarray, mesh: Mesh,
+                   model: MaterialModel, load: LoadProgram) -> float:
     """Reaction along the load direction on the "loaded" node set (N)."""
     if load.mode != DIRICHLET_RAMP:
         raise ValueError("reaction_force is defined for displacement control only")
-    r = grad_u(state, mesh, model, load)
+    r = grad_u(t, u, z, mesh, model, load)
     nodes = mesh.boundary_sets["loaded"]
     d = np.asarray(load.direction)
     return float(d[0] * r[2 * nodes].sum() + d[1] * r[2 * nodes + 1].sum())

@@ -3,8 +3,8 @@
 Config files are flat INI-style key/value text (diff-friendly for
 parameter sweeps).  The keys of ``[material]`` and ``[zerodim]`` are the
 lower-cased init fields of ``MaterialModel`` and ``ZeroDimModel`` (and
-``z0``); ``[scheme]`` and ``[output]`` hold those of ``SchemeParams`` but
-``max_steps``, with the ball's ``NormSpec`` as ``norm_v`` and ``alpha``.
+``z0``); ``[scheme]`` and ``[output]`` hold those of ``SchemeParams``,
+with the ball's ``NormSpec`` as ``norm_v`` and ``alpha``.
 Unset keys keep the dataclass defaults, and three presets set the values
 that differ from them: ``ct`` (square plate with a mid-height slit),
 ``lshape`` and ``zerodim``; ``custom`` is the ``ct`` preset under another
@@ -111,8 +111,8 @@ _PRESETS = {
 _OUTPUT_KEYS = {"directory": str, "formats": str, "snapshot_stride": int,
                 "store_all_snapshots": bool}
 # SchemeParams fields without a [scheme] key of their own: the ball is keyed
-# norm_v and alpha, and max_steps is derived from T / rho
-_SCHEME_UNKEYED = ("norm_V", "max_steps")
+# norm_v and alpha
+_SCHEME_UNKEYED = ("norm_V",)
 _SECTIONS = {
     "experiment": {"name": str},
     "scheme": {**_init_fields(SchemeParams, (*_SCHEME_UNKEYED, *_OUTPUT_KEYS)),

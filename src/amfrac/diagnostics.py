@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .assembly import State, dual_norm_lumped, grad_z, lumped_weights
+from .assembly import dual_norm_lumped, grad_z, lumped_weights
 from .mesh import Mesh
 from .model import DIRICHLET_RAMP, LoadProgram, MaterialModel, NormSpec
 
@@ -42,8 +42,8 @@ def stable_set_distance(density: np.ndarray, weights: np.ndarray,
     return dual_norm_lumped(excess, weights, norm)
 
 
-def dual_distance(state: State, mesh: Mesh, model: MaterialModel,
-                  norm: NormSpec) -> float:
+def dual_distance(u: np.ndarray, z: np.ndarray, mesh: Mesh,
+                  model: MaterialModel, norm: NormSpec) -> float:
     """Distance (in the dual of the ball norm) from the negative damage
     gradient to the set of stable multipliers, ``z >= 0`` being active
     where ``z == 0`` (the damage solve pins exact zeros).
@@ -52,9 +52,9 @@ def dual_distance(state: State, mesh: Mesh, model: MaterialModel,
     is being driven.  For the H1 ball this returns an L2 surrogate
     (``norm.dual_is_surrogate`` is then True).
     """
-    _, d = grad_z(state, mesh, model)
+    _, d = grad_z(u, z, mesh, model)
     return stable_set_distance(d, lumped_weights(mesh), model.r_coefficient,
-                               norm, at_zero=state.z == 0.0)
+                               norm, at_zero=z == 0.0)
 
 
 @dataclass

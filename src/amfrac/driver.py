@@ -12,8 +12,8 @@ advances.
 (``run``), the staggered baseline on a prescribed time grid
 (``run_pure_am``, the same loop with ``rho = inf``) and the scalar model
 (``zerodim.run_zero_dim``).  It sees the model only through a subproblem:
-``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(t, u, z_prev, rho)
--> (z, report)``, ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM
+``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(u, z_prev, rho) ->
+(z, report)``, ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM
 stopping rule, the per-step ``record(k, t, dt, res, z_prev) ->
 StepRecord``, which carries ``||z - z_prev||_V`` for the time update,
 ``fields(u, z)``, the snapshot of one step as a pair of arrays,
@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diagnostics
-from .assembly import State, field_norm_V, lumped_weights, reaction_force, total_energy
+from .assembly import (field_norm_V, lumped_weights, reaction_force,
+                       total_energy)
 from .mesh import Mesh
 from .model import (
     DIRICHLET_RAMP,
@@ -154,7 +155,7 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
     i = 0
     for i in range(1, problem.params.max_am_iters + 1):
         u_i = problem.solve_u(t, z_i)
-        z_new, report = problem.solve_z(t, u_i, z_prev, rho)
+        z_new, report = problem.solve_z(u_i, z_prev, rho)
         if u_ref is None:
             du = math.inf
         else:
@@ -205,6 +206,12 @@ def _store_snapshot(k: int, dt: float, prev_dt: float, is_final: bool,
     return k == 0 or is_final or onset or k % params.snapshot_stride == 0
 
 
+def _step_budget(params: SchemeParams) -> int:
+    """Steps an adaptive run may take before it fails: ten times the
+    ``ceil(T / rho)`` steps of a run without jumps, plus 100000."""
+    return 10 * math.ceil(params.T / params.rho) + 100000
+
+
 def evolve(problem, z0, times: np.ndarray | None = None,
            record_hook=None) -> Trace:
     """Evolution from ``t = 0`` until the step at the final time is done.
@@ -223,8 +230,7 @@ def evolve(problem, z0, times: np.ndarray | None = None,
     params = problem.params
     adaptive = times is None
     rho = params.rho if adaptive else math.inf
-    max_steps = params.max_steps or (10 * math.ceil(params.T / params.rho)
-                                     + 100000)
+    max_steps = _step_budget(params)
     traction = problem.load_mode == TRACTION_RAMP
     trace = Trace(scheme=params, z0=np.array(z0, ndmin=1),
                   load_mode=problem.load_mode)
@@ -290,12 +296,12 @@ class FieldProblem:
     def solve_u(self, t, z):
         return solve_u(t, z, self.mesh, self.model, self.load)
 
-    def solve_z(self, t, u, z_prev, rho):
-        report = solve_z(t, u, z_prev, rho, self.mesh, self.model, self.params)
+    def solve_z(self, u, z_prev, rho):
+        report = solve_z(u, z_prev, rho, self.mesh, self.model, self.params)
         return report.z, report
 
     def energy(self, t, u, z) -> float:
-        return total_energy(State(t, u, z), self.mesh, self.model, self.load)
+        return total_energy(t, u, z, self.mesh, self.model, self.load)
 
     def dissipation(self, dz) -> float:
         return dissipation_R(dz, self.model, self.weights,
@@ -322,8 +328,8 @@ class FieldProblem:
         return u.copy(), z.copy()
 
     def record(self, k, t, dt, res: AMResult, z_prev) -> StepRecord:
-        state = State(t, res.u, res.z)
-        dz = res.z - z_prev
+        u, z = res.u, res.z
+        dz = z - z_prev
         rep = res.z_report
         return StepRecord(
             k=k,
@@ -331,15 +337,15 @@ class FieldProblem:
             dt=dt,
             dz_norm_V=field_norm_V(dz, self.mesh, self.params.norm_V),
             am_iters=res.iters,
-            energy=self.energy(t, res.u, res.z),
+            energy=self.energy(t, u, z),
             R_increment=self.dissipation(dz),
-            reaction=(reaction_force(state, self.mesh, self.model, self.load)
+            reaction=(reaction_force(t, u, z, self.mesh, self.model, self.load)
                       if self.load.mode == DIRICHLET_RAMP else 0.0),
             dual_distance=diagnostics.dual_distance(
-                state, self.mesh, self.model, self.params.norm_V),
+                u, z, self.mesh, self.model, self.params.norm_V),
             xi_norm=rep.xi_norm_dual,
             ball_active=rep.constraint_active,
-            load_power=float(self.f1 @ res.u),
+            load_power=float(self.f1 @ u),
             am_converged=res.converged,
             stationarity=rep.stationarity_residual,
         )

@@ -253,7 +253,6 @@ class SchemeParams:
     max_am_iters: int = 500
     snapshot_stride: int = 10
     store_all_snapshots: bool = False
-    max_steps: int = 0  # 0: derived from T/rho
 
     def __post_init__(self):
         for name in ("rho", "T", "tol_am", "tol_newton", "tol_constraint"):
@@ -264,8 +263,6 @@ class SchemeParams:
             raise ModelConfigError("max_am_iters must be at least 1")
         if self.snapshot_stride < 1:
             raise ModelConfigError("snapshot_stride must be at least 1")
-        if self.max_steps < 0:
-            raise ModelConfigError("max_steps must be non-negative")
 
 
 def degradation(z, eta: float):

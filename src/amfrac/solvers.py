@@ -13,7 +13,10 @@ to ``z_prev`` (upper side) or to 0 (lower side) and solves for the free
 ones exactly.  When the box solution leaves the ball it is retracted onto
 the sphere along the ray from ``z_prev``, and bordered Newton steps on the
 free values and the ball multiplier take over, the active sets being
-updated after each step.  The steps write the ball as its power sum,
+updated after each step.  When the Schur pivot of a bordered step is not
+positive (the free values cannot move the ball, e.g. when the ball's
+gradient vanishes on them), the pass releases the ball (``nu = 0``) and
+runs a box pass instead.  The steps write the ball as its power sum,
 ``S(v)/a <= rho^a/a`` with ``N(v) = S(v)^(1/a)`` (``assembly.VNorm``): the
 same KKT points as ``N(v) <= rho``, and a Hessian that is a sum over Gauss
 points.  Its multiplier ``nu`` gives the one of ``N <= rho`` as
@@ -127,7 +130,9 @@ def _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball: VNorm, rho):
 
     at ``v = z - z_prev``, with the box-active nodes (mask ``pinned``) held
     at their values by pinned rows.  Updates ``z`` in place and returns the
-    new multiplier."""
+    new multiplier, or returns None and leaves ``z`` as it is when the
+    Schur pivot ``g' A^-1 g`` of the bordered system is not positive: then
+    the free values cannot move the ball."""
     v = z - z_prev
     N, g = ball.parts(v)
     # for a < 2 the curvature is infinite on an element where v vanishes;
@@ -141,8 +146,11 @@ def _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball: VNorm, rho):
     g = np.where(pinned, 0.0, g)
     r = np.where(pinned, 0.0, Q @ z - btot) + nu * g
     s = solve(np.column_stack([r, g]))
+    pivot = float(g @ s[:, 1])
+    if not pivot > 0.0:
+        return None
     a = ball.a
-    dnu = ((N ** a - rho ** a) / a - float(g @ s[:, 0])) / float(g @ s[:, 1])
+    dnu = ((N ** a - rho ** a) / a - float(g @ s[:, 0])) / pivot
     z -= s[:, 0] + dnu * s[:, 1]
     return nu + dnu
 
@@ -155,9 +163,11 @@ class ZSolveReport:
     """Solution and KKT certificates of one damage subproblem.
 
     ``al_iters`` counts the solver's passes: the first one plus one for each
-    change of the box-active sets or of the ball status.  ``newton_iters``
-    counts linear solves, one factorization each (box solves and bordered
-    Newton steps); a pass with every node box-active solves nothing.
+    change of the box-active sets or of the ball status between passes (a
+    ball released within a pass starts none).  ``newton_iters`` counts
+    linear solves, one factorization each (box solves and bordered Newton
+    steps, also one that releases the ball); a pass with every node
+    box-active solves nothing.
     ``lam`` is the multiplier of ``z <= z_prev`` and ``lower_clamps`` the
     number of nodes that the last pass held at ``z = 0`` (a retraction onto
     the sphere in that pass can lift them slightly).  ``mu = nu N^(a-1)``
@@ -179,8 +189,8 @@ class ZSolveReport:
     converged: bool = True
 
 
-def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
-            mesh: Mesh, model: MaterialModel, params: SchemeParams) -> ZSolveReport:
+def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
+            model: MaterialModel, params: SchemeParams) -> ZSolveReport:
     """Damage update: minimize the damage-quadratic energy plus dissipation
     subject to ``0 <= z <= z_prev`` (nodal) and ``||z - z_prev||_V <= rho``.
 
@@ -229,12 +239,13 @@ def solve_z(t: float, u: np.ndarray, z_prev: np.ndarray, rho: float,
         free = ~pinned
         pin = np.where(active, z_prev, 0.0)
         z[pinned] = pin[pinned]
-        if ball_on:
-            if free.any():
-                nu = _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball,
-                                    rho)
-                solves += 1
-        else:
+        if ball_on and free.any():
+            nu = _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball,
+                                rho)
+            solves += 1
+            if nu is None:  # the free block cannot move the ball
+                ball_on, nu = False, 0.0
+        if not ball_on:
             # a box pass depends on the active sets alone: a repeat is a cycle
             key = active.tobytes() + lower.tobytes()
             if key in box_sets:

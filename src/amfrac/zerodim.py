@@ -72,16 +72,16 @@ class ZeroDimModel:
         return max(0.0, self.dz_energy(u, z) - self.kappa_R)
 
 
-def z_step(t: float, u: float, z_prev: float, rho: float,
-           model: ZeroDimModel):
+def z_step(u: float, z_prev: float, rho: float, model: ZeroDimModel):
     """The damage step in closed form.
 
-    Minimizes ``E(t, u, .) + R(. - z_prev)``, ``c z^2 / 2 - kappa_R z`` plus
-    a constant with ``c = a u^2 + kappa_E``, over ``[lo, z_prev]``, ``lo =
-    max(0, z_prev - rho)``: ``z = min(max(kappa_R / c, lo), z_prev)``, NaN
-    if ``z_prev`` is.  Returns (z, mu, lam) with the multipliers of the ball
-    (lower) and irreversibility (upper) bounds read off the bound ``z``
-    equals.  Comparisons stand in for ``min`` and ``max``, each picking the
+    Minimizes ``E(t, u, .) + R(. - z_prev)``, which does not depend on
+    ``t`` (the load term does not involve ``z``): ``c z^2 / 2 - kappa_R z``
+    plus a constant with ``c = a u^2 + kappa_E``, over ``[lo, z_prev]``,
+    ``lo = max(0, z_prev - rho)``: ``z = min(max(kappa_R / c, lo),
+    z_prev)``, NaN if ``z_prev`` is.  Returns (z, mu, lam) with the
+    multipliers of the ball (lower) and irreversibility (upper) bounds read
+    off the bound ``z`` equals.  Comparisons stand in for ``min`` and ``max``, each picking the
     operand the builtin returns (``max(a, b)`` is ``b if b > a else a``), so
     the result is the builtin evaluation's bit for bit, -0.0 and NaN included.
     """
@@ -103,7 +103,7 @@ def z_step(t: float, u: float, z_prev: float, rho: float,
     return z, mu, lam
 
 
-def brute_force_z_step(t: float, u: float, z_prev: float, rho: float,
+def brute_force_z_step(u: float, z_prev: float, rho: float,
                        model: ZeroDimModel,
                        grid_step: float = _GRID_STEP) -> float:
     """Exhaustive grid minimization of the damage step objective
@@ -162,12 +162,11 @@ class ScalarProblem:
         self.solve_u = model.u_min
         self.energy = model.energy
 
-    def solve_z(self, t, u, z_prev, rho):
+    def solve_z(self, u, z_prev, rho):
         """The damage value and, as the report, its ball multiplier."""
-        z, mu, _ = z_step(t, u, z_prev, rho, self.model)
+        z, mu, _ = z_step(u, z_prev, rho, self.model)
         if self.check_oracle:
-            z_ref = brute_force_z_step(t, u, z_prev, rho, self.model,
-                                       _GRID_STEP)
+            z_ref = brute_force_z_step(u, z_prev, rho, self.model, _GRID_STEP)
             if not abs(z - z_ref) <= 2.0 * _GRID_STEP:  # NaN fails too
                 raise SolverFailure("scalar damage step disagrees with "
                                     "the grid oracle", z=z, oracle=z_ref)

@@ -148,7 +148,7 @@ def ref_field_norm_lalpha(dz, mesh, alpha, order=4):
     return acc ** (1.0 / alpha)
 
 
-def ref_brute_force_z_step(t, u, z_prev, rho, model, grid_step):
+def ref_brute_force_z_step(u, z_prev, rho, model, grid_step):
     """Grid minimization of the scalar damage step objective over
     ``np.linspace`` with ``np.argmin``: the numpy evaluation that
     ``zerodim.brute_force_z_step`` reproduces in Python floats."""
@@ -163,7 +163,7 @@ def ref_brute_force_z_step(t, u, z_prev, rho, model, grid_step):
     return float(grid[int(np.argmin(vals))])
 
 
-def ref_z_step(t, u, z_prev, rho, model):
+def ref_z_step(u, z_prev, rho, model):
     """The closed-form damage step with the builtins ``min`` and ``max``:
     the evaluation that ``zerodim.z_step`` reproduces with comparisons, bit
     for bit."""

@@ -40,8 +40,8 @@ class TestTotalEnergy:
     def test_unloaded_intact_state_is_zero(self):
         mesh = small_mesh()
         model = af.MaterialModel(young_E=3.0, poisson_nu=0.3, preset="AT")
-        st = af.State(0.0, np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes))
-        assert abs(af.total_energy(st, mesh, model, no_load())) < 1e-25
+        u, z = np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes)
+        assert abs(af.total_energy(0.0, u, z, mesh, model, no_load())) < 1e-25
 
     def test_uniform_strain_single_element(self):
         mesh = unit_element_mesh()
@@ -49,8 +49,8 @@ class TestTotalEnergy:
                                  preset="AT")
         u = np.zeros(2 * mesh.n_nodes)
         u[0::2] = mesh.nodes[:, 0]  # eps_xx = 1
-        st = af.State(0.0, u, np.ones(mesh.n_nodes))
-        E = af.total_energy(st, mesh, model, no_load())
+        E = af.total_energy(0.0, u, np.ones(mesh.n_nodes), mesh, model,
+                            no_load())
         assert E == pytest.approx(0.5, abs=1e-9)
 
     @pytest.mark.parametrize("preset", ["AT", "ANALYSIS"])
@@ -68,16 +68,14 @@ class TestTotalEnergy:
         # (a) random displacement, uniform damage level
         u = rng.normal(0, 0.2, 2 * mesh.n_nodes)
         z = np.full(mesh.n_nodes, rng.uniform(0.2, 0.9))
-        st = af.State(0.7, u, z)
         ref = ref_total_energy(0.7, u, z, mesh, model, load, order=4)
-        assert af.total_energy(st, mesh, model, load) == pytest.approx(
+        assert af.total_energy(0.7, u, z, mesh, model, load) == pytest.approx(
             ref, rel=1e-10, abs=1e-12)
         # (b) zero displacement, random bilinear damage
         z = rng.uniform(0, 1, mesh.n_nodes)
         u0 = np.zeros(2 * mesh.n_nodes)
-        st = af.State(0.3, u0, z)
         ref = ref_total_energy(0.3, u0, z, mesh, model, load, order=4)
-        assert af.total_energy(st, mesh, model, load) == pytest.approx(
+        assert af.total_energy(0.3, u0, z, mesh, model, load) == pytest.approx(
             ref, rel=1e-10, abs=1e-12)
 
     def test_quadrature_stability_2x2_vs_3x3(self):
@@ -94,24 +92,23 @@ class TestTotalEnergy:
             u[0::2] = a * mesh.nodes[:, 0] + b * mesh.nodes[:, 1]
             u[1::2] = c * mesh.nodes[:, 0] + d * mesh.nodes[:, 1]
             z = rng.uniform(0.1, 1.0, mesh.n_nodes)
-            st = af.State(0.0, u, z)
-            e2 = af.total_energy(st, mesh, model, no_load())
+            e2 = af.total_energy(0.0, u, z, mesh, model, no_load())
             e3 = ref_total_energy(0.0, u, z, mesh, model, no_load(), order=3)
             assert e2 == pytest.approx(e3, rel=1e-9)
 
     def test_dimension_mismatch(self):
         mesh = small_mesh()
         model = af.MaterialModel(young_E=1.0, poisson_nu=0.0)
-        st = af.State(0.0, np.zeros(3), np.ones(mesh.n_nodes))
         with pytest.raises(ValueError):
-            af.total_energy(st, mesh, model, no_load())
+            af.total_energy(0.0, np.zeros(3), np.ones(mesh.n_nodes), mesh,
+                            model, no_load())
 
     def test_damage_dimension_mismatch(self):
         mesh = small_mesh()
         model = af.MaterialModel(young_E=1.0, poisson_nu=0.0)
-        st = af.State(0.0, np.zeros(2 * mesh.n_nodes), np.ones(3))
         with pytest.raises(ValueError, match="damage vector of size"):
-            af.total_energy(st, mesh, model, no_load())
+            af.total_energy(0.0, np.zeros(2 * mesh.n_nodes), np.ones(3), mesh,
+                            model, no_load())
 
     def test_clockwise_element_is_rejected(self):
         mesh = af.Mesh(nodes=np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0],
@@ -127,16 +124,15 @@ class TestGradU:
     def test_zero_state(self):
         mesh = small_mesh()
         model = af.MaterialModel(young_E=1.0, poisson_nu=0.3)
-        st = af.State(0.0, np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes))
-        assert np.all(af.grad_u(st, mesh, model, no_load()) == 0.0)
+        u, z = np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes)
+        assert np.all(af.grad_u(0.0, u, z, mesh, model, no_load()) == 0.0)
 
     def test_rigid_translation(self):
         mesh = small_mesh()
         model = af.MaterialModel(young_E=7.0, poisson_nu=0.3)
         u = np.tile([0.4, -0.7], mesh.n_nodes)
         z = np.random.default_rng(3).uniform(0, 1, mesh.n_nodes)
-        st = af.State(0.0, u, z)
-        g = af.grad_u(st, mesh, model, no_load())
+        g = af.grad_u(0.0, u, z, mesh, model, no_load())
         assert np.abs(g).max() < 1e-12
 
     @pytest.mark.parametrize("preset", ["AT", "ANALYSIS"])
@@ -150,10 +146,9 @@ class TestGradU:
         rng = np.random.default_rng(17)
         u = rng.normal(0, 0.3, 2 * mesh.n_nodes)
         z = rng.uniform(0.1, 1.0, mesh.n_nodes)
-        st = af.State(0.6, u, z)
-        g = af.grad_u(st, mesh, model, load)
+        g = af.grad_u(0.6, u, z, mesh, model, load)
         g_fd = fd_gradient(
-            lambda v: af.total_energy(af.State(0.6, v, z), mesh, model, load), u)
+            lambda v: af.total_energy(0.6, v, z, mesh, model, load), u)
         assert np.linalg.norm(g - g_fd) <= 1e-6 * max(np.linalg.norm(g_fd), 1.0)
 
 
@@ -161,8 +156,8 @@ class TestGradZ:
     def test_at_intact_unloaded(self):
         mesh = small_mesh()
         model = af.MaterialModel(young_E=1.0, poisson_nu=0.0, preset="AT")
-        st = af.State(0.0, np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes))
-        g, d = af.grad_z(st, mesh, model)
+        g, d = af.grad_z(np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes),
+                         mesh, model)
         assert np.abs(g).max() < 1e-14
         assert np.abs(d).max() < 1e-12
 
@@ -170,8 +165,8 @@ class TestGradZ:
         mesh = small_mesh()
         model = af.MaterialModel(young_E=1.0, poisson_nu=0.0,
                                  preset="ANALYSIS", kappa_E=1.0)
-        st = af.State(0.0, np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes))
-        g, _ = af.grad_z(st, mesh, model)
+        g, _ = af.grad_z(np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes),
+                         mesh, model)
         rows = ref_mass_matrix(mesh, order=2).sum(axis=1)
         assert np.allclose(g, rows, rtol=1e-12, atol=1e-14)
 
@@ -184,11 +179,9 @@ class TestGradZ:
         rng = np.random.default_rng(19)
         u = rng.normal(0, 0.3, 2 * mesh.n_nodes)
         z = rng.uniform(0.1, 1.0, mesh.n_nodes)
-        st = af.State(0.0, u, z)
-        g, _ = af.grad_z(st, mesh, model)
+        g, _ = af.grad_z(u, z, mesh, model)
         g_fd = fd_gradient(
-            lambda v: af.total_energy(af.State(0.0, u, v), mesh, model,
-                                      no_load()), z)
+            lambda v: af.total_energy(0.0, u, v, mesh, model, no_load()), z)
         assert np.linalg.norm(g - g_fd) <= 1e-6 * max(np.linalg.norm(g_fd), 1.0)
 
 
@@ -305,36 +298,34 @@ class TestReactionForce:
 
     def test_zero_at_zero_ramp(self):
         mesh, model, load = self.make()
-        st = af.State(0.0, np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes))
-        assert af.reaction_force(st, mesh, model, load) == 0.0
+        u, z = np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes)
+        assert af.reaction_force(0.0, u, z, mesh, model, load) == 0.0
 
     def test_uniform_stretch_hand_formula(self):
         # nu = 0 decouples: F = E * strain * edge length
         mesh, model, load = self.make(nu=0.0)
         t = 1.0
         u = af.solve_u(t, np.ones(mesh.n_nodes), mesh, model, load)
-        st = af.State(t, u, np.ones(mesh.n_nodes))
         expected = 10.0 * load.ubar(t) / 1.0 * 1.0 * (1 + model.eta)
-        assert af.reaction_force(st, mesh, model, load) == pytest.approx(
-            expected, rel=1e-9)
+        assert af.reaction_force(t, u, np.ones(mesh.n_nodes), mesh, model,
+                                 load) == pytest.approx(expected, rel=1e-9)
 
     def test_force_balance_between_faces(self):
         mesh, model, load = self.make(nu=0.3)
         z = np.random.default_rng(31).uniform(0.5, 1.0, mesh.n_nodes)
         u = af.solve_u(0.7, z, mesh, model, load)
-        st = af.State(0.7, u, z)
-        f_loaded = af.reaction_force(st, mesh, model, load)
+        f_loaded = af.reaction_force(0.7, u, z, mesh, model, load)
         # the clamped face's reaction along the load direction (x)
-        r = af.grad_u(st, mesh, model, load)
+        r = af.grad_u(0.7, u, z, mesh, model, load)
         f_clamped = r[2 * mesh.boundary_sets["clamped"]].sum()
         assert f_loaded == pytest.approx(-f_clamped, abs=1e-8 * max(1, abs(f_loaded)))
 
     def test_traction_mode_unsupported(self):
         mesh = af.build_ct_mesh(1.0, 0.5, 0.5, notch=False)
         model = af.MaterialModel(young_E=1.0, poisson_nu=0.0)
-        st = af.State(0.0, np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes))
+        u, z = np.zeros(2 * mesh.n_nodes), np.ones(mesh.n_nodes)
         with pytest.raises(ValueError):
-            af.reaction_force(st, mesh, model, no_load())
+            af.reaction_force(0.0, u, z, mesh, model, no_load())
 
 
 class TestPerDisplacementCache:
@@ -409,14 +400,13 @@ class TestInternalConsistency:
                                      kappa_E=0.5)
             u = rng.normal(0, 0.2, 2 * mesh.n_nodes)
             z = rng.uniform(0, 1, mesh.n_nodes)
-            st = af.State(0.0, u, z)
-            E = af.total_energy(st, mesh, model, no_load())
+            E = af.total_energy(0.0, u, z, mesh, model, no_load())
             Q, b, c0 = z_quadratic(u, mesh, model)
             E_q = 0.5 * z @ (Q @ z) - b @ z + c0
             assert E_q == pytest.approx(E, rel=1e-12, abs=1e-12)
             K = af.assemble_K(z, mesh, model)
-            frac_only = af.total_energy(
-                af.State(0.0, np.zeros_like(u), z), mesh, model, no_load())
+            frac_only = af.total_energy(0.0, np.zeros_like(u), z, mesh, model,
+                                        no_load())
             assert 0.5 * u @ (K @ u) + frac_only == pytest.approx(
                 E, rel=1e-12, abs=1e-12)
 

@@ -243,6 +243,28 @@ directory = {out}
 formats = csv
 """
 
+# the same panel refined in the band (0, 300) x (0, 100) only, to T = 0.2 at
+# the preset's ramp rate: its damage solve meets a ball that the free nodes
+# cannot move
+LSHAPE_BAND_CFG = """
+[experiment]
+name = lshape
+[mesh]
+coarse_h = 50
+fine_h = 25
+band_x0 = 0
+band_x1 = 300
+band_y0 = 0
+band_y1 = 100
+[scheme]
+t = 0.2
+[load]
+u_max = 0.0231
+[output]
+directory = {out}
+formats = csv
+"""
+
 
 class TestArtifactFormat:
     def test_headers_are_the_dataclass_fields(self):
@@ -319,9 +341,12 @@ class TestExecute:
             assert np.count_nonzero(np.abs(r.z) <= tol) >= r.lower_clamps
             assert r.dz_norm_V <= cfg.scheme.rho * (1.0 + 1e-6)
 
-    def test_coarse_lshape_reaches_T_and_verifies(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text", [LSHAPE_COARSE_CFG, LSHAPE_BAND_CFG],
+                             ids=["default_band", "band_0_300"])
+    def test_coarse_lshape_reaches_T_and_verifies(self, tmp_path, capsys,
+                                                  text):
         out = tmp_path / "ls"
-        cfg = load_config(write(tmp_path, LSHAPE_COARSE_CFG.format(out=out)))
+        cfg = load_config(write(tmp_path, text.format(out=out)))
         assert execute(cfg) == 0
         assert verify_dir(out) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -541,10 +566,11 @@ class TestExecute:
         rows = (out / "trace.csv").read_text().splitlines()
         assert int(rows[-1].split(",", 1)[0]) == 24
 
-    def test_zerodim_trace_written_incrementally(self, tmp_path):
+    def test_zerodim_trace_written_incrementally(self, tmp_path,
+                                                 monkeypatch):
         out = tmp_path / "zd"
         cfg = load_config(write(tmp_path, ZERODIM_CFG.format(out=out)))
-        cfg.scheme = dataclasses.replace(cfg.scheme, max_steps=5)
+        monkeypatch.setattr(driver, "_step_budget", lambda params: 5)
         assert execute(cfg) == 1
         rows = (out / "trace.csv").read_text().splitlines()
         assert rows[0] == TRACE_HEADER

@@ -82,12 +82,12 @@ class TestDualDistance:
     def test_state_level_evaluation(self, ct_coarse_setup):
         mesh, model, load, params = ct_coarse_setup
         # strongly driven state has positive distance; intact unloaded has 0
-        st0 = af.State(0.0, np.zeros(2 * mesh.n_nodes),
-                       np.full(mesh.n_nodes, 0.8))
-        assert af.dual_distance(st0, mesh, model, params.norm_V) == 0.0
+        assert af.dual_distance(np.zeros(2 * mesh.n_nodes),
+                                np.full(mesh.n_nodes, 0.8), mesh, model,
+                                params.norm_V) == 0.0
         u = af.solve_u(1.0, np.ones(mesh.n_nodes), mesh, model, load)
-        st1 = af.State(1.0, u, np.ones(mesh.n_nodes))
-        assert af.dual_distance(st1, mesh, model, params.norm_V) > 0.0
+        assert af.dual_distance(u, np.ones(mesh.n_nodes), mesh, model,
+                                params.norm_V) > 0.0
 
 
 class TestComplementarity:
@@ -434,7 +434,7 @@ class TestStabilityCertificate:
         from amfrac.assembly import z_quadratic, lumped_weights
         z_prev = np.ones(mesh.n_nodes)
         u = 2.5 * af.solve_u(1.0, z_prev, mesh, model, load)
-        rep = af.solve_z(1.0, u, z_prev, params.rho, mesh, model, params)
+        rep = af.solve_z(u, z_prev, params.rho, mesh, model, params)
         Q, b, _ = z_quadratic(u, mesh, model)
         g_energy = Q @ rep.z - b
         w = lumped_weights(mesh)

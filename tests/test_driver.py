@@ -39,15 +39,22 @@ class TestTimeUpdate:
 
     def test_nan_increment_stops_the_run(self, monkeypatch):
         # a damage step that turns NaN mid-run ends it with a partial
-        # trace, instead of stepping at t = NaN until the step budget
+        # trace, instead of stepping at t = NaN until the step budget; the
+        # damage step takes no time, so the displacement solve before it
+        # notes the time
         import amfrac.zerodim as zerodim
 
-        step = zerodim.z_step
+        u_min, step, times = zerodim.ZeroDimModel.u_min, zerodim.z_step, []
 
-        def nan_late(t, *args):
-            z, mu, lam = step(t, *args)
-            return (math.nan if t > 0.3 else z), mu, lam
+        def timed_u_min(model, t, z):
+            times.append(t)
+            return u_min(model, t, z)
 
+        def nan_late(*args):
+            z, mu, lam = step(*args)
+            return (math.nan if times[-1] > 0.3 else z), mu, lam
+
+        monkeypatch.setattr(zerodim.ZeroDimModel, "u_min", timed_u_min)
         monkeypatch.setattr(zerodim, "z_step", nan_late)
         params = af.SchemeParams(rho=0.02, T=1.0, max_am_iters=5)
         with pytest.raises(SolverFailure, match="NaN") as err:
@@ -73,7 +80,7 @@ class _StubProblem:
     def solve_u(self, t, z):
         return 1.0
 
-    def solve_z(self, t, u, z_prev, rho):
+    def solve_z(self, u, z_prev, rho):
         z = self.z_values[min(self.calls, len(self.z_values) - 1)]
         self.calls += 1
         return z, None
@@ -116,9 +123,13 @@ class TestAMLoop:
                 super().__init__(*args)
                 self.histories, self.current = {}, []
 
-            def solve_z(self, t, u, z_prev, rho):
-                z, report = super().solve_z(t, u, z_prev, rho)
-                self.current.append(self.energy(t, u, z)
+            def solve_u(self, t, z):
+                self.t = t  # the time of the damage solve that follows
+                return super().solve_u(t, z)
+
+            def solve_z(self, u, z_prev, rho):
+                z, report = super().solve_z(u, z_prev, rho)
+                self.current.append(self.energy(self.t, u, z)
                                     + self.dissipation(z - z_prev))
                 return z, report
 
@@ -145,7 +156,7 @@ class TestAMLoop:
         # damage KKT is exact for the returned displacement
         assert res.z_report.stationarity_residual <= 10 * params.tol_newton
         # displacement equilibrium holds to the staggered tolerance
-        r = af.grad_u(af.State(t, res.u, res.z), mesh, model, load)
+        r = af.grad_u(t, res.u, res.z, mesh, model, load)
         mask, _ = load.dirichlet_dofs(mesh)
         scale = np.abs(af.assemble_K(res.z, mesh, model).diagonal()).max() * \
             max(1.0, np.abs(res.u).max())
@@ -225,12 +236,12 @@ class TestRun:
         *_, params, trace = *ct_coarse_trace[:3], ct_coarse_trace[3], ct_coarse_trace[4]
         assert trace.records[-1].t == params.T
 
-    def test_partial_trace_on_step_budget(self, ct_coarse_setup):
+    def test_partial_trace_on_step_budget(self, ct_coarse_setup,
+                                          monkeypatch):
         mesh, model, load, params = ct_coarse_setup
-        import dataclasses
-        tight = dataclasses.replace(params, max_steps=3)
+        monkeypatch.setattr(driver, "_step_budget", lambda params: 3)
         with pytest.raises(SolverFailure) as err:
-            af.run(mesh, model, load, tight, np.ones(mesh.n_nodes))
+            af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
         partial = err.value.partial_trace
         assert partial.aborted
         assert len(partial.records) == 4
@@ -322,7 +333,7 @@ class TestPredictedStart:
 
             def energy(t, u, z):
                 u = np.where(mask, values(t), u)
-                return af.total_energy(af.State(t, u, z), mesh, model, load)
+                return af.total_energy(t, u, z, mesh, model, load)
 
         for prev, r in zip(trace.records, trace.records[1:]):
             bound = energy(r.t, *trace.snapshot(prev.k))

@@ -185,8 +185,7 @@ class TestValidation:
             af.LoadProgram(**values)
 
     @pytest.mark.parametrize("field, bad, least", [
-        ("snapshot_stride", 0, 1), ("snapshot_stride", -3, 1),
-        ("max_steps", -2, 0)])
+        ("snapshot_stride", 0, 1), ("snapshot_stride", -3, 1)])
     def test_scheme_rejects_out_of_range_counts(self, field, bad, least):
         with pytest.raises(ModelConfigError, match=field):
             af.SchemeParams(rho=0.1, T=1.0, **{field: bad})
@@ -290,8 +289,7 @@ class TestCoercivity:
             u = np.zeros(2 * n)
             u[free] = rng.normal(0, 3.0, free.sum())
             z = rng.normal(0, 2.0, n)
-            state = af.State(t, u, z)
-            E = af.total_energy(state, mesh, model, load)
+            E = af.total_energy(t, u, z, mesh, model, load)
             u_h1 = float(u @ (H1v @ u))
             z_z = float(z @ (H1 @ z))
             assert E >= c1 * u_h1 + c2 * z_z - c0 - 1e-9 * (1 + abs(E))

@@ -113,7 +113,7 @@ class TestSolveU:
                 z[np.abs(mesh.nodes[:, 1] - 0.5) <= 0.0125 + 1e-12] = 0.0
             t = 0.6
             u = af.solve_u(t, z, mesh, model, load)
-            r = af.grad_u(af.State(t, u, z), mesh, model, load)
+            r = af.grad_u(t, u, z, mesh, model, load)
             mask, values = load.dirichlet_dofs(mesh)
             K = af.assemble_K(z, mesh, model)
             scale = np.abs(K.data).max() * np.abs(u).max()
@@ -148,7 +148,7 @@ class TestSolveZ:
         model = af.MaterialModel(young_E=100.0, poisson_nu=0.3, preset="AT")
         params = default_params()
         z_prev = np.full(mesh.n_nodes, 0.8)
-        rep = af.solve_z(0.0, np.zeros(2 * mesh.n_nodes), z_prev, params.rho,
+        rep = af.solve_z(np.zeros(2 * mesh.n_nodes), z_prev, params.rho,
                          mesh, model, params)
         assert np.array_equal(rep.z, z_prev)
         assert rep.stationarity_residual <= params.tol_newton
@@ -160,7 +160,7 @@ class TestSolveZ:
         mesh, model, u = one_element_problem()
         params = default_params(rho=1e6)
         z_prev = np.ones(mesh.n_nodes)
-        rep = af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+        rep = af.solve_z(u, z_prev, params.rho, mesh, model, params)
         assert np.ptp(rep.z) < 1e-9, "symmetric data gives a uniform field"
         Q, b, _ = z_quadratic(u, mesh, model)
         ones = np.ones(mesh.n_nodes)
@@ -188,7 +188,7 @@ class TestSolveZ:
         rho = 0.08
         params = default_params(rho=rho)
         z_prev = np.ones(mesh.n_nodes)
-        rep = af.solve_z(0.0, u, z_prev, rho, mesh, model, params)
+        rep = af.solve_z(u, z_prev, rho, mesh, model, params)
         assert rep.constraint_active, "test problem must activate the ball"
 
         # mirror symmetry x -> 1-x: columns (0,3) and (2,5) coincide
@@ -220,7 +220,7 @@ class TestSolveZ:
         for trial in range(5):
             u = rng.normal(0, 0.4, 2 * mesh.n_nodes)
             z_prev = rng.uniform(0.5, 1.0, mesh.n_nodes)
-            rep = af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+            rep = af.solve_z(u, z_prev, params.rho, mesh, model, params)
             dz = rep.z - z_prev
             assert af.field_norm_V(dz, mesh, params.norm_V) <= params.rho * (1 + 1e-6)
             assert dz.max() <= 1e-8
@@ -252,11 +252,10 @@ class TestSolveZ:
                               ubar_rate=0.4)
         z_prev = np.ones(mesh.n_nodes)
         u = af.solve_u(0.9, z_prev, mesh, model, load)
-        rep = af.solve_z(0.9, 3 * u, z_prev, params.rho, mesh, model, params)
+        rep = af.solve_z(3 * u, z_prev, params.rho, mesh, model, params)
         assert rep.constraint_active
         assert rep.lam.max() == 0.0, "driving must keep the box inactive"
-        dist = dual_distance(af.State(0.9, 3 * u, rep.z), mesh, model,
-                             params.norm_V)
+        dist = dual_distance(3 * u, rep.z, mesh, model, params.norm_V)
         assert abs(dist - rep.xi_norm_dual) <= 10 * params.tol_newton * \
             max(1.0, dist)
 
@@ -268,7 +267,7 @@ class TestSolveZ:
         rng = np.random.default_rng(13)
         u = rng.normal(0, 0.5, 2 * mesh.n_nodes)
         z_prev = rng.uniform(0.6, 1.0, mesh.n_nodes)
-        rep = af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+        rep = af.solve_z(u, z_prev, params.rho, mesh, model, params)
         assert rep.stationarity_residual <= params.tol_newton * 10
 
     def test_h1_ball(self):
@@ -279,7 +278,7 @@ class TestSolveZ:
         rng = np.random.default_rng(3)
         u = rng.normal(0, 0.6, 2 * mesh.n_nodes)
         z_prev = np.ones(mesh.n_nodes)
-        rep = af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+        rep = af.solve_z(u, z_prev, params.rho, mesh, model, params)
         dzn = af.field_norm_V(rep.z - z_prev, mesh, params.norm_V)
         assert dzn <= params.rho * (1 + 1e-6)
         assert (rep.z - z_prev).max() <= 1e-8
@@ -290,7 +289,7 @@ class TestSolveZ:
         mesh, model, u, z_prev = half_strained_problem()
         assert mesh.n_nodes <= 25
         params = default_params(rho=0.02)
-        rep = af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+        rep = af.solve_z(u, z_prev, params.rho, mesh, model, params)
         Q, b, _ = z_quadratic(u, mesh, model)
         Qd = Q.toarray()
         ref = minimize(
@@ -320,7 +319,7 @@ class TestSolveZ:
         # every node is free from the start and stays free
         mesh, model, u = one_element_problem()
         params = default_params(rho=1e6)
-        rep = af.solve_z(0.0, u, np.ones(mesh.n_nodes), params.rho, mesh,
+        rep = af.solve_z(u, np.ones(mesh.n_nodes), params.rho, mesh,
                          model, params)
         assert np.all(rep.z < 1.0) and len(calls) <= 1
         assert rep.newton_iters == len(calls)
@@ -328,18 +327,18 @@ class TestSolveZ:
         calls.clear()
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25)
         z_prev = np.full(mesh.n_nodes, 0.8)
-        rep = af.solve_z(0.0, np.zeros(2 * mesh.n_nodes), z_prev, params.rho,
+        rep = af.solve_z(np.zeros(2 * mesh.n_nodes), z_prev, params.rho,
                          mesh, model, params)
         assert np.array_equal(rep.z, z_prev) and calls == []
 
     def test_failure_carries_residuals(self, monkeypatch):
         mesh, model, u, z_prev = half_strained_problem()
         params = default_params(rho=1e6)
-        rep = af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+        rep = af.solve_z(u, z_prev, params.rho, mesh, model, params)
         assert rep.al_iters > 1, "the first active set must be wrong"
         monkeypatch.setattr(amfrac.solvers, "_MAX_ITERATIONS", 1)
         with pytest.raises(SolverFailure) as err:
-            af.solve_z(0.0, u, z_prev, params.rho, mesh, model, params)
+            af.solve_z(u, z_prev, params.rho, mesh, model, params)
         assert "stationarity" in err.value.residuals
         assert err.value.residuals["passes"] == 1
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import amfrac as af
+import amfrac.driver as driver
 import amfrac.zerodim as zerodim
 from amfrac.diagnostics import check_trace_invariants, complementarity_check
 from amfrac.model import ModelConfigError
@@ -24,24 +25,24 @@ from oracles import ScalarBV, ref_brute_force_z_step, ref_z_step, z_step_bits
 class TestZStep:
     def test_no_displacement_keeps_z(self):
         zm = ZeroDimModel()  # kappa_R > kappa_E * z_prev: no decrease
-        z, mu, lam = z_step(0.0, 0.0, 0.8, 0.1, zm)
+        z, mu, lam = z_step(0.0, 0.8, 0.1, zm)
         assert z == pytest.approx(0.8)
         assert mu == 0.0
-        oracle = brute_force_z_step(0.0, 0.0, 0.8, 0.1, zm)
+        oracle = brute_force_z_step(0.0, 0.8, 0.1, zm)
         assert abs(z - oracle) <= 2e-4
 
     def test_zero_radius_is_singleton(self):
         zm = ZeroDimModel()
-        z, _, _ = z_step(0.3, 2.0, 0.7, 0.0, zm)
+        z, _, _ = z_step(2.0, 0.7, 0.0, zm)
         assert z == pytest.approx(0.7)
-        assert brute_force_z_step(0.3, 2.0, 0.7, 0.0, zm) == pytest.approx(0.7)
+        assert brute_force_z_step(2.0, 0.7, 0.0, zm) == pytest.approx(0.7)
 
     def test_saturated_ball_without_restoring_terms(self):
         zm = ZeroDimModel(kappa_E=1e-12, kappa_R=0.0)
-        z, mu, _ = z_step(0.0, 10.0, 0.9, 0.2, zm)
+        z, mu, _ = z_step(10.0, 0.9, 0.2, zm)
         assert z == pytest.approx(max(0.0, 0.9 - 0.2))
         assert mu > 0.0  # ball multiplier pushes from below
-        z2, _, _ = z_step(0.0, 10.0, 0.1, 0.5, zm)
+        z2, _, _ = z_step(10.0, 0.1, 0.5, zm)
         assert z2 == pytest.approx(0.0, abs=1e-12)
 
     def test_oracle_equivalence_random(self):
@@ -49,12 +50,11 @@ class TestZStep:
         rng = np.random.default_rng(42)
         grid_step = 1e-4
         for _ in range(200):
-            t = rng.uniform(0.0, 1.0)
             u = rng.uniform(0.0, 3.0)
             z_prev = rng.uniform(0.0, 1.0)
             rho = rng.uniform(1e-3, 0.5)
-            z, _, _ = z_step(t, u, z_prev, rho, zm)
-            oracle = brute_force_z_step(t, u, z_prev, rho, zm, grid_step)
+            z, _, _ = z_step(u, z_prev, rho, zm)
+            oracle = brute_force_z_step(u, z_prev, rho, zm, grid_step)
             assert abs(z - oracle) <= 2 * grid_step
 
     def test_closed_form_and_multipliers(self):
@@ -68,7 +68,7 @@ class TestZStep:
                               kappa_R=rng.uniform(0.0, 2.0))
             u, z_prev = rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0)
             rho = 10.0 ** rng.uniform(-6.0, 0.0)
-            z, mu, lam = z_step(0.0, u, z_prev, rho, zm)
+            z, mu, lam = z_step(u, z_prev, rho, zm)
             c = zm.a * u * u + zm.kappa_E
             lo = max(0.0, z_prev - rho)
             assert z == min(max(zm.kappa_R / c, lo), z_prev)
@@ -82,7 +82,7 @@ class TestZStep:
 
     def test_grid_step_validation(self):
         with pytest.raises(ValueError):
-            brute_force_z_step(0.0, 1.0, 0.5, 0.1, ZeroDimModel(), 0.0)
+            brute_force_z_step(1.0, 0.5, 0.1, ZeroDimModel(), 0.0)
 
 
 class TestZStepIdentity:
@@ -90,9 +90,9 @@ class TestZStepIdentity:
     ``ref_z_step``, compared bit for bit."""
 
     @staticmethod
-    def assert_same(t, u, z_prev, rho, zm):
-        got = z_step_bits(z_step, t, u, z_prev, rho, zm)
-        assert got == z_step_bits(ref_z_step, t, u, z_prev, rho, zm), \
+    def assert_same(u, z_prev, rho, zm):
+        got = z_step_bits(z_step, u, z_prev, rho, zm)
+        assert got == z_step_bits(ref_z_step, u, z_prev, rho, zm), \
             (u, z_prev, rho, vars(zm))
 
     def test_random_inputs(self):
@@ -102,8 +102,8 @@ class TestZStepIdentity:
                               kappa_E=rng.uniform(0.0, 2.0),
                               kappa_R=rng.uniform(0.0, 2.0))
             rho = 10.0 ** rng.uniform(-6.0, 0.0)
-            self.assert_same(rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0),
-                             rng.uniform(0.0, 1.0), rho, zm)
+            self.assert_same(rng.uniform(0.0, 3.0), rng.uniform(0.0, 1.0),
+                             rho, zm)
 
     def test_edge_table(self):
         """Every combination of special values: rho = 0 and rho >= z_prev,
@@ -117,14 +117,14 @@ class TestZStepIdentity:
             zm = SimpleNamespace(a=1.0, kappa_E=kappa_E, kappa_R=kappa_R)
             for u, z_prev, rho in itertools.product(
                     (0.0, -0.0, 1e-300, 1.0, 3.0, math.nan), special, special):
-                self.assert_same(0.3, u, z_prev, rho, zm)
+                self.assert_same(u, z_prev, rho, zm)
 
     @pytest.mark.parametrize("u, z_prev, rho", [
         (math.nan, 0.8, 0.1), (1.0, math.nan, 0.1)])
     def test_nan_input_gives_nan(self, u, z_prev, rho):
         zm = ZeroDimModel()
-        self.assert_same(0.3, u, z_prev, rho, zm)
-        assert math.isnan(z_step(0.3, u, z_prev, rho, zm)[0])
+        self.assert_same(u, z_prev, rho, zm)
+        assert math.isnan(z_step(u, z_prev, rho, zm)[0])
 
     def test_scalar_run_with_the_reference_step(self, monkeypatch):
         zm = ZeroDimModel()
@@ -148,9 +148,9 @@ class TestGridOracle:
     (``np.linspace`` and ``np.argmin``), compared under ``==``."""
 
     @staticmethod
-    def assert_same(t, u, z_prev, rho, zm, grid_step):
-        z = brute_force_z_step(t, u, z_prev, rho, zm, grid_step)
-        z_ref = ref_brute_force_z_step(t, u, z_prev, rho, zm, grid_step)
+    def assert_same(u, z_prev, rho, zm, grid_step):
+        z = brute_force_z_step(u, z_prev, rho, zm, grid_step)
+        z_ref = ref_brute_force_z_step(u, z_prev, rho, zm, grid_step)
         assert z == z_ref, (u, z_prev, rho, grid_step)
 
     def test_random_inputs_match_the_numpy_reference(self):
@@ -163,8 +163,8 @@ class TestGridOracle:
             cells = 10.0 ** rng.uniform(0.0, math.log10(5000.0))
             z_prev = rng.uniform(0.0, 1.0)
             rho = cells * grid_step
-            self.assert_same(rng.uniform(0.0, 1.0), rng.uniform(0.0, 3.0),
-                             z_prev, rho, zm, grid_step)
+            self.assert_same(rng.uniform(0.0, 3.0), z_prev, rho, zm,
+                             grid_step)
 
     def test_flat_minimum_is_decided_by_round_off(self):
         """Cells of 1e-9 to 1e-7 around the interior minimizer: neighbouring
@@ -179,7 +179,7 @@ class TestGridOracle:
             grid_step = 10.0 ** rng.uniform(-9.0, -7.0)
             rho = int(rng.integers(50, 2000)) * grid_step
             z_prev = z_min + rng.uniform(0.2, 0.8) * rho
-            self.assert_same(0.0, u, z_prev, rho, zm, grid_step)
+            self.assert_same(u, z_prev, rho, zm, grid_step)
 
     @pytest.mark.parametrize("cells", [1, 2, 3, 7, 200, 1000, 5000])
     def test_grid_sizes(self, cells):
@@ -188,7 +188,7 @@ class TestGridOracle:
         rho = 0.9999 * cells * grid_step
         assert math.ceil((0.9 - (0.9 - rho)) / grid_step) == cells
         for u in (0.0, 0.7, 1.3, 3.0):
-            self.assert_same(0.0, u, 0.9, rho, zm, grid_step)
+            self.assert_same(u, 0.9, rho, zm, grid_step)
 
     @pytest.mark.parametrize("z_prev, rho", [
         (0.7, 0.0),      # zero radius: lo == hi
@@ -202,8 +202,7 @@ class TestGridOracle:
         for _ in range(20):
             zm = ZeroDimModel(kappa_E=rng.uniform(0.0, 2.0),
                               kappa_R=rng.uniform(0.0, 2.0))
-            self.assert_same(0.0, rng.uniform(0.0, 3.0), z_prev, rho, zm,
-                             1e-4)
+            self.assert_same(rng.uniform(0.0, 3.0), z_prev, rho, zm, 1e-4)
 
     def test_round_off_adds_a_cell(self):
         # the premise of the last case of test_edge_intervals
@@ -214,9 +213,9 @@ class TestGridOracle:
         # a stand-in, since the model requires kappa_E > 0
         zm = SimpleNamespace(a=1.0, kappa_E=0.0, kappa_R=0.0)
         for z_prev, rho in ((0.9, 0.05), (0.3, 0.5), (0.5, 0.0)):
-            z = brute_force_z_step(0.0, 0.0, z_prev, rho, zm)
+            z = brute_force_z_step(0.0, z_prev, rho, zm)
             assert z == max(0.0, z_prev - rho)
-            self.assert_same(0.0, 0.0, z_prev, rho, zm, 1e-4)
+            self.assert_same(0.0, z_prev, rho, zm, 1e-4)
 
     def test_scalar_run_with_the_reference_oracle(self, monkeypatch):
         """Each oracle call of a run equals the reference on its inputs,
@@ -335,7 +334,7 @@ class TestRunZeroDim:
             u_ref, converged = u_prev, False
             for _ in range(params.max_am_iters):
                 u = zm.u_min(r.t, z_i)
-                z, _, _ = z_step(r.t, u, z_prev, params.rho, zm)
+                z, _, _ = z_step(u, z_prev, params.rho, zm)
                 du = (abs(u - u_ref) / max(abs(u), 1e-12)
                       if u_ref is not None else math.inf)
                 converged = max(du, abs(z - z_i)) <= params.tol_am
@@ -353,8 +352,9 @@ class TestRunZeroDim:
         # covers a redone step too
         assert sum(r.am_redone for r in trace.records) == redone
 
-    def test_partial_trace_on_step_budget(self):
-        params = af.SchemeParams(rho=0.02, T=1.0, max_steps=3)
+    def test_partial_trace_on_step_budget(self, monkeypatch):
+        monkeypatch.setattr(driver, "_step_budget", lambda params: 3)
+        params = af.SchemeParams(rho=0.02, T=1.0)
         with pytest.raises(af.SolverFailure) as err:
             run_zero_dim(ZeroDimModel(), params)
         partial = err.value.partial_trace
