@@ -12,15 +12,16 @@ advances.
 (``run``), the staggered baseline on a prescribed time grid
 (``run_pure_am``, the same loop with ``rho = inf``) and the scalar model
 (``zerodim.run_zero_dim``).  It sees the model only through a subproblem:
-``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(u, z_prev, rho) ->
-(z, report)``, ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM
-stopping rule, the per-step ``record(k, t, dt, res, z_prev) ->
-StepRecord``, which carries ``||z - z_prev||_V`` for the time update,
-``fields(u, z)``, the snapshot of one step as a pair of arrays,
-``predict(z_prev, z_pp)`` and, under a Dirichlet load only,
-``energy_bound(t, u_prev, z_prev)``.  ``FieldProblem`` is the
-finite-element implementation and ``zerodim.ScalarProblem`` the
-closed-form scalar one.
+``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(u, z_prev, rho,
+start) -> (z, report)``, where ``start`` is None for the first damage
+solve of an AM loop and the previous solve's report after it,
+``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM stopping rule, the
+per-step ``record(k, t, dt, res, z_prev) -> StepRecord``, which carries
+``||z - z_prev||_V`` for the time update, ``fields(u, z)``, the snapshot
+of one step as a pair of arrays, ``predict(z_prev, z_pp)`` and, under a
+Dirichlet load only, ``energy_bound(t, u_prev, z_prev)``.
+``FieldProblem`` is the finite-element implementation and
+``zerodim.ScalarProblem`` the closed-form scalar one.
 
 Predicted start.  The artificial time advances by the same ``rho`` at
 every step, so the last damage increment predicts the next one: the AM
@@ -141,10 +142,11 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
 
     The first displacement solve sees ``z_start`` (default: the previous
     damage field ``z_prev``); every damage solve is bounded by and centred
-    on ``z_prev``.  Iterates to a Cauchy-type stopping rule; the returned
-    pair is a fixpoint of the staggered map to tolerance.  The loop ends on
-    a damage solve, so the damage KKT certificates hold exactly for the
-    returned displacement.
+    on ``z_prev``, and each one after the first starts from the report of
+    the one before (the subproblem's ``start``).  Iterates to a
+    Cauchy-type stopping rule; the returned pair is a fixpoint of the
+    staggered map to tolerance.  The loop ends on a damage solve, so the
+    damage KKT certificates hold exactly for the returned displacement.
     """
     sup = problem.sup
     tol = problem.params.tol_am
@@ -155,7 +157,7 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
     i = 0
     for i in range(1, problem.params.max_am_iters + 1):
         u_i = problem.solve_u(t, z_i)
-        z_new, report = problem.solve_z(u_i, z_prev, rho)
+        z_new, report = problem.solve_z(u_i, z_prev, rho, report)
         if u_ref is None:
             du = math.inf
         else:
@@ -296,8 +298,9 @@ class FieldProblem:
     def solve_u(self, t, z):
         return solve_u(t, z, self.mesh, self.model, self.load)
 
-    def solve_z(self, u, z_prev, rho):
-        report = solve_z(u, z_prev, rho, self.mesh, self.model, self.params)
+    def solve_z(self, u, z_prev, rho, start):
+        report = solve_z(u, z_prev, rho, self.mesh, self.model, self.params,
+                         start)
         return report.z, report
 
     def energy(self, t, u, z) -> float:

@@ -15,15 +15,27 @@ the sphere along the ray from ``z_prev``, and bordered Newton steps on the
 free values and the ball multiplier take over, the active sets being
 updated after each step.  When the Schur pivot of a bordered step is not
 positive (the free values cannot move the ball, e.g. when the ball's
-gradient vanishes on them), the pass releases the ball (``nu = 0``) and
-runs a box pass instead.  The steps write the ball as its power sum,
-``S(v)/a <= rho^a/a`` with ``N(v) = S(v)^(1/a)`` (``assembly.VNorm``): the
-same KKT points as ``N(v) <= rho``, and a Hessian that is a sum over Gauss
-points.  Its multiplier ``nu`` gives the one of ``N <= rho`` as
-``mu = nu N^(a-1)``.  The gradient of ``S`` is evaluated only while the
-ball binds.  For ``a < 2`` the Hessian of ``S`` is infinite on an element
-where ``v`` vanishes; the step raises ``SolverFailure`` once such an
-element has a free node.
+gradient vanishes on them), or when no value is free, the pass releases
+the ball (``nu = 0``) and runs a box pass instead.  The steps write the
+ball as its power sum, ``S(v)/a <= rho^a/a`` with ``N(v) = S(v)^(1/a)``
+(``assembly.VNorm``): the same KKT points as ``N(v) <= rho``, and a
+Hessian that is a sum over Gauss points.  Its multiplier ``nu`` gives
+the one of ``N <= rho`` as ``mu = nu N^(a-1)``.  The gradient of ``S`` is
+evaluated only while the ball binds.  For ``a < 2`` the Hessian of ``S``
+is infinite on an element where ``v`` vanishes; the step raises
+``SolverFailure`` once such an element has a free node.
+
+A solve may start from the report of an earlier solve of a nearby
+subproblem (``solve_z(..., start)``): the AM loop passes each damage solve
+but its first the previous iterate's report, whose ``z_prev`` and ball are
+the same and whose ``u`` moved a little.  The first pass then takes the
+start's final box-active sets in place of the nodes where the box binds at
+``z_prev``; when the start's ball was binding (``nu > 0``) it also takes
+the start's ``z`` and ``nu`` with the ball on, so that pass is a bordered
+Newton step rather than a box pass, a retraction and the steps after it.
+The subproblem has one minimizer (``Q`` is SPD and the box and the ball
+are convex), and the passes, exit test and acceptance are those of a cold
+solve, so the start changes only the path to it.
 
 Every system factored here is symmetric positive definite (the stiffness
 because ``eta > 0``; ``Q = H + c1 M + c2 L`` with ``c1 > 0`` plus the ball
@@ -172,11 +184,17 @@ class ZSolveReport:
     number of nodes that the last pass held at ``z = 0`` (a retraction onto
     the sphere in that pass can lift them slightly).  ``mu = nu N^(a-1)``
     is the multiplier of ``N(z - z_prev) <= rho``, for the multiplier
-    ``nu`` of its power-sum form, and ``xi = nu grad(S/a) = mu grad N``.
+    ``nu`` of its power-sum form, and ``xi = nu grad(S/a) = mu grad N``;
+    ``nu`` is 0 unless the ball binds at the end.  ``active`` and ``lower``
+    are the last pass's box-active sets, at ``z = z_prev`` and at ``z = 0``:
+    with ``nu`` and ``z`` they are what a later solve starts from.
     """
 
     z: np.ndarray
     lam: np.ndarray
+    active: np.ndarray
+    lower: np.ndarray
+    nu: float
     mu: float
     xi: np.ndarray
     xi_norm_dual: float
@@ -190,12 +208,16 @@ class ZSolveReport:
 
 
 def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
-            model: MaterialModel, params: SchemeParams) -> ZSolveReport:
+            model: MaterialModel, params: SchemeParams,
+            start: ZSolveReport | None = None) -> ZSolveReport:
     """Damage update: minimize the damage-quadratic energy plus dissipation
     subject to ``0 <= z <= z_prev`` (nodal) and ``||z - z_prev||_V <= rho``.
 
-    ``rho = inf`` disables the ball (plain staggered step).  Raises
-    ``SolverFailure`` with its residuals when the KKT tolerances are not met.
+    ``rho = inf`` disables the ball (plain staggered step).  ``start``, the
+    report of a solve with the same ``z_prev`` and ``rho``, gives the first
+    pass its active sets and, if its ball was binding, its ``z`` and ``nu``
+    (module docstring).  Raises ``SolverFailure`` with its residuals when
+    the KKT tolerances are not met.
     """
     Q, b, _ = z_quadratic(u, mesh, model)
     w = lumped_weights(mesh)
@@ -217,9 +239,14 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
     enter_tol = 1e-3 * feas_tol
 
     z = z_prev.copy()
-    active = g0 < 0.0  # lam0 = btot - Q z_prev > 0
-    lower = np.zeros(n, dtype=bool)  # held at z = 0
     nu, ball_on = 0.0, False  # multiplier of S/a <= rho^a/a
+    if start is None:
+        active = g0 < 0.0  # lam0 = btot - Q z_prev > 0
+        lower = np.zeros(n, dtype=bool)  # held at z = 0
+    else:
+        active, lower = start.active, start.lower
+        if has_ball and start.nu > 0.0:
+            z, nu, ball_on = start.z.copy(), start.nu, True
     N, gS = 0.0, None
     box_sets = set()
     passes, solves, new_pass = 0, 0, True
@@ -239,10 +266,13 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
         free = ~pinned
         pin = np.where(active, z_prev, 0.0)
         z[pinned] = pin[pinned]
-        if ball_on and free.any():
-            nu = _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball,
-                                rho)
-            solves += 1
+        if ball_on:
+            if free.any():
+                nu = _bordered_step(Q, btot, z, z_prev, nu, band, pinned,
+                                    ball, rho)
+                solves += 1
+            else:
+                nu = None
             if nu is None:  # the free block cannot move the ball
                 ball_on, nu = False, 0.0
         if not ball_on:
@@ -312,6 +342,9 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
     return ZSolveReport(
         z=z,
         lam=lam,
+        active=active,
+        lower=lower,
+        nu=nu,
         mu=nu * N ** (ball.a - 1.0),
         xi=xi,
         xi_norm_dual=dual_norm_lumped(xi / w, w, norm) if np.any(xi) else 0.0,

@@ -162,8 +162,9 @@ class ScalarProblem:
         self.solve_u = model.u_min
         self.energy = model.energy
 
-    def solve_z(self, u, z_prev, rho):
-        """The damage value and, as the report, its ball multiplier."""
+    def solve_z(self, u, z_prev, rho, start):
+        """The damage value and, as the report, its ball multiplier; the
+        closed form needs no ``start``."""
         z, mu, _ = z_step(u, z_prev, rho, self.model)
         if self.check_oracle:
             z_ref = brute_force_z_step(u, z_prev, rho, self.model, _GRID_STEP)

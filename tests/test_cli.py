@@ -244,8 +244,7 @@ formats = csv
 """
 
 # the same panel refined in the band (0, 300) x (0, 100) only, to T = 0.2 at
-# the preset's ramp rate: its damage solve meets a ball that the free nodes
-# cannot move
+# the preset's ramp rate
 LSHAPE_BAND_CFG = """
 [experiment]
 name = lshape

@@ -67,7 +67,8 @@ class TestTimeUpdate:
 
 class _StubProblem:
     """Scalar subproblem with a fixed displacement and a scripted sequence
-    of damage solves (the last one repeats)."""
+    of damage solves (the last one repeats); each solve's report is its
+    index, and ``starts`` logs the start each solve was given."""
 
     sup = staticmethod(abs)
 
@@ -76,20 +77,28 @@ class _StubProblem:
                                       max_am_iters=max_am_iters)
         self.z_values = list(z_values)
         self.calls = 0
+        self.starts = []
 
     def solve_u(self, t, z):
         return 1.0
 
-    def solve_z(self, u, z_prev, rho):
+    def solve_z(self, u, z_prev, rho, start):
         z = self.z_values[min(self.calls, len(self.z_values) - 1)]
+        self.starts.append(start)
         self.calls += 1
-        return z, None
+        return z, self.calls - 1
 
 
 class TestAMLoop:
     def test_stub_converges_on_a_repeated_iterate(self):
         res = af.am_loop(_StubProblem([0.5]), 0.0, 1.0, 0.1)
         assert (res.converged, res.iters, res.z) == (True, 2, 0.5)
+
+    def test_each_damage_solve_starts_from_the_previous_report(self):
+        problem = _StubProblem([0.5, 0.4, 0.3, 0.3])
+        res = af.am_loop(problem, 0.0, 1.0, 0.1)
+        assert (res.converged, res.iters, res.z_report) == (True, 4, 3)
+        assert problem.starts == [None, 0, 1, 2]
 
     def test_nan_damage_iterate_is_not_converged(self):
         # du = 0 on the second iteration; a NaN dz must not hide behind it
@@ -127,8 +136,8 @@ class TestAMLoop:
                 self.t = t  # the time of the damage solve that follows
                 return super().solve_u(t, z)
 
-            def solve_z(self, u, z_prev, rho):
-                z, report = super().solve_z(u, z_prev, rho)
+            def solve_z(self, u, z_prev, rho, start):
+                z, report = super().solve_z(u, z_prev, rho, start)
                 self.current.append(self.energy(self.t, u, z)
                                     + self.dissipation(z - z_prev))
                 return z, report
@@ -339,6 +348,40 @@ class TestPredictedStart:
             bound = energy(r.t, *trace.snapshot(prev.k))
             assert r.energy + r.R_increment <= \
                 bound + 1e-12 * max(1.0, abs(bound)), r.k
+
+    def test_first_solve_of_every_loop_and_redo_starts_cold(
+            self, monkeypatch, analysis_traction_setup):
+        """The first damage solve of each AM loop, the guard's redo
+        included, gets no start; every later one gets the report of the
+        solve before it."""
+        loops = []
+
+        class Logging(FieldProblem):
+            def solve_z(self, u, z_prev, rho, start):
+                z, report = super().solve_z(u, z_prev, rho, start)
+                loops[-1].append((start, report))
+                return z, report
+
+        am_loop = driver.am_loop
+
+        def logged_am_loop(*args, **kwargs):
+            loops.append([])
+            return am_loop(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "am_loop", logged_am_loop)
+        # every finite bound breaks, so each step after step 0 is redone
+        monkeypatch.setattr(driver, "_breaks_bound",
+                            lambda record, bound: bound < math.inf)
+        mesh, model, load, params = analysis_traction_setup
+        trace = evolve(Logging(mesh, model, load, params),
+                       np.ones(mesh.n_nodes))
+        assert len(loops) == 2 * len(trace.records) - 1
+        assert max(len(solves) for solves in loops) > 1
+        for solves in loops:
+            starts = [start for start, _ in solves]
+            assert starts[0] is None
+            assert all(start is report for start, (_, report)
+                       in zip(starts[1:], solves))
 
     @pytest.mark.parametrize("kind", ["scalar", "traction"])
     def test_a_broken_bound_redoes_the_step_from_plain_start(

@@ -1,6 +1,7 @@
 """Displacement solve and the constrained damage solve with its KKT
 certificates."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -341,6 +342,78 @@ class TestSolveZ:
             af.solve_z(u, z_prev, params.rho, mesh, model, params)
         assert "stationarity" in err.value.residuals
         assert err.value.residuals["passes"] == 1
+
+
+class TestWarmStart:
+    """A damage solve started from the report of a nearby solve (same
+    ``z_prev`` and ball) reaches the cold solve's minimizer."""
+
+    def test_ball_active_start_saves_newton_steps(self):
+        mesh, model, u, z_prev = half_strained_problem()
+        params = default_params(rho=0.02)
+        start = af.solve_z(u, z_prev, params.rho, mesh, model, params)
+        assert start.nu > 0.0 and np.count_nonzero(start.active) > 0
+        cold = af.solve_z(1.01 * u, z_prev, params.rho, mesh, model, params)
+        warm = af.solve_z(1.01 * u, z_prev, params.rho, mesh, model, params,
+                          start)
+        assert cold.constraint_active and warm.constraint_active
+        assert np.array_equal(warm.active, cold.active)
+        assert np.abs(warm.z - cold.z).max() <= 10 * params.tol_constraint
+        assert warm.stationarity_residual <= params.tol_newton
+        assert abs(warm.dz_norm_V - params.rho) <= \
+            10 * params.tol_constraint
+        assert warm.newton_iters < cold.newton_iters
+
+    def test_own_report_ends_in_one_pass(self):
+        """The start's final sets are right: one box pass returns the same
+        ``z`` bit for bit."""
+        mesh, model, u, z_prev = half_strained_problem()
+        params = default_params(rho=1e6)
+        cold = af.solve_z(u, z_prev, params.rho, mesh, model, params)
+        assert cold.al_iters > 1 and cold.nu == 0.0
+        warm = af.solve_z(u, z_prev, params.rho, mesh, model, params, cold)
+        assert np.array_equal(warm.z, cold.z)
+        assert (warm.al_iters, warm.newton_iters) == (1, 1)
+
+    @pytest.mark.parametrize("scale", [0.1, 0.3],
+                             ids=["all-box-active", "free-inside-ball"])
+    def test_binding_start_releases_the_ball(self, scale):
+        """Under a weaker drive the ball does not bind: a start with the ball
+        on releases it, whether the box then holds every node (an empty free
+        block) or leaves free nodes inside the ball."""
+        mesh, model, u, z_prev = half_strained_problem()
+        params = default_params(rho=0.02)
+        start = af.solve_z(u, z_prev, params.rho, mesh, model, params)
+        assert start.nu > 0.0
+        cold = af.solve_z(scale * u, z_prev, params.rho, mesh, model, params)
+        warm = af.solve_z(scale * u, z_prev, params.rho, mesh, model, params,
+                          start)
+        assert not cold.constraint_active
+        assert (np.count_nonzero(~cold.active) > 0) == (scale > 0.1)
+        assert not warm.constraint_active and warm.nu == 0.0 == warm.mu
+        assert np.array_equal(warm.active, cold.active)
+        assert np.abs(warm.z - cold.z).max() <= 10 * params.tol_constraint
+        assert warm.stationarity_residual <= params.tol_newton
+
+    def test_start_without_ball_gradient_releases_the_ball(self,
+                                                          monkeypatch):
+        """A binding start whose ``z`` is ``z_prev`` leaves the free nodes
+        no ball gradient, so the first bordered step has a zero Schur pivot:
+        the pass releases the ball for a box pass, and the solve still ends
+        at the cold minimizer."""
+        mesh, model, u, z_prev = half_strained_problem()
+        params = default_params(rho=0.02)
+        cold = af.solve_z(u, z_prev, params.rho, mesh, model, params)
+        steps = []
+        step = amfrac.solvers._bordered_step
+        monkeypatch.setattr(amfrac.solvers, "_bordered_step",
+                            lambda *a: steps.append(step(*a)) or steps[-1])
+        start = dataclasses.replace(cold, z=z_prev.copy())
+        warm = af.solve_z(u, z_prev, params.rho, mesh, model, params, start)
+        assert steps[0] is None and len(steps) > 1
+        assert warm.constraint_active
+        assert np.abs(warm.z - cold.z).max() <= 10 * params.tol_constraint
+        assert warm.stationarity_residual <= params.tol_newton
 
 
 class TestOrderedSolves:
