@@ -40,7 +40,10 @@ construction), in ``element_data(mesh)``:
   points of an element in one matrix each (``strain_op``, ``grad_op``),
   so a field's strains or gradients are one batched product;
 - for the last input only (``memo``): the element products ``B' C B`` of
-  the last material; the Gauss-point elastic density and the damage
+  the last material; the damage quadratic's terms that do not depend on
+  ``u``, for the last material's constants: ``kappa_E (M + L)`` for
+  ANALYSIS, and ``c1 M``, ``c2 L``, ``b = c1 M 1`` and ``g_c/(4 theta)``
+  times the area for AT; the Gauss-point elastic density and the damage
   quadratic ``z_quadratic``, keyed on the bytes of ``u`` and on the
   material fields they read.  The damage solve, the energy and the dual
   distance of one step then share one evaluation.
@@ -48,6 +51,7 @@ construction), in ``element_data(mesh)``:
 
 from __future__ import annotations
 
+import copy
 import math
 import weakref
 from functools import cached_property
@@ -94,10 +98,18 @@ class SparsePattern:
         """Data vector of the operator with element entries ``vals``."""
         return np.bincount(self.slot, weights=vals.ravel(), minlength=self.nnz)
 
-    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        """The operator with data vector ``data`` (shared, not copied)."""
-        return sp.csr_matrix((data, self.indices, self.indptr),
+    @cached_property
+    def _operator(self) -> sp.csr_matrix:
+        return sp.csr_matrix((np.zeros(self.nnz), self.indices, self.indptr),
                              shape=(self.n, self.n))
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The operator with data vector ``data`` (shared, not copied): a
+        shallow copy of one operator of the pattern with its data replaced,
+        so the pattern is checked once rather than by every construction."""
+        op = copy.copy(self._operator)
+        op.data = data
+        return op
 
 
 class Band:
@@ -371,7 +383,11 @@ def elastic_density_at_gauss(u: np.ndarray, mesh: Mesh,
     the array is read-only."""
     def build():
         eps = strains_at_gauss(u, mesh)
-        psi = ((eps @ model.C) * eps).sum(-1)
+        # one 2-D product and an explicit sum over the three components:
+        # the same bits as the stacked product and ``.sum(-1)``, in a
+        # fraction of the time
+        ce = (eps.reshape(-1, 3) @ model.C).reshape(eps.shape) * eps
+        psi = ce[..., 0] + ce[..., 1] + ce[..., 2]
         psi.flags.writeable = False
         return psi
 
@@ -448,26 +464,42 @@ def z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
         "z_quadratic", key, lambda: _z_quadratic(u, mesh, model))
 
 
+def _z_constants(mesh: Mesh, model: MaterialModel):
+    """The terms of ``_z_quadratic`` that do not depend on ``u``: the data
+    added to ``H`` (one vector for ANALYSIS, ``c1 M`` and ``c2 L`` in turn
+    for AT), ``b`` and the constant of ``c0``.  Kept for the last
+    material's constants."""
+    data = element_data(mesh)
+
+    def build():
+        M, Klap = data.mass.data, data.laplacian.data
+        n = mesh.n_nodes
+        if model.preset == PRESET_AT:
+            gc, th = model.g_c, model.theta
+            terms = ((gc / (2.0 * th)) * M, (2.0 * gc * th) * Klap)
+            b = (gc / (2.0 * th)) * (data.mass @ np.ones(n))
+            c = gc / (4.0 * th) * float(data.wdet.sum())
+        else:
+            terms = (model.kappa_E * (M + Klap),)
+            b = np.zeros(n)
+            c = None
+        b.flags.writeable = False
+        return terms, b, c
+
+    key = (model.preset, model.g_c, model.theta, model.kappa_E)
+    return data.memo("z_constants", key, build)
+
+
 def _z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
     data = element_data(mesh)
     psi = elastic_density_at_gauss(u, mesh, model)
-    h = data.node_operator(data.wdet * psi)
-    M, Klap = data.mass.data, data.laplacian.data
-    n = mesh.n_nodes
-    area = float(data.wdet.sum())
+    q = data.node_operator(data.wdet * psi)
     e0 = 0.5 * model.eta * float(np.sum(data.wdet * psi))
-    if model.preset == PRESET_AT:
-        gc, th = model.g_c, model.theta
-        q = h + (gc / (2.0 * th)) * M + (2.0 * gc * th) * Klap
-        b = (gc / (2.0 * th)) * (data.mass @ np.ones(n))
-        c0 = gc / (4.0 * th) * area + e0
-    else:
-        q = h + model.kappa_E * (M + Klap)
-        b = np.zeros(n)
-        c0 = e0
+    terms, b, c = _z_constants(mesh, model)
+    for term in terms:  # summed in the order h + c1 M + c2 L
+        q += term
     q.flags.writeable = False
-    b.flags.writeable = False
-    return data.node_pattern.matrix(q), b, c0
+    return data.node_pattern.matrix(q), b, e0 if c is None else c + e0
 
 
 def grad_z(u: np.ndarray, z: np.ndarray, mesh: Mesh, model: MaterialModel):

@@ -70,13 +70,15 @@ def complementarity_check(trace: Trace) -> list:
 
     A positive time increment at step k requires an inactive ball at step
     k-1, hence a dual distance there within ``10 * tol_newton``; jump steps
-    (dt = 0) are exempt regardless of the distance.
+    (dt = 0) are exempt regardless of the distance.  A NaN increment is no
+    jump, and a NaN distance is not within the tolerance.
     """
     dist_tol = 10.0 * trace.scheme.tol_newton
     out = []
     recs = trace.records
     for k in range(1, len(recs)):
-        if recs[k].dt > 1e-10 and recs[k - 1].dual_distance > dist_tol:
+        if (not recs[k].dt <= 1e-10
+                and not recs[k - 1].dual_distance <= dist_tol):
             out.append(ComplementarityViolation(
                 k=recs[k].k, dt=recs[k].dt,
                 preceding_distance=recs[k - 1].dual_distance))
@@ -320,20 +322,20 @@ def check_trace_invariants(trace: Trace) -> InvariantReport:
     step order: ``0 <= z <= 1`` on each, and ``z`` nonincreasing from
     ``z0`` through consecutive stored steps.  A partial trace (run without
     ``store_all_snapshots``) is checked on its stored steps only; a trace
-    without fields skips them.
+    without fields skips them.  The reductions propagate NaN, so a NaN
+    anywhere fails the verdict that reads it.
     """
     recs = trace.records
     rho = trace.scheme.rho
     z_min = z_max = irr = None
     if trace.z0 is not None:
-        z_min, z_max, irr = math.inf, -math.inf, -math.inf
-        z_prev = trace.z0
-        for k in sorted(trace.snapshots):
-            _, z = trace.snapshots[k]
-            z_min = min(z_min, float(z.min()))
-            z_max = max(z_max, float(z.max()))
-            irr = max(irr, float((z - z_prev).max()))
-            z_prev = z
+        stored = [trace.snapshots[k][1] for k in sorted(trace.snapshots)]
+        z_min = float(np.min([z.min() for z in stored], initial=math.inf))
+        z_max = float(np.max([z.max() for z in stored], initial=-math.inf))
+        irr = float(np.max([(z - z_prev).max() for z_prev, z
+                            in zip([trace.z0] + stored, stored)],
+                           initial=-math.inf))
+    dt = np.array([r.dt for r in recs])
     last = (recs[-1].dt + recs[-2].dz_norm_V) / rho if len(recs) > 1 else 0.0
     return InvariantReport(
         rho=rho,
@@ -341,9 +343,9 @@ def check_trace_invariants(trace: Trace) -> InvariantReport:
         z_min=z_min,
         z_max=z_max,
         irreversibility_violation=irr,
-        dz_over_rho_max=max(r.dz_norm_V / rho for r in recs),
-        dt_min=min(r.dt for r in recs),
-        dt_max=max(r.dt for r in recs),
+        dz_over_rho_max=float(np.max([r.dz_norm_V / rho for r in recs])),
+        dt_min=float(dt.min()),
+        dt_max=float(dt.max()),
         final_time_error=abs(recs[-1].t - trace.scheme.T),
         normalization_max_error=float(
             np.abs(normalization_residuals(trace)).max(initial=0.0)),

@@ -25,6 +25,15 @@ evaluated only while the ball binds.  For ``a < 2`` the Hessian of ``S``
 is infinite on an element where ``v`` vanishes; the step raises
 ``SolverFailure`` once such an element has a free node.
 
+Each pass ends with one evaluation of the ball at its ``v``: ``N`` after
+a box pass, ``N`` with the gradient of ``S`` (``VNorm.parts``) while the
+ball is on, and ``parts`` again at the retracted ``v`` after a
+retraction.  The report's ``dz_norm_V`` is that ``N`` unless the last
+pass retracted: then ``z - z_prev`` is not the retracted ``v`` to the
+last bit, and its norm is evaluated anew.  A pass with no node pinned
+hands the band no pin mask, and as a box pass solves ``Q z = btot`` as
+it is.
+
 A solve may start from the report of an earlier solve of a nearby
 subproblem (``solve_z(..., start)``): the AM loop passes each damage solve
 but its first the previous iterate's report, whose ``z_prev`` and ball are
@@ -140,11 +149,12 @@ def _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball: VNorm, rho):
 
         (Q z - btot + nu grad(S/a))_F = 0,   (S - rho^a) / a = 0,
 
-    at ``v = z - z_prev``, with the box-active nodes (mask ``pinned``) held
-    at their values by pinned rows.  Updates ``z`` in place and returns the
-    new multiplier, or returns None and leaves ``z`` as it is when the
-    Schur pivot ``g' A^-1 g`` of the bordered system is not positive: then
-    the free values cannot move the ball."""
+    at ``v = z - z_prev``, with the box-active nodes (mask ``pinned``, None
+    when there are none) held at their values by pinned rows.  Updates
+    ``z`` in place and returns the new multiplier, or returns None and
+    leaves ``z`` as it is when the Schur pivot ``g' A^-1 g`` of the
+    bordered system is not positive: then the free values cannot move the
+    ball."""
     v = z - z_prev
     N, g = ball.parts(v)
     # for a < 2 the curvature is infinite on an element where v vanishes;
@@ -155,8 +165,11 @@ def _bordered_step(Q, btot, z, z_prev, nu, band, pinned, ball: VNorm, rho):
         raise SolverFailure("damage solve: the ball curvature is infinite "
                             "on the free block", alpha=ball.a)
     solve = _solver(band, ab)
-    g = np.where(pinned, 0.0, g)
-    r = np.where(pinned, 0.0, Q @ z - btot) + nu * g
+    r = Q @ z - btot
+    if pinned is not None:
+        g = np.where(pinned, 0.0, g)
+        r = np.where(pinned, 0.0, r)
+    r += nu * g
     s = solve(np.column_stack([r, g]))
     pivot = float(g @ s[:, 1])
     if not pivot > 0.0:
@@ -264,11 +277,13 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
         passes += new_pass
         pinned = active | lower
         free = ~pinned
-        pin = np.where(active, z_prev, 0.0)
-        z[pinned] = pin[pinned]
+        mask = pinned if pinned.any() else None
+        if mask is not None:
+            pin = np.where(active, z_prev, 0.0)
+            z[pinned] = pin[pinned]
         if ball_on:
             if free.any():
-                nu = _bordered_step(Q, btot, z, z_prev, nu, band, pinned,
+                nu = _bordered_step(Q, btot, z, z_prev, nu, band, mask,
                                     ball, rho)
                 solves += 1
             else:
@@ -282,36 +297,37 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
                 raise failure("damage active set cycles")
             box_sets.add(key)
             if free.any():
-                rhs = btot - Q @ pin
-                z = _solver(band, band.fill(Q.data, pinned))(
-                    np.where(pinned, pin, rhs))
+                rhs = (btot if mask is None
+                       else np.where(pinned, pin, btot - Q @ pin))
+                z = _solver(band, band.fill(Q.data, mask))(rhs)
                 solves += 1
 
         was_on = ball_on
         v = z - z_prev
+        retracted = False
         if has_ball:
             # the gradient of S is read only while the ball binds
-            N = ball.value(v)
+            if ball_on:
+                N, gS = ball.parts(v)
+            else:
+                N = ball.value(v)
             if N > rho:
                 # retract onto the sphere; N is 1-homogeneous and the ray
                 # from z_prev keeps v <= 0 wherever it already was
                 v *= rho / N
                 z = z_prev + v
                 N, gS = ball.parts(v)
-                if not ball_on:
-                    # least-squares multiplier of the retracted point; a
-                    # negative fit starts at 0 rather than dropping the ball
-                    # straight back into the same box pass
-                    ball_on = True
-                    r = (Q @ z - btot)[free]
-                    g = gS[free]
-                    nu = max(0.0, -float(r @ g) / float(g @ g))
-            elif ball_on:
-                N, gS = ball.parts(v)
-            if nu < 0.0:
-                ball_on, nu = False, 0.0
-
+                retracted = True
         r = Q @ z - btot
+        if retracted and not ball_on:
+            # least-squares multiplier of the retracted point; a negative
+            # fit starts at 0 rather than dropping the ball straight back
+            # into the same box pass
+            ball_on = True
+            g = gS[free]
+            nu = max(0.0, -float(r[free] @ g) / float(g @ g))
+        if nu < 0.0:
+            ball_on, nu = False, 0.0
         if ball_on:
             r += nu * gS
         lam = np.where(active, -r, 0.0)
@@ -336,7 +352,8 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
             and stat <= 10 * params.tol_newton * stat_scale):
         raise failure("damage subproblem did not reach its KKT tolerance")
 
-    dz_norm = ball.value(z - z_prev)
+    # the last pass measured N at v = z - z_prev unless it retracted
+    dz_norm = N if has_ball and not retracted else ball.value(z - z_prev)
 
     xi = nu * gS if ball_on and nu > 0.0 else np.zeros(n)
     return ZSolveReport(

@@ -8,6 +8,7 @@ from amfrac.assembly import (
     element_data,
     elastic_density_at_gauss,
     mass_matrix,
+    strains_at_gauss,
     z_quadratic,
 )
 
@@ -377,6 +378,41 @@ class TestPerDisplacementCache:
         assert not np.array_equal(second[1].toarray(), Q_first)
         self.assert_fresh(second, u, other)
 
+    def test_material_constants_never_go_stale(self):
+        """The terms of the damage quadratic that do not depend on ``u`` are
+        kept for the last material: an AT material, an ANALYSIS one, one
+        with another ``kappa_E``, the AT one again, then with another
+        ``g_c`` and another ``theta``, and an ANALYSIS one with the same
+        constants as that in turn on one mesh each give the bits
+        of a fresh evaluation and of ``h + c1 M + c2 L`` (AT) or ``h +
+        kappa_E (M + L)`` (ANALYSIS), summed in that order."""
+        mesh = small_mesh()
+        u = np.random.default_rng(8).normal(0, 0.1, 2 * mesh.n_nodes)
+        common = dict(young_E=6.0, poisson_nu=0.2, eta=0.01)
+        for material in (dict(preset="AT", g_c=0.9, theta=0.12),
+                         dict(preset="ANALYSIS", kappa_E=0.7),
+                         dict(preset="ANALYSIS", kappa_E=0.4),
+                         dict(preset="AT", g_c=0.9, theta=0.12),
+                         dict(preset="AT", g_c=1.7, theta=0.12),
+                         dict(preset="AT", g_c=1.7, theta=0.2),
+                         dict(preset="ANALYSIS", g_c=1.7, theta=0.2)):
+            model = af.MaterialModel(**common, **material)
+            Q, b, c0 = z_quadratic(u, mesh, model)
+            fresh_mesh = small_mesh()
+            Q_ref, b_ref, c0_ref = z_quadratic(u.copy(), fresh_mesh, model)
+            assert np.array_equal(Q.data, Q_ref.data)
+            assert np.array_equal(b, b_ref) and c0 == c0_ref
+            data = element_data(fresh_mesh)
+            psi = elastic_density_at_gauss(u, fresh_mesh, model)
+            h = data.node_operator(data.wdet * psi)
+            M, L = data.mass.data, data.laplacian.data
+            gc, th = model.g_c, model.theta
+            if model.preset == "AT":
+                q = h + (gc / (2.0 * th)) * M + (2.0 * gc * th) * L
+            else:
+                q = h + model.kappa_E * (M + L)
+            assert np.array_equal(Q.data, q)
+
     def test_cached_arrays_are_read_only(self):
         mesh = small_mesh()
         model = af.MaterialModel(young_E=6.0, poisson_nu=0.2, preset="AT")
@@ -385,6 +421,23 @@ class TestPerDisplacementCache:
         for arr in (psi, Q.data, b):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
+
+
+
+class TestElasticDensity:
+    @pytest.mark.parametrize("nu", [0.2, 0.3])
+    def test_same_bits_as_the_stacked_formula(self, nu):
+        """One 2-D product and an explicit sum over the components give the
+        bits of ``((eps @ C) * eps).sum(-1)`` on a graded mesh."""
+        mesh = af.build_ct_mesh(1.0, 0.1, 0.05)
+        model = af.MaterialModel(young_E=100.0, poisson_nu=nu)
+        rng = np.random.default_rng(int(100 * nu))
+        for _ in range(3):
+            u = rng.normal(0, 0.1, 2 * mesh.n_nodes)
+            eps = strains_at_gauss(u, mesh)
+            ref = ((eps @ model.C) * eps).sum(-1)
+            assert np.array_equal(elastic_density_at_gauss(u, mesh, model),
+                                  ref)
 
 
 class TestInternalConsistency:

@@ -331,6 +331,48 @@ class TestInvariantReport:
                 if ok is False] == failed
 
 
+
+class TestNaNFailsItsVerdict:
+    """A NaN in a trace fails the certificate that reads it: the checks
+    reduce with NaN-propagating operations and test ``not x <= tol``."""
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        trace = run_zero_dim(ZeroDimModel(), af.SchemeParams(rho=0.05, T=1))
+        assert check_trace_invariants(trace).ok()
+        assert complementarity_check(trace) == []
+        return trace
+
+    @staticmethod
+    def failed(report):
+        return [name for name, ok in report.verdicts().items() if ok is False]
+
+    def test_nan_dz_norm_of_the_last_record(self, trace):
+        recs = list(trace.records)
+        recs[-1] = dataclasses.replace(recs[-1], dz_norm_V=math.nan)
+        report = check_trace_invariants(dataclasses.replace(trace, records=recs))
+        assert self.failed(report) == ["dz within ball"]
+        assert not report.ok()
+
+    def test_all_nan_stored_damage_snapshot(self, trace):
+        stored = sorted(trace.snapshots)
+        k = stored[len(stored) // 2]
+        u, z = trace.snapshots[k]
+        snapshots = {**trace.snapshots, k: (u, np.full_like(z, math.nan))}
+        report = check_trace_invariants(
+            dataclasses.replace(trace, snapshots=snapshots))
+        assert self.failed(report) == ["z within [0, 1]", "irreversibility"]
+
+    def test_nan_dual_distance_before_an_advancing_step(self, trace):
+        recs = list(trace.records)
+        k = next(r.k for r in recs[1:] if r.dt > 1e-10)
+        recs[k - 1] = dataclasses.replace(recs[k - 1], dual_distance=math.nan)
+        violations = complementarity_check(
+            dataclasses.replace(trace, records=recs))
+        assert [v.k for v in violations] == [k]
+        assert math.isnan(violations[0].preceding_distance)
+
+
 class TestEnergyBalance:
     def test_frozen_run_closes_exactly(self):
         # constant (zero-rate) load and a stationary damage field: every

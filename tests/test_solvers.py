@@ -344,6 +344,69 @@ class TestSolveZ:
         assert err.value.residuals["passes"] == 1
 
 
+
+class TestDzNorm:
+    """``dz_norm_V`` reuses the norm of the last pass while ``z - z_prev``
+    is that pass's ``v``, and evaluates it again after a retraction: either
+    way it has the bits of ``VNorm.value(z - z_prev)``."""
+
+    @staticmethod
+    def spied_solve(monkeypatch, u, z_prev, rho, mesh, model):
+        """The report, and the norm evaluations of the solve in turn as
+        ``(method, bytes of v)``."""
+        calls = []
+
+        class Spy(amfrac.assembly.VNorm):
+            def value(self, v):
+                calls.append(("value", v.tobytes()))
+                return super().value(v)
+
+            def parts(self, v):
+                calls.append(("parts", v.tobytes()))
+                return super().parts(v)
+
+        monkeypatch.setattr(amfrac.solvers, "VNorm", Spy)
+        params = default_params(rho=rho)
+        rep = af.solve_z(u, z_prev, rho, mesh, model, params)
+        assert rep.dz_norm_V == amfrac.assembly.VNorm(
+            mesh, params.norm_V).value(rep.z - z_prev)
+        return rep, calls
+
+    def test_box_only_solve(self, monkeypatch):
+        mesh, model, u, z_prev = half_strained_problem()
+        rep, calls = self.spied_solve(monkeypatch, u, z_prev, 1e6, mesh,
+                                      model)
+        assert rep.nu == 0.0 and rep.al_iters > 1
+        # one evaluation per pass, the last one at z - z_prev
+        assert [c[0] for c in calls] == ["value"] * rep.al_iters
+        assert calls[-1][1] == (rep.z - z_prev).tobytes()
+
+    def test_ball_active_solve(self, monkeypatch):
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+        model = af.MaterialModel(young_E=100.0, poisson_nu=0.3, eta=1e-4,
+                                 preset="AT", g_c=1.0, theta=0.1)
+        load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(0, 1),
+                              ubar_rate=0.4)
+        z_prev = np.ones(mesh.n_nodes)
+        u = 2.0 * af.solve_u(0.9, z_prev, mesh, model, load)
+        rep, calls = self.spied_solve(monkeypatch, u, z_prev, 0.005, mesh,
+                                      model)
+        assert rep.nu > 0.0 and rep.constraint_active
+        # the last pass ended with the ball on: one evaluation, at z - z_prev
+        assert calls[-1] == ("parts", (rep.z - z_prev).tobytes())
+
+    def test_last_pass_retracted(self, monkeypatch):
+        mesh, model, u, z_prev = half_strained_problem()
+        rep, calls = self.spied_solve(monkeypatch, u, z_prev, 0.02, mesh,
+                                      model)
+        assert rep.nu > 0.0
+        # the last pass retracted, so parts was evaluated at the scaled v,
+        # and the norm again at z - z_prev
+        dz = (rep.z - z_prev).tobytes()
+        assert calls[-1] == ("value", dz)
+        assert calls[-2][0] == "parts" and calls[-2][1] != dz
+
+
 class TestWarmStart:
     """A damage solve started from the report of a nearby solve (same
     ``z_prev`` and ball) reaches the cold solve's minimizer."""
