@@ -7,7 +7,9 @@ dissipation, the stable multipliers are exactly the densities bounded below
 by ``-kappa_R``, so the distance of the negative damage gradient to that
 set is the dual-norm of the positive part of ``density - kappa_R``.  A time
 step can only advance while this distance vanishes at the preceding
-iterate; jumps (zero time increments) are exempt.
+iterate.  A jump is exempt: the step after a binding ball, whose time
+increment the evolution loop sets to exactly 0, so ``dt == 0.0`` is the
+test of a jump here.
 """
 
 from __future__ import annotations
@@ -68,16 +70,18 @@ def complementarity_check(trace: Trace) -> list:
     """Flags steps that advanced physical time although the preceding
     iterate was not locally stable.
 
-    A positive time increment at step k requires an inactive ball at step
-    k-1, hence a dual distance there within ``10 * tol_newton``; jump steps
-    (dt = 0) are exempt regardless of the distance.  A NaN increment is no
-    jump, and a NaN distance is not within the tolerance.
+    A time increment at step k other than exactly 0 requires an inactive
+    ball at step k-1, hence a dual distance there within
+    ``10 * tol_newton``; jump steps (``dt == 0.0``, the step after a
+    binding ball) are exempt regardless of the distance.  Any other
+    increment advances, a round-off one or a NaN included, and a NaN
+    distance is not within the tolerance.
     """
     dist_tol = 10.0 * trace.scheme.tol_newton
     out = []
     recs = trace.records
     for k in range(1, len(recs)):
-        if (not recs[k].dt <= 1e-10
+        if (recs[k].dt != 0.0
                 and not recs[k - 1].dual_distance <= dist_tol):
             out.append(ComplementarityViolation(
                 k=recs[k].k, dt=recs[k].dt,

@@ -4,9 +4,11 @@ subproblem.
 Each outer step alternates the displacement and damage minimizations at a
 frozen time until the iterates stop moving (``am_loop``), then advances the
 physical time by ``rho - ||z_k - z_{k-1}||_V`` (clamped to ``[0, rho]`` and
-to the final time).  Vanishing time increments signal jumps: the evolution
-switches to the artificial arc-length parameterization while the crack
-advances.
+to the final time).  A step whose damage solve ends with the ball binding
+(the record's ``ball_active``) is a jump: its increment fills the ball,
+and time advances by exactly 0, so the evolution runs in the artificial
+arc-length parameterization while the crack advances.  A jump is nothing
+else: every consumer reads ``ball_active`` or ``dt == 0.0``.
 
 ``evolve`` is the one outer loop behind every run: the adaptive field run
 (``run``), the staggered baseline on a prescribed time grid
@@ -172,18 +174,21 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
     return AMResult(u_ref, z_i, i, report, converged)
 
 
-def time_update(t_k: float, dz_norm_V: float, rho: float, T: float) -> float:
+def time_update(t_k: float, dz_norm_V: float, rho: float, T: float,
+                ball_active: bool) -> float:
     """Adaptive update ``t_{k+1} = min(t_k + rho - ||dz||_V, T)``.
 
-    The increment is clamped non-negative against round-off overshoot of
-    the ball radius.  An increment beyond the radius, or NaN, raises
-    ``SolverFailure``.
+    When the ball binds (``ball_active``) the increment fills it,
+    ``||dz||_V = rho`` at the KKT point, and ``t_{k+1} = t_k`` exactly.
+    Otherwise the increment is clamped non-negative against round-off
+    overshoot of the ball radius.  An increment beyond the radius, or NaN,
+    raises ``SolverFailure``, on a jump too.
     """
     if not dz_norm_V <= rho * (1.0 + 1e-6) + 1e-12:  # NaN fails too
         raise SolverFailure(
             "damage increment exceeds the arc-length radius or is NaN",
             dz_norm_V=dz_norm_V, rho=rho)
-    dz = min(dz_norm_V, rho)
+    dz = rho if ball_active else min(dz_norm_V, rho)
     # associate as t + (rho - dz): keeps dt >= 0 exactly when dz == rho
     return min(t_k + (rho - dz), T)
 
@@ -204,7 +209,7 @@ def _store_snapshot(k: int, dt: float, prev_dt: float, is_final: bool,
                     params: SchemeParams) -> bool:
     if params.store_all_snapshots:
         return True
-    onset = dt <= 1e-14 and prev_dt > 1e-14
+    onset = dt == 0.0 and prev_dt != 0.0
     return k == 0 or is_final or onset or k % params.snapshot_stride == 0
 
 
@@ -268,7 +273,8 @@ def evolve(problem, z0, times: np.ndarray | None = None,
                 raise SolverFailure("step budget exhausted before reaching T",
                                     steps=k, t=t)
             else:
-                t_next = time_update(t, record.dz_norm_V, params.rho, params.T)
+                t_next = time_update(t, record.dz_norm_V, params.rho, params.T,
+                                     record.ball_active)
             # after the record, so that a bound evaluated at a new
             # displacement does not evict what the record reuses
             if traction:

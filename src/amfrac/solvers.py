@@ -16,10 +16,13 @@ free values and the ball multiplier take over, the active sets being
 updated after each step.  When the Schur pivot of a bordered step is not
 positive (the free values cannot move the ball, e.g. when the ball's
 gradient vanishes on them), or when no value is free, the pass releases
-the ball (``nu = 0``) and runs a box pass instead.  The steps write the
-ball as its power sum, ``S(v)/a <= rho^a/a`` with ``N(v) = S(v)^(1/a)``
-(``assembly.VNorm``): the same KKT points as ``N(v) <= rho``, and a
-Hessian that is a sum over Gauss points.  Its multiplier ``nu`` gives
+the ball (``nu = 0``) and runs a box pass instead.  The ball binds exactly
+when the solve ends with ``nu > 0``: that pass met the sphere within the
+ball tolerance, so the increment fills the ball.  The report says so
+(``ZSolveReport.constraint_active``), and the evolution loop reads it as a
+jump.  The steps write the ball as its power sum, ``S(v)/a <= rho^a/a``
+with ``N(v) = S(v)^(1/a)`` (``assembly.VNorm``): the same KKT points as
+``N(v) <= rho``, and a Hessian that is a sum over Gauss points.  Its multiplier ``nu`` gives
 the one of ``N <= rho`` as ``mu = nu N^(a-1)``.  The gradient of ``S`` is
 evaluated only while the ball binds.  For ``a < 2`` the Hessian of ``S``
 is infinite on an element where ``v`` vanishes; the step raises
@@ -197,10 +200,14 @@ class ZSolveReport:
     number of nodes that the last pass held at ``z = 0`` (a retraction onto
     the sphere in that pass can lift them slightly).  ``mu = nu N^(a-1)``
     is the multiplier of ``N(z - z_prev) <= rho``, for the multiplier
-    ``nu`` of its power-sum form, and ``xi = nu grad(S/a) = mu grad N``;
-    ``nu`` is 0 unless the ball binds at the end.  ``active`` and ``lower``
-    are the last pass's box-active sets, at ``z = z_prev`` and at ``z = 0``:
-    with ``nu`` and ``z`` they are what a later solve starts from.
+    ``nu`` of its power-sum form, and ``xi = nu grad(S/a) = mu grad N``.
+    ``nu`` is 0 unless the ball binds at the end, and ``constraint_active``
+    (``nu > 0``) is the one flag of a binding ball: a solve ends with
+    ``nu > 0`` only when its last pass measured the increment within the
+    ball tolerance of ``rho``, so the increment fills the ball.  ``active``
+    and ``lower`` are the last pass's box-active sets, at ``z = z_prev``
+    and at ``z = 0``: with ``nu`` and ``z`` they are what a later solve
+    starts from.
     """
 
     z: np.ndarray
@@ -211,13 +218,17 @@ class ZSolveReport:
     mu: float
     xi: np.ndarray
     xi_norm_dual: float
-    constraint_active: bool
     stationarity_residual: float
     al_iters: int
     newton_iters: int
     dz_norm_V: float
     lower_clamps: int = 0
     converged: bool = True
+
+    @property
+    def constraint_active(self) -> bool:
+        """True when the ball binds: its multiplier ``nu`` is positive."""
+        return bool(self.nu > 0.0)
 
 
 def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
@@ -365,8 +376,6 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
         mu=nu * N ** (ball.a - 1.0),
         xi=xi,
         xi_norm_dual=dual_norm_lumped(xi / w, w, norm) if np.any(xi) else 0.0,
-        constraint_active=bool(has_ball and
-                               dz_norm >= rho - 10 * max(feas_tol, ball_tol)),
         stationarity_residual=stat,
         al_iters=passes,
         newton_iters=solves,

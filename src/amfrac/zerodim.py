@@ -201,7 +201,7 @@ class ScalarProblem:
             reaction=0.0,
             dual_distance=model.dual_distance(u, z),
             xi_norm=res.z_report,
-            ball_active=(z_prev - z) >= self.params.rho - 1e-12,
+            ball_active=res.z_report > 0.0,  # mu > 0: the ball binds
             load_power=model.ell_rate * u,
             am_converged=res.converged,
             # the closed-form damage solve meets its KKT conditions exactly

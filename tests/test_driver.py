@@ -8,7 +8,8 @@ import pytest
 
 import amfrac as af
 import amfrac.driver as driver
-from amfrac.diagnostics import check_trace_invariants, complementarity_check
+from amfrac.diagnostics import (check_trace_invariants, complementarity_check,
+                                normalization_residuals)
 from amfrac.driver import FieldProblem, evolve
 from amfrac.solvers import SolverFailure
 from amfrac.zerodim import ScalarProblem, ZeroDimModel, run_zero_dim
@@ -16,25 +17,37 @@ from amfrac.zerodim import ScalarProblem, ZeroDimModel, run_zero_dim
 
 class TestTimeUpdate:
     def test_formula(self):
-        assert af.time_update(0.0, 0.03, 0.1, 1.0) == pytest.approx(0.07)
+        t = af.time_update(0.0, 0.03, 0.1, 1.0, False)
+        assert t == pytest.approx(0.07)
 
     def test_jump_regime(self):
-        assert af.time_update(0.42, 0.1, 0.1, 1.0) == 0.42
+        assert af.time_update(0.42, 0.1, 0.1, 1.0, False) == 0.42
 
     def test_clamp_at_final_time(self):
-        assert af.time_update(0.95, 0.0, 0.1, 1.0) == 1.0
+        assert af.time_update(0.95, 0.0, 0.1, 1.0, False) == 1.0
 
     def test_round_off_overshoot_clamped(self):
-        t = af.time_update(0.5, 0.1 * (1 + 1e-9), 0.1, 1.0)
+        t = af.time_update(0.5, 0.1 * (1 + 1e-9), 0.1, 1.0, False)
         assert t == 0.5
+
+    def test_binding_ball_stands_still_exactly(self):
+        # a computed norm a hair under the radius advances no time
+        assert af.time_update(0.42, 0.1 * (1 - 1e-9), 0.1, 1.0, True) == 0.42
+        assert af.time_update(0.42, 0.1 * (1 - 1e-9), 0.1, 1.0,
+                              False) > 0.42
+
+    @pytest.mark.parametrize("dz", [0.2, math.nan])
+    def test_binding_ball_still_checks_the_increment(self, dz):
+        with pytest.raises(SolverFailure):
+            af.time_update(0.3, dz, 0.1, 1.0, True)
 
     def test_inconsistent_increment_rejected(self):
         with pytest.raises(SolverFailure):
-            af.time_update(0.0, 0.2, 0.1, 1.0)
+            af.time_update(0.0, 0.2, 0.1, 1.0, False)
 
     def test_nan_increment_rejected(self):
         with pytest.raises(SolverFailure, match="NaN") as err:
-            af.time_update(0.3, math.nan, 0.1, 1.0)
+            af.time_update(0.3, math.nan, 0.1, 1.0, False)
         assert math.isnan(err.value.residuals["dz_norm_V"])
 
     def test_nan_increment_stops_the_run(self, monkeypatch):
@@ -268,8 +281,98 @@ class TestRun:
             assert k in stored
         # jump onsets are always stored
         for k in range(1, trace.n_steps + 1):
-            if trace.records[k].dt <= 1e-14 and trace.records[k - 1].dt > 1e-14:
+            if trace.records[k].dt == 0.0 and trace.records[k - 1].dt > 0.0:
                 assert k in stored
+
+
+class TestJumpDefinition:
+    """A jump is a step whose damage solve ends with the ball binding: its
+    record's ``ball_active`` is a positive ball multiplier, the next step
+    advances time by exactly 0, and complementarity exempts exactly the
+    steps with ``dt == 0.0``."""
+
+    FIXTURES = ["analysis_traction_trace", "zerodim_trace"]
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_time_stands_still_exactly_after_a_binding_ball(self, request,
+                                                            fixture):
+        recs = request.getfixturevalue(fixture)[-1].records
+        assert sum(r.ball_active for r in recs) >= 5, "fixture must jump"
+        assert ([r.dt == 0.0 for r in recs[1:]]
+                == [r.ball_active for r in recs[:-1]])
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_normalization_identity_holds(self, request, fixture):
+        trace = request.getfixturevalue(fixture)[-1]
+        assert np.abs(normalization_residuals(trace)).max() <= 1e-8
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_complementarity_exempts_exactly_the_jumps(self, request,
+                                                       fixture):
+        # with every state driven, each step that advances time is flagged,
+        # also by a round-off increment such as 1e-17
+        trace = request.getfixturevalue(fixture)[-1]
+        recs = [dataclasses.replace(r, dual_distance=1.0)
+                for r in trace.records]
+        k = [r.k for r in recs[1:] if r.dt == 0.0][-1]
+        recs[k] = dataclasses.replace(recs[k], dt=1e-17)
+        flagged = [v.k for v in complementarity_check(
+            dataclasses.replace(trace, records=recs))]
+        advancing = [r.k for r in recs[1:] if r.dt != 0.0]
+        assert k in flagged
+        assert flagged == advancing
+        assert 0 < len(advancing) < len(recs) - 2
+
+    def test_field_ball_active_is_a_positive_multiplier(
+            self, analysis_traction_setup):
+        seen = []
+
+        class Spy(FieldProblem):
+            def record(self, k, t, dt, res, z_prev):
+                record = super().record(k, t, dt, res, z_prev)
+                seen.append((record.ball_active, res.z_report.nu > 0.0))
+                return record
+
+        mesh, model, load, params = analysis_traction_setup
+        evolve(Spy(mesh, model, load, params), np.ones(mesh.n_nodes))
+        assert {active for active, _ in seen} == {True, False}
+        assert all(active == positive for active, positive in seen)
+
+    def test_scalar_ball_active_is_a_positive_multiplier(self, zerodim_trace):
+        # the scalar record's xi_norm is the ball multiplier mu
+        recs = zerodim_trace[-1].records
+        assert [r.ball_active for r in recs] == [r.xi_norm > 0.0 for r in recs]
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5])
+    def test_scalar_flag_reads_the_multiplier_not_the_increment(self, mu):
+        # an increment a hair under the radius is a jump exactly when the
+        # ball multiplier is positive
+        params = af.SchemeParams(rho=0.02, T=1.0)
+        problem = ScalarProblem(ZeroDimModel(), params)
+        res = driver.AMResult(u=0.5, z=0.9 - 0.02 * (1 - 1e-13), iters=1,
+                              z_report=mu, converged=True)
+        record = problem.record(1, 0.5, 0.0, res, 0.9)
+        assert record.ball_active is (mu > 0.0)
+
+    @pytest.mark.parametrize("kind", ["scalar", "traction"])
+    def test_time_advanced_on_a_jump_is_flagged(
+            self, monkeypatch, analysis_traction_setup, kind):
+        update = driver.time_update
+
+        def advance_on_jumps(t, dz_norm_V, rho, T, ball_active):
+            if ball_active:
+                return min(t + rho, T)
+            return update(t, dz_norm_V, rho, T, False)
+
+        monkeypatch.setattr(driver, "time_update", advance_on_jumps)
+        if kind == "scalar":
+            trace = run_zero_dim(ZeroDimModel(), af.SchemeParams(
+                rho=0.02, T=1.0, norm_V=af.NormSpec("lalpha", 2.0)))
+        else:
+            mesh, model, load, params = analysis_traction_setup
+            trace = af.run(mesh, model, load, params, np.ones(mesh.n_nodes))
+        assert any(r.ball_active for r in trace.records)
+        assert complementarity_check(trace)
 
 
 class TestPureAM:

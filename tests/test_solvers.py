@@ -155,6 +155,21 @@ class TestSolveZ:
         assert rep.stationarity_residual <= params.tol_newton
         assert not rep.constraint_active
 
+    @pytest.mark.parametrize("rho", [0.02, 1e6])
+    def test_ball_binds_exactly_when_its_multiplier_is_positive(self, rho):
+        # the flag is derived from nu, not stored beside it; a binding
+        # ball holds the increment on the sphere within the ball tolerance
+        mesh, model, u, z_prev = half_strained_problem()
+        params = default_params(rho=rho)
+        rep = af.solve_z(u, z_prev, rho, mesh, model, params)
+        assert rep.constraint_active == (rep.nu > 0.0) == (rho < 1.0)
+        assert "constraint_active" not in {
+            f.name for f in dataclasses.fields(rep)}
+        if rep.constraint_active:
+            assert abs(rep.dz_norm_V - rho) <= 10 * params.tol_constraint
+        else:
+            assert rep.dz_norm_V < rho and rep.mu == 0.0
+
     def test_single_element_scalar_oracle(self):
         """Huge ball radius: the uniform minimizer must match a bounded
         scalar golden-section search over the uniform damage level."""

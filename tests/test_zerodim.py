@@ -271,7 +271,7 @@ class TestRunZeroDim:
         dts = [r.dt for r in trace.records[1:]]
         best = cur = 0
         for d in dts:
-            cur = cur + 1 if d <= 1e-12 else 0
+            cur = cur + 1 if d == 0.0 else 0
             best = max(best, cur)
         assert best >= 5
 
@@ -297,7 +297,7 @@ class TestRunZeroDim:
                                      store_all_snapshots=True)
             trace = run_zero_dim(zm, params)
             dts = np.array([r.dt for r in trace.records])
-            jump = np.where(dts[1:] <= 1e-12)[0]
+            jump = np.where(dts[1:] == 0.0)[0]
             assert jump.size >= 3, f"rho={rho} must jump"
             onset = jump[0] + 1
             window = dts[max(1, onset - 10):onset + 10]
