@@ -250,9 +250,9 @@ def _build_run(data: dict) -> RunConfig:
     direction = _DIRECTIONS.get(load_cfg["direction"].lower())
     if direction is None:
         raise ConfigError(f"unknown load direction {load_cfg['direction']!r}")
-    if mode.startswith("dirichlet"):
+    if mode == "dirichlet":
         ramp = dict(mode=DIRICHLET_RAMP, ubar_rate=load_cfg["u_max"] / scheme.T)
-    elif mode.startswith("traction"):
+    elif mode == "traction":
         ramp = dict(mode=TRACTION_RAMP,
                     traction_rate=load_cfg.get("traction_rate", 1.0))
     else:

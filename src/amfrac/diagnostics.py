@@ -222,7 +222,6 @@ class BalanceReport:
 
     rows: list = field(default_factory=list)
     work_mode: str = "traction"
-    dual_surrogate: bool = False
 
     @property
     def cumulative_residual(self) -> float:
@@ -240,9 +239,7 @@ def energy_balance(trace: Trace, load: LoadProgram | None) -> BalanceReport:
     recs = trace.records
     dirichlet = trace.load_mode == DIRICHLET_RAMP
     report = BalanceReport(
-        work_mode="dirichlet_reaction" if dirichlet else "traction",
-        dual_surrogate=trace.dual_surrogate,
-    )
+        work_mode="dirichlet_reaction" if dirichlet else "traction")
     cum = 0.0
     e_prev = trace.energy_init
     power_prev = recs[0].load_power

@@ -11,8 +11,9 @@ arc-length parameterization while the crack advances.  A jump is nothing
 else: every consumer reads ``ball_active`` or ``dt == 0.0``.
 
 ``evolve`` is the one outer loop behind every run: the adaptive field run
-(``run``), the staggered baseline on a prescribed time grid
-(``run_pure_am``, the same loop with ``rho = inf``) and the scalar model
+(``run``), the staggered baseline on the time grid ``times`` that it is
+given (``run_pure_am``, the same loop and the same damage solve with
+``rho = inf``, a ball that never binds) and the scalar model
 (``zerodim.run_zero_dim``).  It sees the model only through a subproblem:
 ``params``, ``load_mode``, ``solve_u(t, z)``, ``solve_z(u, z_prev, rho,
 start) -> (z, report)``, where ``start`` is None for the first damage
@@ -98,11 +99,6 @@ class Trace:
     snapshots: dict = field(default_factory=dict)
     load_mode: str = DIRICHLET_RAMP
     aborted: bool = False
-
-    @property
-    def dual_surrogate(self) -> bool:
-        """True when the scheme's dual distance is only an L2 surrogate."""
-        return self.scheme.norm_V.dual_is_surrogate
 
     @property
     def n_steps(self) -> int:
@@ -224,13 +220,14 @@ def evolve(problem, z0, times: np.ndarray | None = None,
     """Evolution from ``t = 0`` until the step at the final time is done.
 
     Without ``times`` the steps are adaptive (radius ``params.rho``, time
-    update ``time_update``).  With ``times`` the ball is switched off
-    (``rho = inf``) and step k runs at ``times[k]``.  Every step, the
-    first (k = 0) included, runs the predicted AM loop of the module
-    docstring; step 0 re-minimizes at the initial time against ``z0``, so
-    a jump at the initial time is detected.  ``trace.u_init`` is the
-    displacement solve at ``z0`` and the initial time.  A ``SolverFailure``
-    aborts the run with the partial trace attached as ``partial_trace``.
+    update ``time_update``).  With ``times`` the radius is infinite
+    (``rho = inf``), so the ball never binds, and step k runs at
+    ``times[k]``.  Every step, the first (k = 0) included, runs the
+    predicted AM loop of the module docstring; step 0 re-minimizes at the
+    initial time against ``z0``, so a jump at the initial time is
+    detected.  ``trace.u_init`` is the displacement solve at ``z0`` and
+    the initial time.  A ``SolverFailure`` aborts the run with the partial
+    trace attached as ``partial_trace``.
     """
     if not (np.min(z0) >= 0.0 and np.max(z0) <= 1.0):
         raise ValueError("initial damage must lie in [0, 1]")
@@ -369,16 +366,15 @@ def run(mesh: Mesh, model: MaterialModel, load: LoadProgram,
 
 
 def run_pure_am(mesh: Mesh, model: MaterialModel, load: LoadProgram,
-                params: SchemeParams, z0: np.ndarray, n_steps: int,
-                times: np.ndarray | None = None, record_hook=None) -> Trace:
-    """Staggered baseline on a prescribed time grid without the arc-length
-    ball (infinite-radius behavior).
+                params: SchemeParams, z0: np.ndarray, times: np.ndarray,
+                record_hook=None) -> Trace:
+    """Staggered baseline: step k runs at ``times[k]`` with an infinite
+    ball radius, which never binds (see ``evolve``).
 
-    ``times`` overrides the uniform grid; it must start at 0.  Useful to
-    replay the adaptive scheme's grid for step-by-step comparisons.
+    ``times`` must start at 0: a uniform grid is
+    ``np.linspace(0, params.T, n + 1)``, and an adaptive run's
+    ``Trace.times()`` replays its grid for step-by-step comparisons.
     """
-    if times is None:
-        times = np.linspace(0.0, params.T, n_steps + 1)
     times = np.asarray(times, dtype=float)
     if abs(times[0]) > 0:
         raise ValueError("time grid must start at 0")

@@ -237,25 +237,26 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
     """Damage update: minimize the damage-quadratic energy plus dissipation
     subject to ``0 <= z <= z_prev`` (nodal) and ``||z - z_prev||_V <= rho``.
 
-    ``rho = inf`` disables the ball (plain staggered step).  ``start``, the
-    report of a solve with the same ``z_prev`` and ``rho``, gives the first
-    pass its active sets and, if its ball was binding, its ``z`` and ``nu``
-    (module docstring).  Raises ``SolverFailure`` with its residuals when
-    the KKT tolerances are not met.
+    An infinite radius never binds: ``N > inf`` is False, so no pass
+    retracts and ``nu`` stays 0, and ``rho = inf`` is the plain staggered
+    step through the same passes, each of which still measures the ball.
+    ``start``, the report of a solve with the same ``z_prev`` and ``rho``,
+    gives the first pass its active sets and, if its ball was binding, its
+    ``z`` and ``nu`` (module docstring).  Raises ``SolverFailure`` with its
+    residuals when the KKT tolerances are not met.
     """
     Q, b, _ = z_quadratic(u, mesh, model)
     w = lumped_weights(mesh)
     btot = b + model.r_coefficient * w
     n = z_prev.size
     norm = params.norm_V
-    has_ball = np.isfinite(rho)
     ball = VNorm(mesh, norm)
     band = element_data(mesh).node_band
 
     g0 = Q @ z_prev - btot
     stat_scale = max(1.0, dual_norm_lumped(g0 / w, w, norm))
     feas_tol = params.tol_constraint
-    ball_tol = params.tol_constraint * max(1.0, rho) if has_ball else 0.0
+    ball_tol = params.tol_constraint * max(1.0, rho)
     # a free node re-enters the upper set only above round-off, so a node
     # released with a multiplier of -0.0 cannot flip back and forth; the
     # lower bound emerges from the objective, so it enters only beyond
@@ -269,7 +270,7 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
         lower = np.zeros(n, dtype=bool)  # held at z = 0
     else:
         active, lower = start.active, start.lower
-        if has_ball and start.nu > 0.0:
+        if start.nu > 0.0:
             z, nu, ball_on = start.z.copy(), start.nu, True
     N, gS = 0.0, None
     box_sets = set()
@@ -281,7 +282,7 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
         return SolverFailure(
             message, stationarity=stat,
             box_violation=float(np.maximum(0.0, v).max(initial=0.0)),
-            ball_violation=max(0.0, N - rho) if has_ball else 0.0,
+            ball_violation=max(0.0, N - rho),
             passes=passes)
 
     for _ in range(_MAX_ITERATIONS):
@@ -316,19 +317,18 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
         was_on = ball_on
         v = z - z_prev
         retracted = False
-        if has_ball:
-            # the gradient of S is read only while the ball binds
-            if ball_on:
-                N, gS = ball.parts(v)
-            else:
-                N = ball.value(v)
-            if N > rho:
-                # retract onto the sphere; N is 1-homogeneous and the ray
-                # from z_prev keeps v <= 0 wherever it already was
-                v *= rho / N
-                z = z_prev + v
-                N, gS = ball.parts(v)
-                retracted = True
+        # the gradient of S is read only while the ball binds
+        if ball_on:
+            N, gS = ball.parts(v)
+        else:
+            N = ball.value(v)
+        if N > rho:
+            # retract onto the sphere; N is 1-homogeneous and the ray from
+            # z_prev keeps v <= 0 wherever it already was
+            v *= rho / N
+            z = z_prev + v
+            N, gS = ball.parts(v)
+            retracted = True
         r = Q @ z - btot
         if retracted and not ball_on:
             # least-squares multiplier of the retracted point; a negative
@@ -358,15 +358,14 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
         raise failure("damage solve exhausted its iteration budget")
 
     box_viol = float(np.maximum(0.0, v).max(initial=0.0))
-    g2 = N - rho if has_ball else -math.inf
-    if not (box_viol <= 10 * feas_tol and g2 <= 10 * ball_tol
+    if not (box_viol <= 10 * feas_tol and N - rho <= 10 * ball_tol
             and stat <= 10 * params.tol_newton * stat_scale):
         raise failure("damage subproblem did not reach its KKT tolerance")
 
     # the last pass measured N at v = z - z_prev unless it retracted
-    dz_norm = N if has_ball and not retracted else ball.value(z - z_prev)
+    dz_norm = ball.value(z - z_prev) if retracted else N
 
-    xi = nu * gS if ball_on and nu > 0.0 else np.zeros(n)
+    xi = nu * gS if nu > 0.0 else np.zeros(n)
     return ZSolveReport(
         z=z,
         lam=lam,

@@ -33,7 +33,8 @@ class ZeroDimModel:
     folds mid-run: the increment series throttles, oscillates at onset and
     collapses into a jump (kappa_E must stay below kappa_R for an elastic
     phase and above 0.75*kappa_R for the branch to fold before z = 0).
-    Every field must be finite, and a, eta and kappa_E positive."""
+    Every field must be finite, a, eta and kappa_E positive and kappa_R
+    non-negative."""
 
     a: float = 1.0
     eta: float = 1e-3
@@ -48,10 +49,11 @@ class ZeroDimModel:
             raise ModelConfigError(
                 f"stiffness a = {self.a}, floor eta = {self.eta} and kappa_E "
                 f"= {self.kappa_E} must be positive and finite")
-        if not (-math.inf < self.kappa_R < math.inf
+        if not (0.0 <= self.kappa_R < math.inf
                 and -math.inf < self.ell_rate < math.inf):
-            raise ModelConfigError(f"kappa_R = {self.kappa_R} and ell_rate = "
-                                   f"{self.ell_rate} must be finite")
+            raise ModelConfigError(
+                f"kappa_R = {self.kappa_R} must be non-negative and finite, "
+                f"and ell_rate = {self.ell_rate} finite")
 
     def ell(self, t: float) -> float:
         return self.ell_rate * t

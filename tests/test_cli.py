@@ -301,8 +301,7 @@ class TestArtifactFormat:
         mesh, model, load, params, trace = h1_trace
         rows = [cli._csv_row(r) for r in trace.records]
         read = read_trace(rows, params, load.mode)
-        assert read.dual_surrogate
-        assert energy_balance(read, load).dual_surrogate
+        assert read.scheme.norm_V.dual_is_surrogate
 
     def test_readme_demo_runs_and_verifies(self, tmp_path, capsys):
         text = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
@@ -753,6 +752,8 @@ class TestMain:
         ("ct", "[load]\ntraction_rate = 2\n", None),
         ("ct", "[load]\ndirection = z\n", None),
         ("ct", "[load]\nmode = pressure\n", None),
+        ("ct", "[load]\nmode = dirichlet_whatever\n", None),
+        ("zerodim", "[zerodim]\nkappa_r = -0.5\n", None),
         ("ct", "[mesh]\nnotch = hole\n", None),
         ("zerodim", "", "rho"),
         ("zerodim", "", "theta=0.1"),
@@ -775,7 +776,8 @@ class TestMain:
             "zerodim_kappa_e=-0.5", "damage_notch_off_mid_height",
             "damage_notch_tip_off_grid", "coarse_h_off_fine_grid",
             "h1_alpha", "traction_u_max", "dirichlet_traction_rate",
-            "load_direction_z", "load_mode_pressure", "notch_hole",
+            "load_direction_z", "load_mode_pressure",
+            "load_mode_dirichlet_suffix", "zerodim_kappa_r=-0.5", "notch_hole",
             "sweep_without_values", "sweep_theta", "fine_h=nan",
             "coarse_h=inf", "leg_len=nan", "side_len=1e-12",
             "lshape_band_nan", "lshape_band_outside"])

@@ -406,11 +406,6 @@ class TestEnergyBalance:
         report = energy_balance(trace, load)
         assert report.work_mode == "dirichlet_reaction"
 
-    def test_h1_ledger_flags_surrogate(self, h1_trace):
-        mesh, model, load, params, trace = h1_trace
-        report = energy_balance(trace, load)
-        assert report.dual_surrogate
-
     def test_zerodim_ledger_matches_chain_rule_quadrature(self, zerodim_trace):
         """The ledger's closing residual equals the dense s-quadrature of
         the analytic interpolant mismatch (chain rule along the affine

@@ -380,7 +380,7 @@ class TestPureAM:
         mesh, model, load, params = ct_coarse_setup
         with pytest.raises(ValueError, match="start at 0"):
             af.run_pure_am(mesh, model, load, params, np.ones(mesh.n_nodes),
-                           n_steps=0, times=[0.5, 1.0])
+                           [0.5, 1.0])
 
     def test_large_radius_matches_pure_am_on_same_grid(self, ct_coarse_setup):
         """Once the radius exceeds every damage increment, the adaptive
@@ -389,14 +389,14 @@ class TestPureAM:
         mesh, model, load, params = ct_coarse_setup
         import dataclasses
         z0 = np.ones(mesh.n_nodes)
-        am = af.run_pure_am(mesh, model, load, params, z0, n_steps=10)
+        am = af.run_pure_am(mesh, model, load, params, z0,
+                            np.linspace(0.0, params.T, 11))
         bound = 2 * max(r.dz_norm_V for r in am.records) + \
             max(r.dt for r in am.records)
         big = dataclasses.replace(params, rho=bound)
         em = af.run(mesh, model, load, big, z0)
         assert not any(r.ball_active for r in em.records)
-        replay = af.run_pure_am(mesh, model, load, big, z0, n_steps=0,
-                                times=em.times())
+        replay = af.run_pure_am(mesh, model, load, big, z0, em.times())
         tol = 10 * params.tol_am
         for a, b in zip(em.records, replay.records):
             assert a.t == b.t
@@ -418,7 +418,8 @@ class TestPureAM:
         load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(0, 1),
                               ubar_rate=0.05)
         trace = af.run_pure_am(mesh, model, load, params,
-                               np.full(mesh.n_nodes, 0.9), n_steps=4)
+                               np.full(mesh.n_nodes, 0.9),
+                               np.linspace(0.0, params.T, 5))
         t = trace.times()
         F = np.array([r.reaction for r in trace.records])
         slope = F[-1] / t[-1]

@@ -2,6 +2,7 @@
 certificates."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -381,7 +382,7 @@ class TestDzNorm:
                 return super().parts(v)
 
         monkeypatch.setattr(amfrac.solvers, "VNorm", Spy)
-        params = default_params(rho=rho)
+        params = default_params()  # solve_z reads its radius from rho
         rep = af.solve_z(u, z_prev, rho, mesh, model, params)
         assert rep.dz_norm_V == amfrac.assembly.VNorm(
             mesh, params.norm_V).value(rep.z - z_prev)
@@ -420,6 +421,31 @@ class TestDzNorm:
         dz = (rep.z - z_prev).tobytes()
         assert calls[-1] == ("value", dz)
         assert calls[-2][0] == "parts" and calls[-2][1] != dz
+
+    def test_infinite_radius_takes_the_path_of_an_unreached_one(
+            self, monkeypatch, ct_coarse_setup):
+        """The staggered step (``rho = inf``) is the damage solve of a ball
+        that never binds, not a path of its own: a solve of several passes
+        reports the same, and measures the ball at the same ``v``, as with
+        a radius that no increment reaches."""
+        mesh, model, load, params = ct_coarse_setup
+        ones = np.ones(mesh.n_nodes)
+        z_prev = af.solve_z(af.solve_u(2.0, ones, mesh, model, load), ones,
+                            math.inf, mesh, model, params).z
+        u = af.solve_u(4.0, z_prev, mesh, model, load)
+        inf, inf_calls = self.spied_solve(monkeypatch, u, z_prev, math.inf,
+                                          mesh, model)
+        big, big_calls = self.spied_solve(monkeypatch, u, z_prev, 1e6, mesh,
+                                          model)
+        assert inf.al_iters >= 2 and inf.active.any()
+        assert big.dz_norm_V < 1e6 and not big.constraint_active
+        for name in ("z", "lam", "active", "lower"):
+            assert np.array_equal(getattr(inf, name), getattr(big, name)), \
+                name
+        for name in ("nu", "mu", "dz_norm_V", "al_iters", "newton_iters",
+                     "stationarity_residual"):
+            assert getattr(inf, name) == getattr(big, name), name
+        assert inf_calls == big_calls
 
 
 class TestWarmStart:

@@ -368,6 +368,10 @@ class TestRunZeroDim:
         with pytest.raises(ModelConfigError, match=field):
             ZeroDimModel(**{field: bad})
 
+    def test_model_rejects_negative_kappa_R(self):
+        with pytest.raises(ModelConfigError, match="kappa_R"):
+            ZeroDimModel(kappa_R=-0.5)
+
     def test_z0_validation(self):
         with pytest.raises(ValueError):
             run_zero_dim(ZeroDimModel(),
