@@ -8,11 +8,11 @@ with the ball's ``NormSpec`` as ``norm_v`` and ``alpha``.
 Unset keys keep the dataclass defaults, and three presets set the values
 that differ from them: ``ct`` (square plate with a mid-height slit),
 ``lshape`` and ``zerodim``; ``custom`` is the ``ct`` preset under another
-name.  Unknown keys, keys set in the file that the chosen geometry, ball
-or load mode does not read, and output formats other than csv and vtk are
-rejected.  ``load_config`` also builds the mesh and the initial damage, so
-a mesh with no grid is a ``ConfigError`` too, raised before any file is
-written.
+name.  Unknown keys, keys set in the file that the chosen geometry, ball,
+load mode or energy preset does not read, and output formats other than
+csv and vtk are rejected.  ``load_config`` also builds the mesh and the
+initial damage, so a mesh with no grid is a ``ConfigError`` too, raised
+before any file is written.
 
 Artifacts per run directory: ``trace.csv`` (one column per ``StepRecord``
 field, written incrementally, so a crash retains the partial trace),
@@ -54,6 +54,7 @@ from .mesh import (
 )
 from .model import (
     DIRICHLET_RAMP,
+    PRESET_AT,
     TRACTION_RAMP,
     LoadProgram,
     MaterialModel,
@@ -245,6 +246,13 @@ def _build_run(data: dict) -> RunConfig:
         return cfg
 
     cfg.material = MaterialModel(**merged("material"))
+    # the AT energy has no kappa_E term and no dissipation constant
+    unread = (("kappa_E", "kappa_R") if cfg.material.preset == PRESET_AT
+              else ("g_c", "theta"))
+    unread = [k.lower() for k in unread if k in data.get("material", {})]
+    if unread:
+        raise ConfigError(f"[material] {', '.join(unread)}: not read by the "
+                          f"{cfg.material.preset} preset")
     load_cfg = merged("load")
     mode = load_cfg["mode"].lower()
     direction = _DIRECTIONS.get(load_cfg["direction"].lower())

@@ -99,9 +99,9 @@ class InterpolantView:
 
     The virtual entry at k = -1 carries the initial time, the initial
     damage field and the first displacement solve, so a jump at the initial
-    time is part of the reconstruction.  Field accessors need the stored
-    snapshots of the bracketing steps and raise ``KeyError`` if these were
-    evicted.
+    time is part of the reconstruction.  Field accessors need the fields of
+    the bracketing steps and raise ``KeyError`` if the run did not store
+    them (``driver._store_snapshot``).
     """
 
     def __init__(self, trace: Trace):
@@ -321,9 +321,9 @@ def check_trace_invariants(trace: Trace) -> InvariantReport:
 
     The bound and irreversibility checks read the stored damage fields in
     step order: ``0 <= z <= 1`` on each, and ``z`` nonincreasing from
-    ``z0`` through consecutive stored steps.  A partial trace (run without
-    ``store_all_snapshots``) is checked on its stored steps only; a trace
-    without fields skips them.  The reductions propagate NaN, so a NaN
+    ``z0`` through consecutive stored steps, so a trace that holds the
+    fields of some steps only is checked on those; a trace without fields
+    skips them.  The reductions propagate NaN, so a NaN
     anywhere fails the verdict that reads it.
     """
     recs = trace.records

@@ -20,9 +20,9 @@ start) -> (z, report)``, where ``start`` is None for the first damage
 solve of an AM loop and the previous solve's report after it,
 ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM stopping rule, the
 per-step ``record(k, t, dt, res, z_prev) -> StepRecord``, which carries
-``||z - z_prev||_V`` for the time update, ``fields(u, z)``, the snapshot
-of one step as a pair of arrays, ``predict(z_prev, z_pp)`` and, under a
-Dirichlet load only, ``energy_bound(t, u_prev, z_prev)``.
+``||z - z_prev||_V`` for the time update, ``predict(z_prev, z_pp)`` and,
+under a Dirichlet load only, ``energy_bound(t, u_prev, z_prev)``.  The
+loop itself copies a stored step's ``u`` and ``z`` as arrays.
 ``FieldProblem`` is the finite-element implementation and
 ``zerodim.ScalarProblem`` the closed-form scalar one.
 
@@ -117,7 +117,7 @@ class Trace:
         if k == -1:
             return self.u_init, self.z0
         if k not in self.snapshots:
-            raise KeyError(f"no stored fields for step {k} (snapshot evicted)")
+            raise KeyError(f"the run stored no fields for step {k}")
         return self.snapshots[k]
 
 
@@ -203,6 +203,9 @@ def _breaks_bound(record: StepRecord, bound: float) -> bool:
 
 def _store_snapshot(k: int, dt: float, prev_dt: float, is_final: bool,
                     params: SchemeParams) -> bool:
+    """Whether a run keeps the fields of step ``k``: its first and last
+    step, each jump onset and every ``snapshot_stride``-th step, or every
+    step with ``store_all_snapshots``."""
     if params.store_all_snapshots:
         return True
     onset = dt == 0.0 and prev_dt != 0.0
@@ -258,7 +261,8 @@ def evolve(problem, z0, times: np.ndarray | None = None,
             prev_dt = trace.records[-1].dt if trace.records else 1.0
             is_final = t >= params.T if adaptive else k == len(times) - 1
             if _store_snapshot(k, record.dt, prev_dt, is_final, params):
-                trace.snapshots[k] = problem.fields(res.u, res.z)
+                trace.snapshots[k] = (np.array(res.u, ndmin=1),
+                                      np.array(res.z, ndmin=1))
             trace.records.append(record)
             if record_hook is not None:
                 record_hook(record)
@@ -329,10 +333,6 @@ class FieldProblem:
         mask, values = self.load.dirichlet_dofs(self.mesh)
         return self.energy(t, np.where(mask, values(t), u_prev), z_prev)
 
-    @staticmethod
-    def fields(u, z):
-        return u.copy(), z.copy()
-
     def record(self, k, t, dt, res: AMResult, z_prev) -> StepRecord:
         u, z = res.u, res.z
         dz = z - z_prev
@@ -371,12 +371,14 @@ def run_pure_am(mesh: Mesh, model: MaterialModel, load: LoadProgram,
     """Staggered baseline: step k runs at ``times[k]`` with an infinite
     ball radius, which never binds (see ``evolve``).
 
-    ``times`` must start at 0: a uniform grid is
-    ``np.linspace(0, params.T, n + 1)``, and an adaptive run's
-    ``Trace.times()`` replays its grid for step-by-step comparisons.
+    ``times`` is a non-empty, finite, non-decreasing 1-D grid from 0
+    (else ``ValueError``), such as ``np.linspace(0, params.T, n + 1)`` or
+    an adaptive run's ``Trace.times()``, for step-by-step comparisons.
     """
     times = np.asarray(times, dtype=float)
-    if abs(times[0]) > 0:
-        raise ValueError("time grid must start at 0")
+    if not (times.ndim == 1 and times.size > 0 and times[0] == 0.0
+            and np.isfinite(times).all() and (np.diff(times) >= 0.0).all()):
+        raise ValueError("time grid must be non-empty, 1-D, finite and "
+                         "non-decreasing, and start at 0")
     return evolve(FieldProblem(mesh, model, load, params), z0, times=times,
                   record_hook=record_hook)

@@ -105,8 +105,9 @@ TRACTION_RAMP = "TRACTION_RAMP"
 @dataclass(eq=False)
 class LoadProgram:
     """Linear-in-time loading: either a displacement ramp on the "loaded"
-    node set (``ubar(t) = ubar_rate * t`` along ``direction``) or a boundary
-    traction ramp of line density ``traction_rate * t`` on the same set."""
+    node set (``ubar(t) = ubar_rate * t`` along ``direction``, which must
+    be axis-aligned) or a boundary traction ramp of line density
+    ``traction_rate * t`` on the same set."""
 
     mode: str
     T: float
@@ -131,7 +132,11 @@ class LoadProgram:
         if not 0.0 < n < math.inf:
             raise ModelConfigError(f"load direction {self.direction} must be "
                                    "a nonzero finite vector")
-        self.direction = tuple(d / n)
+        d = d / n
+        if self.mode == DIRICHLET_RAMP and abs(np.abs(d).max() - 1.0) > 1e-12:
+            raise ModelConfigError("displacement control requires an "
+                                   "axis-aligned direction")
+        self.direction = tuple(d)
 
     def ubar(self, t: float) -> float:
         return self.ubar_rate * t
@@ -142,7 +147,7 @@ class LoadProgram:
 
         "clamped" nodes are fixed in both components.  In displacement
         control the "loaded" nodes are constrained in the load direction
-        only (the direction must be axis-aligned for that).
+        only, which ``__post_init__`` has checked to be axis-aligned.
         """
         n = mesh.n_nodes
         mask = np.zeros(2 * n, dtype=bool)
@@ -154,10 +159,6 @@ class LoadProgram:
         if self.mode == DIRICHLET_RAMP:
             d = np.asarray(self.direction)
             axis = int(np.argmax(np.abs(d)))
-            if abs(abs(d[axis]) - 1.0) > 1e-12:
-                raise ModelConfigError(
-                    "displacement control requires an axis-aligned direction"
-                )
             sign = math.copysign(1.0, d[axis])
             loaded = mesh.boundary_sets["loaded"]
             loaded_dofs = 2 * loaded + axis

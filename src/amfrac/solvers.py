@@ -31,11 +31,10 @@ is infinite on an element where ``v`` vanishes; the step raises
 Each pass ends with one evaluation of the ball at its ``v``: ``N`` after
 a box pass, ``N`` with the gradient of ``S`` (``VNorm.parts``) while the
 ball is on, and ``parts`` again at the retracted ``v`` after a
-retraction.  The report's ``dz_norm_V`` is that ``N`` unless the last
-pass retracted: then ``z - z_prev`` is not the retracted ``v`` to the
-last bit, and its norm is evaluated anew.  A pass with no node pinned
-hands the band no pin mask, and as a box pass solves ``Q z = btot`` as
-it is.
+retraction.  The norm of the increment that the time update reads is
+measured once, by the step record (``assembly.field_norm_V``).  A pass
+with no node pinned hands the band no pin mask, and as a box pass solves
+``Q z = btot`` as it is.
 
 A solve may start from the report of an earlier solve of a nearby
 subproblem (``solve_z(..., start)``): the AM loop passes each damage solve
@@ -221,7 +220,6 @@ class ZSolveReport:
     stationarity_residual: float
     al_iters: int
     newton_iters: int
-    dz_norm_V: float
     lower_clamps: int = 0
     converged: bool = True
 
@@ -316,19 +314,18 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
 
         was_on = ball_on
         v = z - z_prev
-        retracted = False
         # the gradient of S is read only while the ball binds
         if ball_on:
             N, gS = ball.parts(v)
         else:
             N = ball.value(v)
-        if N > rho:
+        retracted = N > rho
+        if retracted:
             # retract onto the sphere; N is 1-homogeneous and the ray from
             # z_prev keeps v <= 0 wherever it already was
             v *= rho / N
             z = z_prev + v
             N, gS = ball.parts(v)
-            retracted = True
         r = Q @ z - btot
         if retracted and not ball_on:
             # least-squares multiplier of the retracted point; a negative
@@ -362,9 +359,6 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
             and stat <= 10 * params.tol_newton * stat_scale):
         raise failure("damage subproblem did not reach its KKT tolerance")
 
-    # the last pass measured N at v = z - z_prev unless it retracted
-    dz_norm = ball.value(z - z_prev) if retracted else N
-
     xi = nu * gS if nu > 0.0 else np.zeros(n)
     return ZSolveReport(
         z=z,
@@ -378,6 +372,5 @@ def solve_z(u: np.ndarray, z_prev: np.ndarray, rho: float, mesh: Mesh,
         stationarity_residual=stat,
         al_iters=passes,
         newton_iters=solves,
-        dz_norm_V=dz_norm,
         lower_clamps=int(np.count_nonzero(lower)),
     )

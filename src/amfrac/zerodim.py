@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .driver import StepRecord, Trace, evolve
 from .model import TRACTION_RAMP, ModelConfigError, SchemeParams
 from .solvers import SolverFailure
@@ -183,10 +181,6 @@ class ScalarProblem:
         if not z > 0.0:
             z = 0.0
         return z if z < z_prev else z_prev
-
-    @staticmethod
-    def fields(u: float, z: float):
-        return np.array([u]), np.array([z])
 
     def record(self, k, t, dt, res, z_prev) -> StepRecord:
         model = self.model

@@ -11,6 +11,7 @@ import pytest
 import amfrac.cli as cli
 import amfrac.driver as driver
 import amfrac.solvers as solvers
+from amfrac.assembly import VNorm
 from amfrac.cli import (
     BALANCE_HEADER,
     ConfigError,
@@ -146,6 +147,16 @@ fine_h = 0.05
                            match=rf"\[{section}\]: not read by the {experiment}"):
             load_config(write(tmp_path, f"[experiment]\nname = {experiment}\n"
                               f"[{section}]\n{key}\n"))
+
+    def test_material_key_the_preset_does_not_read_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[material\] g_c, theta: "
+                           "not read by the ANALYSIS preset"):
+            load_config(write(tmp_path, "[material]\npreset = ANALYSIS\n"
+                              "g_c = 2\ntheta = 0.1\n"))
+        # the lshape experiment's own g_c and theta are not the file's
+        cfg = load_config(write(tmp_path, "[experiment]\nname = lshape\n"
+                                "[material]\npreset = ANALYSIS\n"))
+        assert cfg.material.preset == "ANALYSIS"
 
     def test_damage_notch_breaks_the_slit_row_left_of_the_tip(self, tmp_path):
         cfg = load_config(write(tmp_path, "[experiment]\nname = custom\n"
@@ -319,11 +330,11 @@ class TestExecute:
                                                          monkeypatch):
         """The damage solve holds nodes at z = 0 inside its active-set
         iteration, so its increment stays in the H1 ball to T."""
-        reports = []
+        reports = []  # (report, z_prev) of each damage solve
 
-        def solve_z(*args):
-            reports.append(solvers.solve_z(*args))
-            return reports[-1]
+        def solve_z(u, z_prev, *args):
+            reports.append((solvers.solve_z(u, z_prev, *args), z_prev))
+            return reports[-1][0]
 
         monkeypatch.setattr(driver, "solve_z", solve_z)
         out = tmp_path / "h1"
@@ -332,12 +343,13 @@ class TestExecute:
         cfg = load_config(write(tmp_path, text.format(out=out)))
         assert execute(cfg) == 0
         assert verify_dir(out) == 0
-        assert max(r.lower_clamps for r in reports) > 0
+        assert max(r.lower_clamps for r, _ in reports) > 0
         tol = cfg.scheme.tol_constraint
-        for r in reports:
+        ball = VNorm(cfg.mesh, cfg.scheme.norm_V)
+        for r, z_prev in reports:
             assert r.z.min() >= -tol
             assert np.count_nonzero(np.abs(r.z) <= tol) >= r.lower_clamps
-            assert r.dz_norm_V <= cfg.scheme.rho * (1.0 + 1e-6)
+            assert ball.value(r.z - z_prev) <= cfg.scheme.rho * (1.0 + 1e-6)
 
     @pytest.mark.parametrize("text", [LSHAPE_COARSE_CFG, LSHAPE_BAND_CFG],
                              ids=["default_band", "band_0_300"])
@@ -765,6 +777,11 @@ class TestMain:
          "band_x1 = nan\nband_y0 = 0\nband_y1 = 100\n", None),
         ("lshape", "[mesh]\ncoarse_h = 50\nfine_h = 25\nband_x0 = -100\n"
          "band_x1 = 300\nband_y0 = 0\nband_y1 = 100\n", None),
+        ("ct", "[material]\nkappa_e = 2\n", None),
+        ("ct", "[material]\npreset = AT\nkappa_r = 0.5\n", None),
+        ("lshape", "[material]\nkappa_r = 0.5\n", None),
+        ("ct", "[material]\npreset = ANALYSIS\ng_c = 2\n", None),
+        ("ct", "[material]\npreset = ANALYSIS\ntheta = 0.1\n", None),
     ], ids=["rho=-1", "norm_v=h2", "alpha=1", "max_am_iters=0",
             "zerodim_a=-1", "zerodim_z0=1.5", "sweep_rho=0", "sweep_rho=abc",
             "sweep_alpha=1", "sweep_alpha_h1", "zerodim_material",
@@ -780,7 +797,9 @@ class TestMain:
             "load_mode_dirichlet_suffix", "zerodim_kappa_r=-0.5", "notch_hole",
             "sweep_without_values", "sweep_theta", "fine_h=nan",
             "coarse_h=inf", "leg_len=nan", "side_len=1e-12",
-            "lshape_band_nan", "lshape_band_outside"])
+            "lshape_band_nan", "lshape_band_outside", "at_kappa_e",
+            "at_kappa_r", "lshape_kappa_r", "analysis_g_c",
+            "analysis_theta"])
     def test_invalid_input_is_config_error(self, tmp_path, capsys, experiment,
                                            extra, sweep):
         text = ZERODIM_CFG.replace("zerodim", experiment)

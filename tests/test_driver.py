@@ -382,6 +382,21 @@ class TestPureAM:
             af.run_pure_am(mesh, model, load, params, np.ones(mesh.n_nodes),
                            [0.5, 1.0])
 
+    @pytest.mark.parametrize("times", [
+        [math.nan, 0.5, 1.0],
+        [0.0, 1.0, 0.5],
+        [],
+        [[0.0, 0.5, 1.0]],
+        [0.0, 0.5, math.inf],
+    ], ids=["nan_start", "decreasing", "empty", "two_dimensional",
+            "infinite"])
+    def test_time_grid_must_be_a_finite_nondecreasing_line(
+            self, ct_coarse_setup, times):
+        mesh, model, load, params = ct_coarse_setup
+        with pytest.raises(ValueError, match="time grid must be"):
+            af.run_pure_am(mesh, model, load, params, np.ones(mesh.n_nodes),
+                           times)
+
     def test_large_radius_matches_pure_am_on_same_grid(self, ct_coarse_setup):
         """Once the radius exceeds every damage increment, the adaptive
         scheme is a staggered run; replaying its own grid without the ball

@@ -17,7 +17,7 @@ from scipy.sparse.linalg import spsolve
 import amfrac as af
 import amfrac.assembly
 import amfrac.solvers
-from amfrac.assembly import element_data, z_quadratic, lumped_weights
+from amfrac.assembly import VNorm, element_data, z_quadratic, lumped_weights
 from amfrac.mesh import Mesh
 from amfrac.solvers import SolverFailure
 
@@ -166,10 +166,11 @@ class TestSolveZ:
         assert rep.constraint_active == (rep.nu > 0.0) == (rho < 1.0)
         assert "constraint_active" not in {
             f.name for f in dataclasses.fields(rep)}
+        dz_norm = VNorm(mesh, params.norm_V).value(rep.z - z_prev)
         if rep.constraint_active:
-            assert abs(rep.dz_norm_V - rho) <= 10 * params.tol_constraint
+            assert abs(dz_norm - rho) <= 10 * params.tol_constraint
         else:
-            assert rep.dz_norm_V < rho and rep.mu == 0.0
+            assert dz_norm < rho and rep.mu == 0.0
 
     def test_single_element_scalar_oracle(self):
         """Huge ball radius: the uniform minimizer must match a bounded
@@ -251,7 +252,8 @@ class TestSolveZ:
             assert J(rep.z) <= J(z_prev) + 1e-10 * max(1.0, abs(J(z_prev)))
             assert rep.lam.min() >= 0.0 and rep.mu >= 0.0
             # complementary slackness
-            assert rep.mu * (params.rho - rep.dz_norm_V) <= \
+            dz_norm = VNorm(mesh, params.norm_V).value(dz)
+            assert rep.mu * (params.rho - dz_norm) <= \
                 10 * params.tol_constraint * max(1.0, rep.mu)
             assert np.max(rep.lam * np.abs(dz)) <= 10 * params.tol_constraint * \
                 max(1.0, rep.lam.max())
@@ -324,7 +326,8 @@ class TestSolveZ:
         # pinned rows return the box-active nodes bit-equal to z_prev
         assert np.array_equal(rep.z[rep.lam > 0], z_prev[rep.lam > 0])
         assert np.max(rep.lam * np.abs(dz)) <= params.tol_constraint
-        assert rep.mu * abs(params.rho - rep.dz_norm_V) <= \
+        dz_norm = VNorm(mesh, params.norm_V).value(dz)
+        assert rep.mu * abs(params.rho - dz_norm) <= \
             10 * params.tol_constraint * rep.mu
         assert rep.stationarity_residual <= params.tol_newton
 
@@ -362,14 +365,14 @@ class TestSolveZ:
 
 
 class TestDzNorm:
-    """``dz_norm_V`` reuses the norm of the last pass while ``z - z_prev``
-    is that pass's ``v``, and evaluates it again after a retraction: either
-    way it has the bits of ``VNorm.value(z - z_prev)``."""
+    """The damage solve measures the ball once per pass, at that pass's
+    ``v``, and nothing after its last pass: the norm of the increment that
+    the time update reads is the step record's ``field_norm_V``."""
 
     @staticmethod
     def spied_solve(monkeypatch, u, z_prev, rho, mesh, model):
-        """The report, and the norm evaluations of the solve in turn as
-        ``(method, bytes of v)``."""
+        """The report, the V-norm of its increment and the norm
+        evaluations of the solve in turn as ``(method, bytes of v)``."""
         calls = []
 
         class Spy(amfrac.assembly.VNorm):
@@ -384,15 +387,14 @@ class TestDzNorm:
         monkeypatch.setattr(amfrac.solvers, "VNorm", Spy)
         params = default_params()  # solve_z reads its radius from rho
         rep = af.solve_z(u, z_prev, rho, mesh, model, params)
-        assert rep.dz_norm_V == amfrac.assembly.VNorm(
-            mesh, params.norm_V).value(rep.z - z_prev)
-        return rep, calls
+        dz_norm = VNorm(mesh, params.norm_V).value(rep.z - z_prev)
+        return rep, dz_norm, calls
 
     def test_box_only_solve(self, monkeypatch):
         mesh, model, u, z_prev = half_strained_problem()
-        rep, calls = self.spied_solve(monkeypatch, u, z_prev, 1e6, mesh,
-                                      model)
-        assert rep.nu == 0.0 and rep.al_iters > 1
+        rep, dz_norm, calls = self.spied_solve(monkeypatch, u, z_prev, 1e6,
+                                               mesh, model)
+        assert rep.nu == 0.0 and rep.al_iters > 1 and dz_norm < 1e6
         # one evaluation per pass, the last one at z - z_prev
         assert [c[0] for c in calls] == ["value"] * rep.al_iters
         assert calls[-1][1] == (rep.z - z_prev).tobytes()
@@ -405,22 +407,23 @@ class TestDzNorm:
                               ubar_rate=0.4)
         z_prev = np.ones(mesh.n_nodes)
         u = 2.0 * af.solve_u(0.9, z_prev, mesh, model, load)
-        rep, calls = self.spied_solve(monkeypatch, u, z_prev, 0.005, mesh,
-                                      model)
+        rep, dz_norm, calls = self.spied_solve(monkeypatch, u, z_prev,
+                                               0.005, mesh, model)
         assert rep.nu > 0.0 and rep.constraint_active
+        assert abs(dz_norm - 0.005) <= 10 * default_params().tol_constraint
         # the last pass ended with the ball on: one evaluation, at z - z_prev
         assert calls[-1] == ("parts", (rep.z - z_prev).tobytes())
 
     def test_last_pass_retracted(self, monkeypatch):
         mesh, model, u, z_prev = half_strained_problem()
-        rep, calls = self.spied_solve(monkeypatch, u, z_prev, 0.02, mesh,
-                                      model)
+        rep, dz_norm, calls = self.spied_solve(monkeypatch, u, z_prev,
+                                               0.02, mesh, model)
         assert rep.nu > 0.0
-        # the last pass retracted, so parts was evaluated at the scaled v,
-        # and the norm again at z - z_prev
-        dz = (rep.z - z_prev).tobytes()
-        assert calls[-1] == ("value", dz)
-        assert calls[-2][0] == "parts" and calls[-2][1] != dz
+        assert abs(dz_norm - 0.02) <= 10 * default_params().tol_constraint
+        # the last pass retracted: parts was evaluated at the scaled v,
+        # which is not z - z_prev to the last bit, and no norm after it
+        assert calls[-1][0] == "parts"
+        assert calls[-1][1] != (rep.z - z_prev).tobytes()
 
     def test_infinite_radius_takes_the_path_of_an_unreached_one(
             self, monkeypatch, ct_coarse_setup):
@@ -433,16 +436,16 @@ class TestDzNorm:
         z_prev = af.solve_z(af.solve_u(2.0, ones, mesh, model, load), ones,
                             math.inf, mesh, model, params).z
         u = af.solve_u(4.0, z_prev, mesh, model, load)
-        inf, inf_calls = self.spied_solve(monkeypatch, u, z_prev, math.inf,
-                                          mesh, model)
-        big, big_calls = self.spied_solve(monkeypatch, u, z_prev, 1e6, mesh,
-                                          model)
+        inf, inf_norm, inf_calls = self.spied_solve(
+            monkeypatch, u, z_prev, math.inf, mesh, model)
+        big, big_norm, big_calls = self.spied_solve(
+            monkeypatch, u, z_prev, 1e6, mesh, model)
         assert inf.al_iters >= 2 and inf.active.any()
-        assert big.dz_norm_V < 1e6 and not big.constraint_active
+        assert inf_norm == big_norm < 1e6 and not big.constraint_active
         for name in ("z", "lam", "active", "lower"):
             assert np.array_equal(getattr(inf, name), getattr(big, name)), \
                 name
-        for name in ("nu", "mu", "dz_norm_V", "al_iters", "newton_iters",
+        for name in ("nu", "mu", "al_iters", "newton_iters",
                      "stationarity_residual"):
             assert getattr(inf, name) == getattr(big, name), name
         assert inf_calls == big_calls
@@ -464,8 +467,8 @@ class TestWarmStart:
         assert np.array_equal(warm.active, cold.active)
         assert np.abs(warm.z - cold.z).max() <= 10 * params.tol_constraint
         assert warm.stationarity_residual <= params.tol_newton
-        assert abs(warm.dz_norm_V - params.rho) <= \
-            10 * params.tol_constraint
+        dz_norm = VNorm(mesh, params.norm_V).value(warm.z - z_prev)
+        assert abs(dz_norm - params.rho) <= 10 * params.tol_constraint
         assert warm.newton_iters < cold.newton_iters
 
     def test_own_report_ends_in_one_pass(self):
