@@ -143,15 +143,11 @@ class InterpolantView:
         return float(self.t_grid[self._locate(s, closed_right=True) + 1])
 
     # -- fields -------------------------------------------------------------
-    def _fields(self, k: int):
-        """(u, z) of outer step k, with k = -1 the virtual initial entry."""
-        return self.trace.snapshot(k)
-
     def _affine(self, s: float, i: int) -> np.ndarray:
         """Affine interpolant of field ``i`` (0: u, 1: z) at s."""
         k = self._locate(s, closed_right=False)
-        f0 = self._fields(k - 1)[i]
-        f1 = self._fields(k)[i]
+        f0 = self.trace.snapshot(k - 1)[i]
+        f1 = self.trace.snapshot(k)[i]
         lam = (s - self.s_grid[k]) / self.rho
         return (1.0 - lam) * f0 + lam * f1
 
@@ -165,32 +161,26 @@ class InterpolantView:
         k = self._locate(s, closed_right=False)
         if s >= self.s_final:
             k += 1
-        return self._fields(k - 1)[1]
+        return self.trace.snapshot(k - 1)[1]
 
     def z_upper(self, s: float) -> np.ndarray:
-        return self._fields(self._locate(s, closed_right=True))[1]
+        return self.trace.snapshot(self._locate(s, closed_right=True))[1]
 
 
 def sample_interpolants(trace: Trace, s_values) -> dict:
     """Evaluate all interpolants at the given artificial times.
 
     Returns a dict with keys ``t_hat, u_hat, z_hat, t_lower, z_lower,
-    t_upper, z_upper``; field entries are lists of arrays.
+    t_upper, z_upper``; field entries are lists of arrays (of floats for
+    the scalar model).
     """
     view = InterpolantView(trace)
-    out = {"t_hat": [], "u_hat": [], "z_hat": [],
-           "t_lower": [], "z_lower": [], "t_upper": [], "z_upper": []}
-    for s in np.atleast_1d(s_values):
-        out["t_hat"].append(view.t_hat(s))
-        out["u_hat"].append(view.u_hat(s))
-        out["z_hat"].append(view.z_hat(s))
-        out["t_lower"].append(view.t_lower(s))
-        out["z_lower"].append(view.z_lower(s))
-        out["t_upper"].append(view.t_upper(s))
-        out["z_upper"].append(view.z_upper(s))
-    out["t_hat"] = np.array(out["t_hat"])
-    out["t_lower"] = np.array(out["t_lower"])
-    out["t_upper"] = np.array(out["t_upper"])
+    s_values = np.atleast_1d(s_values)
+    out = {name: [getattr(view, name)(s) for s in s_values]
+           for name in ("t_hat", "u_hat", "z_hat", "t_lower", "z_lower",
+                        "t_upper", "z_upper")}
+    for name in ("t_hat", "t_lower", "t_upper"):
+        out[name] = np.array(out[name])
     return out
 
 
@@ -316,26 +306,37 @@ class InvariantReport:
         return False not in self.verdicts().values()
 
 
+_BLOCK_VALUES = 1 << 16  # damage values per stacked block of the check
+
+
 def check_trace_invariants(trace: Trace) -> InvariantReport:
     """Verify the proven structural properties on a stored trace.
 
-    The bound and irreversibility checks read the stored damage fields in
-    step order: ``0 <= z <= 1`` on each, and ``z`` nonincreasing from
-    ``z0`` through consecutive stored steps, so a trace that holds the
-    fields of some steps only is checked on those; a trace without fields
-    skips them.  The reductions propagate NaN, so a NaN
-    anywhere fails the verdict that reads it.
+    The bound and irreversibility checks read the stored damage (arrays,
+    or floats for the scalar model) in step order: ``0 <= z <= 1`` on each,
+    and ``z`` nonincreasing from ``z0`` through consecutive stored steps,
+    so a trace that holds the fields of some steps only is checked on
+    those; a trace without fields skips them.  ``z0`` and the stored steps
+    are stacked in blocks of about ``_BLOCK_VALUES`` values, each starting
+    at the last step of the one before, so a long trace holds one block at
+    a time.  The reductions propagate NaN, so a NaN anywhere fails the
+    verdict that reads it.
     """
     recs = trace.records
     rho = trace.scheme.rho
     z_min = z_max = irr = None
     if trace.z0 is not None:
-        stored = [trace.snapshots[k][1] for k in sorted(trace.snapshots)]
-        z_min = float(np.min([z.min() for z in stored], initial=math.inf))
-        z_max = float(np.max([z.max() for z in stored], initial=-math.inf))
-        irr = float(np.max([(z - z_prev).max() for z_prev, z
-                            in zip([trace.z0] + stored, stored)],
-                           initial=-math.inf))
+        zs = [trace.z0] + [trace.snapshots[k][1]
+                           for k in sorted(trace.snapshots)]
+        step = max(1, _BLOCK_VALUES // np.size(trace.z0))
+        lows, highs, rises = [math.inf], [-math.inf], [-math.inf]
+        for i in range(0, len(zs) - 1, step):
+            block = np.array(zs[i:i + step + 1])
+            lows.append(block[1:].min())
+            highs.append(block[1:].max())
+            rises.append(np.diff(block, axis=0).max())
+        z_min, z_max, irr = (float(np.min(lows)), float(np.max(highs)),
+                             float(np.max(rises)))
     dt = np.array([r.dt for r in recs])
     last = (recs[-1].dt + recs[-2].dz_norm_V) / rho if len(recs) > 1 else 0.0
     return InvariantReport(

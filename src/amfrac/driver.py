@@ -21,10 +21,13 @@ solve of an AM loop and the previous solve's report after it,
 ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM stopping rule, the
 per-step ``record(k, t, dt, res, z_prev) -> StepRecord``, which carries
 ``||z - z_prev||_V`` for the time update, ``predict(z_prev, z_pp)`` and,
-under a Dirichlet load only, ``energy_bound(t, u_prev, z_prev)``.  The
-loop itself copies a stored step's ``u`` and ``z`` as arrays.
-``FieldProblem`` is the finite-element implementation and
-``zerodim.ScalarProblem`` the closed-form scalar one.
+under a Dirichlet load only, ``energy_bound(t, u_prev, z_prev)``.  A
+trace keeps what the subproblem returned, uncopied, since nothing writes
+to a returned value: ``solve_u`` writes only into the fresh ``values(t)``,
+``solve_z`` only into a copy of ``z_prev`` or of its start's ``z``, and
+``predict`` builds new arrays.  Only the caller's ``z0`` is copied, and a
+float stays a float.  ``FieldProblem`` is the finite-element
+implementation and ``zerodim.ScalarProblem`` the closed-form scalar one.
 
 Predicted start.  The artificial time advances by the same ``rho`` at
 every step, so the last damage increment predicts the next one: the AM
@@ -93,8 +96,8 @@ class Trace:
 
     records: list = field(default_factory=list)
     scheme: SchemeParams = None
-    z0: np.ndarray = None
-    u_init: np.ndarray = None
+    z0: np.ndarray | float = None
+    u_init: np.ndarray | float = None
     energy_init: float = 0.0
     snapshots: dict = field(default_factory=dict)
     load_mode: str = DIRICHLET_RAMP
@@ -114,6 +117,8 @@ class Trace:
         return np.array([r.t for r in self.records])
 
     def snapshot(self, k: int):
+        """``(u, z)`` of step ``k`` as the subproblem returned them (floats
+        for the scalar model); ``k = -1`` gives ``(u_init, z0)``."""
         if k == -1:
             return self.u_init, self.z0
         if k not in self.snapshots:
@@ -239,16 +244,15 @@ def evolve(problem, z0, times: np.ndarray | None = None,
     rho = params.rho if adaptive else math.inf
     max_steps = _step_budget(params)
     traction = problem.load_mode == TRACTION_RAMP
-    trace = Trace(scheme=params, z0=np.array(z0, ndmin=1),
-                  load_mode=problem.load_mode)
+    z0 = z0 if isinstance(z0, float) else np.array(z0)
+    trace = Trace(scheme=params, z0=z0, load_mode=problem.load_mode)
     z_prev = z_pp = z0
     u_prev = None
     t = t_prev = 0.0 if adaptive else times[0]
     bound = math.inf
     k = 0
     try:
-        u_init = problem.solve_u(t, z0)
-        trace.u_init = np.array(u_init, ndmin=1)
+        trace.u_init = u_init = problem.solve_u(t, z0)
         trace.energy_init = problem.energy(0.0, u_init, z0)
         while True:
             res = am_loop(problem, t, z_prev, rho, u_prev,
@@ -261,8 +265,7 @@ def evolve(problem, z0, times: np.ndarray | None = None,
             prev_dt = trace.records[-1].dt if trace.records else 1.0
             is_final = t >= params.T if adaptive else k == len(times) - 1
             if _store_snapshot(k, record.dt, prev_dt, is_final, params):
-                trace.snapshots[k] = (np.array(res.u, ndmin=1),
-                                      np.array(res.z, ndmin=1))
+                trace.snapshots[k] = (res.u, res.z)
             trace.records.append(record)
             if record_hook is not None:
                 record_hook(record)

@@ -27,34 +27,20 @@ class MeshConfigError(ValueError):
 
 # 2x2 Gauss rule on [-1, 1]^2 (reference square)
 _GP = 1.0 / math.sqrt(3.0)
-GAUSS_POINTS_2X2 = np.array(
-    [(-_GP, -_GP), (_GP, -_GP), (_GP, _GP), (-_GP, _GP)]
-)
+GAUSS_POINTS_2X2 = np.array([(-_GP, -_GP), (_GP, -_GP), (_GP, _GP), (-_GP, _GP)])
 GAUSS_WEIGHTS_2X2 = np.ones(4)
 
 
 def shape_functions(xi: float, eta: float) -> np.ndarray:
     """Bilinear shape functions on the reference square, CCW node order."""
-    return 0.25 * np.array(
-        [
-            (1 - xi) * (1 - eta),
-            (1 + xi) * (1 - eta),
-            (1 + xi) * (1 + eta),
-            (1 - xi) * (1 + eta),
-        ]
-    )
+    return 0.25 * np.array([(1 - xi) * (1 - eta), (1 + xi) * (1 - eta),
+                            (1 + xi) * (1 + eta), (1 - xi) * (1 + eta)])
 
 
 def shape_gradients(xi: float, eta: float) -> np.ndarray:
     """Reference-coordinate gradients of the bilinear shape functions, (4, 2)."""
-    return 0.25 * np.array(
-        [
-            [-(1 - eta), -(1 - xi)],
-            [(1 - eta), -(1 + xi)],
-            [(1 + eta), (1 + xi)],
-            [-(1 + eta), (1 - xi)],
-        ]
-    )
+    return 0.25 * np.array([[-(1 - eta), -(1 - xi)], [(1 - eta), -(1 + xi)],
+                            [(1 + eta), (1 + xi)], [-(1 + eta), (1 - xi)]])
 
 
 @dataclass(eq=False)

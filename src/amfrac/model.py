@@ -39,13 +39,8 @@ def voigt_elasticity(young_E: float, poisson_nu: float) -> np.ndarray:
         )
     lam = young_E * poisson_nu / ((1.0 + poisson_nu) * (1.0 - 2.0 * poisson_nu))
     mu = young_E / (2.0 * (1.0 + poisson_nu))
-    return np.array(
-        [
-            [lam + 2.0 * mu, lam, 0.0],
-            [lam, lam + 2.0 * mu, 0.0],
-            [0.0, 0.0, mu],
-        ]
-    )
+    return np.array([[lam + 2.0 * mu, lam, 0.0], [lam, lam + 2.0 * mu, 0.0],
+                     [0.0, 0.0, mu]])
 
 
 def coercivity_gamma(C: np.ndarray) -> float:
@@ -115,6 +110,7 @@ class LoadProgram:
     ubar_rate: float = 0.0
     traction_rate: float = 0.0
     _f1_cache: tuple = field(default=(), init=False, repr=False)
+    _dirichlet_cache: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.mode not in (DIRICHLET_RAMP, TRACTION_RAMP):
@@ -141,16 +137,38 @@ class LoadProgram:
     def ubar(self, t: float) -> float:
         return self.ubar_rate * t
 
+    def _per_mesh(self, name: str, mesh: Mesh, key: tuple, build):
+        """``build(mesh)``, kept in the field ``name`` for the last mesh and
+        ``key`` only: a change of either rebuilds it."""
+        last = getattr(self, name)
+        if not (last and last[0]() is mesh and last[1] == key):
+            setattr(self, name, last := (weakref.ref(mesh), key, build(mesh)))
+        return last[2]
+
     # -- Dirichlet data ---------------------------------------------------
     def dirichlet_dofs(self, mesh: Mesh):
         """Constrained displacement dofs and their values at time t.
 
         "clamped" nodes are fixed in both components.  In displacement
         control the "loaded" nodes are constrained in the load direction
-        only, which ``__post_init__`` has checked to be axis-aligned.
+        only, which ``__post_init__`` has checked to be axis-aligned.  The
+        mask is read-only and kept, with the loaded dofs, for the last mesh,
+        mode and direction; ``values(t)`` returns a fresh array each call.
         """
-        n = mesh.n_nodes
-        mask = np.zeros(2 * n, dtype=bool)
+        mask, loaded_dofs, sign = self._per_mesh(
+            "_dirichlet_cache", mesh, (self.mode, self.direction),
+            self._build_dirichlet)
+
+        def values(t: float) -> np.ndarray:
+            vals = np.zeros(mask.size)
+            if loaded_dofs.size:
+                vals[loaded_dofs] = sign * self.ubar(t)
+            return vals
+
+        return mask, values
+
+    def _build_dirichlet(self, mesh: Mesh) -> tuple:
+        mask = np.zeros(2 * mesh.n_nodes, dtype=bool)
         clamped = mesh.boundary_sets["clamped"]
         mask[2 * clamped] = True
         mask[2 * clamped + 1] = True
@@ -160,17 +178,10 @@ class LoadProgram:
             d = np.asarray(self.direction)
             axis = int(np.argmax(np.abs(d)))
             sign = math.copysign(1.0, d[axis])
-            loaded = mesh.boundary_sets["loaded"]
-            loaded_dofs = 2 * loaded + axis
+            loaded_dofs = 2 * mesh.boundary_sets["loaded"] + axis
             mask[loaded_dofs] = True
-
-        def values(t: float) -> np.ndarray:
-            vals = np.zeros(2 * n)
-            if loaded_dofs.size:
-                vals[loaded_dofs] = sign * self.ubar(t)
-            return vals
-
-        return mask, values
+        mask.flags.writeable = False
+        return mask, loaded_dofs, sign
 
     # -- Traction data ----------------------------------------------------
     def force_rate_vector(self, mesh: Mesh) -> np.ndarray:
@@ -182,17 +193,14 @@ class LoadProgram:
         The array is read-only and kept for the last mesh; a change of the
         mesh, the mode, the direction or the rate rebuilds it.
         """
-        key = (self.mode, self.direction, self.traction_rate)
-        cache = self._f1_cache
-        if not (cache and cache[0]() is mesh and cache[1] == key):
-            f1 = self._build_f1(mesh)
-            f1.flags.writeable = False
-            cache = self._f1_cache = (weakref.ref(mesh), key, f1)
-        return cache[2]
+        return self._per_mesh(
+            "_f1_cache", mesh, (self.mode, self.direction, self.traction_rate),
+            self._build_f1)
 
     def _build_f1(self, mesh: Mesh) -> np.ndarray:
         f1 = np.zeros(2 * mesh.n_nodes)
         if self.mode != TRACTION_RAMP or self.traction_rate == 0.0:
+            f1.flags.writeable = False
             return f1
         loaded = mesh.boundary_sets["loaded"]
         pts = mesh.nodes[loaded]
@@ -214,6 +222,7 @@ class LoadProgram:
             # point load fallback: rate interpreted directly as a force
             f1[2 * loaded[0]] = self.traction_rate * d[0]
             f1[2 * loaded[0] + 1] = self.traction_rate * d[1]
+        f1.flags.writeable = False
         return f1
 
     def force_vector(self, mesh: Mesh, t: float) -> np.ndarray:

@@ -146,6 +146,7 @@ class ScalarProblem:
     """The scalar system as the subproblem of ``driver.evolve``.
 
     Both solves are closed form and every quantity is a Python float, so
+    a trace of it holds floats (``z0``, ``u_init`` and every snapshot) and
     the AM iteration makes no numpy call, also with ``check_oracle`` on:
     that option cross-checks every damage solve against the exhaustive grid
     oracle, itself evaluated in Python floats, and raises when the two
@@ -213,5 +214,5 @@ def run_zero_dim(model: ZeroDimModel, params: SchemeParams,
     With ``check_oracle`` every damage solve is cross-checked against the
     exhaustive grid oracle (within two grid cells); a mismatch raises.
     """
-    return evolve(ScalarProblem(model, params, check_oracle), z0,
+    return evolve(ScalarProblem(model, params, check_oracle), float(z0),
                   record_hook=record_hook)

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 import amfrac as af
+from amfrac import diagnostics
 from amfrac.diagnostics import (
     InterpolantView,
     check_trace_invariants,
@@ -311,8 +312,9 @@ class TestInvariantReport:
         """A run with the default ``store_all_snapshots=False`` keeps some
         fields; irreversibility runs from z0 through the stored steps, and
         the bounds of z hold at each of them.  ``shift`` raises a stored
-        step's z above that of the stored step before it; without one, a
-        z entry of the stored step is set to -0.1."""
+        step's z above that of the stored step before it; without one, the
+        z of the stored step is set to -0.1.  The scalar snapshots are
+        floats."""
         trace = run_zero_dim(ZeroDimModel(), af.SchemeParams(rho=0.02, T=1.0))
         stored = sorted(trace.snapshots)
         assert 1 < len(stored) < len(trace.records)
@@ -320,16 +322,40 @@ class TestInvariantReport:
         k = stored[stored_step]
         u, z = trace.snapshots[k]
         if shift is None:
-            z = z.copy()
-            z[0] = -0.1
+            z = -0.1
         else:
             z = trace.snapshots[stored[stored_step - 1]][1] + shift
-            assert z.max() <= 1.0
+            assert z <= 1.0
         report = check_trace_invariants(
             dataclasses.replace(trace, snapshots={**trace.snapshots, k: (u, z)}))
         assert [name for name, ok in report.verdicts().items()
                 if ok is False] == failed
 
+    def test_blocked_check_matches_a_per_snapshot_reduction(
+            self, analysis_traction_trace):
+        """Over more stored steps than one stacked block holds, the field
+        figures are those of a reduction over one snapshot at a time, also
+        when the extremes sit at a block boundary: the step that starts a
+        block holds the least value, and the rise out of it is the largest.
+        """
+        trace = analysis_traction_trace[-1]
+        n = trace.z0.size
+        per_block = diagnostics._BLOCK_VALUES // n
+        count = 2 * per_block + 5
+        rng = np.random.default_rng(4)
+        scale = rng.uniform(0.5, 1.0, n)
+        stored = [scale * (1.0 - 0.5 * j / count) for j in range(1, count + 1)]
+        # zs = [z0] + stored: the second block starts at zs[per_block]
+        stored[per_block - 1][3] = -0.25
+        stored[0][7] = 1.5
+        snapshots = {j: (None, z) for j, z in enumerate(stored)}
+        report = check_trace_invariants(
+            dataclasses.replace(trace, snapshots=snapshots))
+        rises = [(b - a).max() for a, b in zip([trace.z0] + stored, stored)]
+        assert report.z_min == min(z.min() for z in stored) == -0.25
+        assert report.z_max == max(z.max() for z in stored) == 1.5
+        assert report.irreversibility_violation == max(rises)
+        assert max(rises) == rises[per_block] > rises[0] > 0.0
 
 
 class TestNaNFailsItsVerdict:
@@ -359,6 +385,20 @@ class TestNaNFailsItsVerdict:
         k = stored[len(stored) // 2]
         u, z = trace.snapshots[k]
         snapshots = {**trace.snapshots, k: (u, np.full_like(z, math.nan))}
+        report = check_trace_invariants(
+            dataclasses.replace(trace, snapshots=snapshots))
+        assert self.failed(report) == ["z within [0, 1]", "irreversibility"]
+
+    @pytest.mark.parametrize("where", [0, 0.5, -1],
+                             ids=["first", "middle", "last"])
+    def test_nan_float_snapshot_of_a_scalar_trace(self, trace, where):
+        """A scalar trace stores floats; a NaN one fails both field
+        verdicts wherever it sits in the stacked check."""
+        stored = sorted(trace.snapshots)
+        k = stored[int(where * (len(stored) - 1)) if where else 0]
+        u, z = trace.snapshots[k]
+        assert type(z) is float
+        snapshots = {**trace.snapshots, k: (u, math.nan)}
         report = check_trace_invariants(
             dataclasses.replace(trace, snapshots=snapshots))
         assert self.failed(report) == ["z within [0, 1]", "irreversibility"]
@@ -418,15 +458,9 @@ class TestEnergyBalance:
         recs = trace.records
         gauss_x, gauss_w = np.polynomial.legendre.leggauss(6)
 
-        def snap(k):
-            if k == -1:
-                return trace.u_init[0], trace.z0[0]
-            u, z = trace.snapshot(k)
-            return u[0], z[0]
-
         for k in range(len(recs)):
-            u0, z0 = snap(k - 1)
-            u1, z1 = snap(k)
+            u0, z0 = trace.snapshot(k - 1)  # floats, k = -1 the initial entry
+            u1, z1 = trace.snapshot(k)
             t0 = recs[k - 1].t if k > 0 else recs[0].t
             t1 = recs[k].t
             du, dz, dt = (u1 - u0) / rho, (z1 - z0) / rho, (t1 - t0) / rho

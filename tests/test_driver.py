@@ -285,6 +285,65 @@ class TestRun:
                 assert k in stored
 
 
+class TestStoredValues:
+    """A trace keeps what its subproblem returned, uncopied, which is safe
+    because nothing writes to a returned value afterwards."""
+
+    def test_snapshots_are_the_unwritten_last_iterates(
+            self, analysis_traction_setup):
+        """Every snapshot is its step's last AM iterate, the very objects
+        that the last ``solve_u`` and ``solve_z`` returned, with the bytes
+        they had when returned; ``u_init`` is the first solve, and the
+        trace's ``z0`` does not follow a later write to the caller's."""
+        mesh, model, load, params = analysis_traction_setup
+        assert params.store_all_snapshots
+        returned = {}  # the last result of each solve and its bytes
+        first_u = []
+        expected = {}
+
+        class Recording(FieldProblem):
+            # each solve also leaves its inputs as they were
+            def solve_u(self, t, z):
+                z_bytes = z.tobytes()
+                u = super().solve_u(t, z)
+                assert z.tobytes() == z_bytes
+                returned["u"] = (u, u.tobytes())
+                first_u.append(returned["u"])
+                return u
+
+            def solve_z(self, u, z_prev, rho, start):
+                inputs = [x.tobytes() for x in (u, z_prev)]
+                z, report = super().solve_z(u, z_prev, rho, start)
+                assert [x.tobytes() for x in (u, z_prev)] == inputs
+                returned["z"] = (z, z.tobytes())
+                return z, report
+
+        def hook(record):
+            expected[record.k] = (returned["u"], returned["z"])
+
+        z0 = np.ones(mesh.n_nodes)
+        trace = evolve(Recording(mesh, model, load, params), z0,
+                       record_hook=hook)
+        assert sorted(trace.snapshots) == sorted(expected) == \
+            list(range(len(trace.records)))
+        for k, ((u, u_bytes), (z, z_bytes)) in expected.items():
+            stored_u, stored_z = trace.snapshots[k]
+            assert stored_u is u and stored_z is z, k
+            assert (stored_u.tobytes(), stored_z.tobytes()) == \
+                (u_bytes, z_bytes), k
+        u, u_bytes = first_u[0]
+        assert trace.u_init is u and trace.u_init.tobytes() == u_bytes
+        z0[:] = 0.5
+        assert trace.z0.tobytes() == np.ones(mesh.n_nodes).tobytes()
+
+    def test_scalar_trace_holds_floats(self, zerodim_trace):
+        trace = zerodim_trace[-1]
+        assert type(trace.z0) is float and type(trace.u_init) is float
+        assert len(trace.snapshots) == len(trace.records)
+        assert all(type(u) is float and type(z) is float
+                   for u, z in trace.snapshots.values())
+
+
 class TestJumpDefinition:
     """A jump is a step whose damage solve ends with the ball binding: its
     record's ``ball_active`` is a positive ball multiplier, the next step
@@ -453,8 +512,7 @@ class TestPredictedStart:
         if fixture == "zerodim_trace":
             zm, _, trace = request.getfixturevalue(fixture)
 
-            def energy(t, u, z):  # the snapshots hold arrays of one value
-                return zm.energy(t, u[0], z[0])
+            energy = zm.energy  # the snapshots hold floats
         else:
             mesh, model, load, _, trace = request.getfixturevalue(fixture)
             mask, values = load.dirichlet_dofs(mesh)

@@ -241,6 +241,49 @@ class TestForceRateVector:
         assert not load.force_rate_vector(mesh).any()
 
 
+class TestDirichletDofs:
+    def test_cached_mask_follows_the_load_and_mesh(self):
+        """The mask is built once per load and mesh, read-only, and a
+        changed mesh, direction or mode never returns the stale one;
+        ``values(t)`` is a fresh array at each call and follows the rate."""
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+        load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(0, 1),
+                              ubar_rate=2.0)
+        mask, values = load.dirichlet_dofs(mesh)
+        assert load.dirichlet_dofs(mesh)[0] is mask and not mask.flags.writeable
+        u = values(0.5)
+        assert u is not values(0.5) and u.flags.writeable
+        clamped = mesh.boundary_sets["clamped"]
+        loaded = mesh.boundary_sets["loaded"]
+        expected = np.zeros(2 * mesh.n_nodes, dtype=bool)
+        expected[np.concatenate([2 * clamped, 2 * clamped + 1,
+                                 2 * loaded + 1])] = True
+        assert np.array_equal(mask, expected)
+        assert np.array_equal(np.flatnonzero(u), 2 * loaded + 1)
+        assert (u[2 * loaded + 1] == 1.0).all()
+
+        def assert_fresh(mesh):
+            mask, values = load.dirichlet_dofs(mesh)
+            ref_mask, ref_values = dataclasses.replace(load).dirichlet_dofs(mesh)
+            assert np.array_equal(mask, ref_mask)
+            assert np.array_equal(values(0.5), ref_values(0.5))
+
+        other = af.build_ct_mesh(1.0, 0.125, 0.125, notch=False)
+        assert_fresh(other)
+        assert load.dirichlet_dofs(other)[0].size == 2 * other.n_nodes
+        assert_fresh(mesh)  # cached for the first mesh again
+        load.direction = (-1.0, 0.0)
+        assert_fresh(mesh)
+        assert (load.dirichlet_dofs(mesh)[1](0.5)[2 * loaded] == -1.0).all()
+        load.ubar_rate = 3.0
+        assert (load.dirichlet_dofs(mesh)[1](0.5)[2 * loaded] == -1.5).all()
+        load.mode = "TRACTION_RAMP"
+        assert_fresh(mesh)
+        mask, values = load.dirichlet_dofs(mesh)
+        assert np.count_nonzero(mask) == 2 * clamped.size
+        assert not values(0.5).any()
+
+
 class TestCoercivity:
     def test_energy_bounded_below_by_quadratic(self):
         """Certified lower bound: energy >= c1 |u|_H1^2 + c2 |z|_Z^2 - c0

@@ -137,7 +137,7 @@ class TestZStepIdentity:
         assert repr(trace.records) == repr(ref.records)
 
         def snapshot_bytes(tr):
-            return {k: (u.tobytes(), z.tobytes())
+            return {k: (np.float64(u).tobytes(), np.float64(z).tobytes())
                     for k, (u, z) in tr.snapshots.items()}
 
         assert snapshot_bytes(trace) == snapshot_bytes(ref)
@@ -282,7 +282,7 @@ class TestRunZeroDim:
 
     def test_evolution_monotone(self, zerodim_trace):
         _, _, trace = zerodim_trace
-        zs = [trace.snapshot(k)[1][0] for k in range(trace.n_steps + 1)]
+        zs = [trace.snapshot(k)[1] for k in range(trace.n_steps + 1)]
         assert all(b <= a + 1e-12 for a, b in zip(zs[:-1], zs[1:]))
         assert 0.0 <= min(zs) and max(zs) <= 1.0
 
@@ -343,7 +343,7 @@ class TestRunZeroDim:
                     break
             expected.append(converged)
             z_pp = z_prev
-            (u_prev,), (z_prev,) = trace.snapshot(r.k)
+            u_prev, z_prev = trace.snapshot(r.k)
             assert (u_prev, z_prev) == (u_ref, z_i)
         assert [r.am_converged for r in trace.records] == expected
         assert sum(r.am_iters == 2 and r.am_converged
@@ -404,7 +404,7 @@ class TestBalancedViscosity:
                                      norm_V=af.NormSpec("lalpha", 2.0),
                                      store_all_snapshots=True)
             trace = run_zero_dim(zm, params)
-            dists.append(max(bv.distance(r.t, trace.snapshot(r.k)[1][0])
+            dists.append(max(bv.distance(r.t, trace.snapshot(r.k)[1])
                              for r in trace.records))
         # the order varies from one level to the next: fit it over all
         order = np.polyfit(np.log(rhos), np.log(dists), 1)[0]
