@@ -10,17 +10,24 @@ Per-mesh data is cached on first use (meshes are immutable after
 construction), in ``element_data(mesh)``:
 
 - built with the cache: Gauss-point shape values, Jacobian weights,
-  gradients and strain matrices, and the lumped nodal weights.  A nodal
-  field reaches the Gauss points by one gather (``gauss``) and Gauss-point
-  values return to the nodes by one ``np.bincount`` (``scatter``); the
-  energy, the stiffness, the lumped weights and the L^alpha ball all go
-  through these two;
+  gradients and strain matrices, and the lumped nodal weights.  The shape
+  values and reference gradients of the rule are module constants.  Each
+  Jacobian entry is one (nel, nq) array for all Gauss points at once:
+  coordinate times reference gradient, summed over the four nodes in
+  turn.  One check rejects a det that is not positive and finite at any
+  point; then come the inverse entries, ``dNdx[..., i] = g_x inv_0i + g_y
+  inv_1i`` and ``wdet = w_q det``.  A nodal field reaches the Gauss points
+  by one gather (``gauss``) and Gauss-point values return to the nodes by
+  one ``np.bincount`` (``scatter``); the energy, the stiffness, the lumped
+  weights and the L^alpha ball all go through these two;
 - built when first needed: one ``SparsePattern`` for the n-node operators
   (and one for the 2n-dof stiffness, which only ``assemble_K`` reads),
   with the map from element entries to CSR data slots.  Every operator is
   then a data vector on its pattern: assembly is one ``np.bincount`` and
   ``Q = H + c1 M + c2 L`` is arithmetic on data vectors.  Also the mass
-  and Laplacian data and the H1 Gram matrix;
+  and Laplacian data and the H1 Gram matrix.  The Laplacian's element
+  entries are a running total over the Gauss points in turn, from zero, of
+  ``(w_q g_x)_a g_x,b + (w_q g_y)_a g_y,b``;
 - built when first needed: one band ``order`` of the nodes, the narrower
   of the two coordinate sweeps, x-major and y-major (the x-major one on a
   tie).  On a tensor-product grid a sweep is a level structure line by
@@ -46,7 +53,16 @@ construction), in ``element_data(mesh)``:
   times the area for AT; the Gauss-point elastic density and the damage
   quadratic ``z_quadratic``, keyed on the bytes of ``u`` and on the
   material fields they read.  The damage solve, the energy and the dual
-  distance of one step then share one evaluation.
+  distance of one step then share one evaluation.  ``B' C B`` has two
+  non-zero products in each node-pair block of a plane-strain ``C``
+  (``_btcb``).
+
+The summation orders above are a contract: the bits of every trace
+depend on them.  They are the orders of the ``np.einsum`` calls that these
+sums replaced (its C loop sums from +0.0, so an exact zero is +0.0), in a
+third to a half of their time.  A ``matmul`` is as fast, but it sums in
+BLAS's order: on the ``lshape`` preset mesh it moves ``wdet`` by up to
+3e-14 relative, and with it every field record.
 """
 
 from __future__ import annotations
@@ -176,6 +192,15 @@ class Band:
             minlength=self.n)
 
 
+# The 2x2 rule on the reference square, the same for every mesh: shape
+# values (q, a), their products (q, a, b) and gradients (q, a, j).
+_N = np.array([shape_functions(*gp) for gp in GAUSS_POINTS_2X2])
+_NN = _N[:, :, None] * _N[:, None, :]
+_DN = np.array([shape_gradients(*gp) for gp in GAUSS_POINTS_2X2])
+for _a in (_N, _NN, _DN):
+    _a.flags.writeable = False
+
+
 class _ElementData:
     """Per-mesh quadrature cache."""
 
@@ -183,23 +208,29 @@ class _ElementData:
         xy = mesh.element_coords()  # (nel, 4, 2)
         nel = mesh.n_elements
         nq = len(GAUSS_POINTS_2X2)
-        self.N = np.array([shape_functions(*gp) for gp in GAUSS_POINTS_2X2])  # (q,4)
-        self.NN = np.einsum("qa,qb->qab", self.N, self.N)  # (q,4,4)
-        self.wdet = np.empty((nel, nq))
+        self.N, self.NN = _N, _NN
+        gx, gy = _DN[..., 0], _DN[..., 1]  # (q,4) each
+
+        def jac(c, g):
+            """``sum_a c_ea g_qa`` over the nodes in turn, (nel, nq)."""
+            return (c[:, 0, None] * g[:, 0] + c[:, 1, None] * g[:, 1]
+                    + c[:, 2, None] * g[:, 2] + c[:, 3, None] * g[:, 3])
+
+        x, y = xy[..., 0], xy[..., 1]
+        with np.errstate(invalid="ignore", over="ignore"):  # checked below
+            j00, j01, j10, j11 = (jac(x, gx), jac(x, gy), jac(y, gx),
+                                  jac(y, gy))
+            det = j00 * j11 - j01 * j10
+        # one check for every Gauss point: NaN fails both comparisons, and
+        # det is finite only where all of J is
+        if not np.all((det > 0) & (det < np.inf)):
+            raise ValueError("non-finite or non-positive Jacobian in mesh")
+        i00, i11 = (j11 / det)[..., None], (j00 / det)[..., None]
+        i01, i10 = (-j01 / det)[..., None], (-j10 / det)[..., None]
+        self.wdet = GAUSS_WEIGHTS_2X2 * det
         self.dNdx = np.empty((nel, nq, 4, 2))
-        for q, (xi, eta) in enumerate(GAUSS_POINTS_2X2):
-            dN = shape_gradients(xi, eta)  # (4,2)
-            J = np.einsum("eni,nj->eij", xy, dN)
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            if np.any(det <= 0):
-                raise ValueError("non-positive Jacobian in mesh")
-            Jinv = np.empty_like(J)
-            Jinv[:, 0, 0] = J[:, 1, 1] / det
-            Jinv[:, 1, 1] = J[:, 0, 0] / det
-            Jinv[:, 0, 1] = -J[:, 0, 1] / det
-            Jinv[:, 1, 0] = -J[:, 1, 0] / det
-            self.wdet[:, q] = GAUSS_WEIGHTS_2X2[q] * det
-            self.dNdx[:, q] = np.einsum("nj,eji->eni", dN, Jinv)
+        self.dNdx[..., 0] = gx * i00 + gy * i10
+        self.dNdx[..., 1] = gx * i01 + gy * i11
 
         # strain-displacement matrices, engineering shear convention
         self.B = np.zeros((nel, nq, 3, 8))
@@ -308,7 +339,12 @@ class _ElementData:
 
     @cached_property
     def laplacian(self) -> sp.csr_matrix:
-        vals = np.einsum("eq,eqai,eqbi->eab", self.wdet, self.dNdx, self.dNdx)
+        vals = np.zeros((self.conn.shape[0], 4, 4))
+        for q in range(self.wdet.shape[1]):
+            g = self.dNdx[:, q]
+            wg = self.wdet[:, q, None, None] * g
+            vals += (wg[:, :, None, 0] * g[:, None, :, 0]
+                     + wg[:, :, None, 1] * g[:, None, :, 1])
         return self.node_pattern.matrix(self.node_pattern.fill(vals))
 
     @cached_property
@@ -427,10 +463,29 @@ def element_stiffness(z: np.ndarray, mesh: Mesh,
     _check_state_dims(mesh, None, z)
     data = element_data(mesh)
     coef = data.wdet * degradation(data.gauss(z), model.eta)
-    btcb = data.memo("btcb", model.C.tobytes(), lambda: np.einsum(
-        "eqia,ij,eqjb->eqab", data.B, model.C, data.B))
+    btcb = data.memo("btcb", model.C.tobytes(), lambda: _btcb(data, model.C))
     nel, nq = coef.shape
     return (coef[:, None, :] @ btcb.reshape(nel, nq, -1)).reshape(nel, -1)
+
+
+def _btcb(data: _ElementData, C: np.ndarray) -> np.ndarray:
+    """The products ``B' C B`` at every Gauss point, (nel, nq, 8, 8), for a
+    plane-strain Voigt ``C``, whose shear row and column are zero but on
+    the diagonal.  The block of dofs ``(a, r)`` and ``(b, s)`` (``r, s`` = 0
+    for x, 1 for y) has two non-zero terms: ``(g_ar C_rs) g_bs + (g_ar'
+    C_22) g_bs'`` with ``r' = 1 - r``."""
+    if C[0, 2] or C[1, 2] or C[2, 0] or C[2, 1]:
+        raise ValueError("B'C B needs a Voigt C with uncoupled shear")
+    nel, nq = data.wdet.shape
+    g = data.dNdx[..., 0, None], data.dNdx[..., 1, None]  # (nel, nq, 4, 1)
+    out = np.empty((nel, nq, 4, 2, 4, 2))
+    for r in (0, 1):
+        for s in (0, 1):
+            out[:, :, :, r, :, s] = (
+                (g[r] * C[r, s]) * g[s].swapaxes(-1, -2)
+                + (g[1 - r] * C[2, 2]) * g[1 - s].swapaxes(-1, -2))
+    out += 0.0  # a sum from +0.0: an exact zero is +0.0, never -0.0
+    return out.reshape(nel, nq, 8, 8)
 
 
 def assemble_K(z: np.ndarray, mesh: Mesh, model: MaterialModel) -> sp.csr_matrix:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import amfrac as af
+from amfrac.mesh import GAUSS_POINTS_2X2
 from amfrac.assembly import (
     element_data,
     elastic_density_at_gauss,
@@ -13,15 +14,27 @@ from amfrac.assembly import (
 )
 
 from oracles import (
+    element_quadrature,
     fd_gradient,
+    gauss_rule,
     ref_btcb,
     ref_element_stiffness,
     ref_field_norm_lalpha,
     ref_gauss_interpolation,
     ref_mass_matrix,
+    ref_shape_grad,
     ref_total_energy,
     smooth_random_field,
 )
+
+
+def element_oracle(coords):
+    """``w_q det J_q`` and the shape gradients of one element by the loop
+    oracle, with the Gauss points in the package's order."""
+    points = gauss_rule(2)[0]
+    order = [np.abs(points - p).sum(axis=1).argmin() for p in GAUSS_POINTS_2X2]
+    w, _, dNdx = zip(*element_quadrature(coords, 2))
+    return np.array(w)[order], np.array(dNdx)[order]
 
 
 def unit_element_mesh():
@@ -120,6 +133,26 @@ class TestTotalEnergy:
         with pytest.raises(ValueError, match="non-positive Jacobian"):
             element_data(mesh)
 
+    def test_jacobian_negative_at_one_gauss_point_is_rejected(self):
+        """A dart whose Jacobian is negative at the third Gauss point only:
+        one check covers every point."""
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.3], [0.0, 1.0]])
+        dets = element_oracle(nodes)[0]
+        assert [d < 0 for d in dets] == [False, False, True, False]
+        with pytest.raises(ValueError, match="non-positive Jacobian"):
+            element_data(af.Mesh(nodes=nodes, elements=np.array([[0, 1, 2, 3]])))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("node", [0, 1, 2, 3])
+    def test_non_finite_coordinate_is_rejected(self, value, node):
+        """A NaN or infinite coordinate of a skewed element.  ``y = -inf``
+        at node 1 and ``y = +inf`` at node 3 make every det ``+inf``, which
+        ``det > 0`` alone would accept."""
+        nodes = np.array([[0.0, 0.0], [1.0, 0.2], [1.2, 1.0], [0.1, 1.0]])
+        nodes[node, node % 2] = value
+        with pytest.raises(ValueError, match="non-positive Jacobian"):
+            element_data(af.Mesh(nodes=nodes, elements=np.array([[0, 1, 2, 3]])))
+
 
 class TestGradU:
     def test_zero_state(self):
@@ -187,6 +220,18 @@ class TestGradZ:
 
 
 class TestAssembleK:
+    @pytest.mark.parametrize("entry", [(0, 2), (1, 2), (2, 0), (2, 1)])
+    def test_shear_coupled_elasticity_is_rejected(self, entry):
+        """The stiffness sums only the products of a plane-strain ``C``;
+        a ``C`` whose shear couples to a normal strain is an error, not a
+        stiffness without that coupling."""
+        mesh = unit_element_mesh()
+        model = af.MaterialModel(young_E=1.0, poisson_nu=0.3)
+        model.C = model.C.copy()
+        model.C[entry] = 0.1
+        with pytest.raises(ValueError, match="uncoupled shear"):
+            af.assemble_K(np.ones(mesh.n_nodes), mesh, model)
+
     def test_single_element_matches_dense_oracle(self):
         mesh = unit_element_mesh()
         model = af.MaterialModel(young_E=1.0, poisson_nu=0.0, eta=1e-14)
@@ -489,10 +534,48 @@ def assert_same_operator(A, ref, rtol=1e-13):
     assert abs(A - ref).max() <= rtol * scale
 
 
+def perturbed_mesh():
+    """A 9 x 9 node grid on the unit square with its interior nodes moved
+    by up to a quarter of a cell: general convex quadrilaterals, whose
+    Jacobians have off-diagonal terms at every Gauss point."""
+    mesh = af.build_ct_mesh(1.0, 0.125, 0.125, notch=False)
+    nodes = mesh.nodes.copy()
+    inner = np.all((nodes > 0.0) & (nodes < 1.0), axis=1)
+    nodes[inner] += np.random.default_rng(7).uniform(
+        -0.03, 0.03, (int(inner.sum()), 2))
+    return af.Mesh(nodes, mesh.elements, mesh.boundary_sets)
+
+
 PATTERN_MESHES = {
     "ct": lambda: af.build_ct_mesh(1.0, 0.25, 0.125),
     "lshape": lambda: af.build_lshape_mesh(250.0, 50.0, 25.0),
+    "perturbed": perturbed_mesh,
 }
+
+
+@pytest.mark.parametrize("name", sorted(PATTERN_MESHES))
+def test_quadrature_matches_the_element_oracle(name):
+    """``wdet``, ``dNdx`` and ``B`` of every element equal the loop
+    oracle's, to round-off relative to the element's largest entry."""
+    mesh = PATTERN_MESHES[name]()
+    data = element_data(mesh)
+    for e, conn in enumerate(mesh.elements):
+        w, dNdx = element_oracle(mesh.nodes[conn])
+        B = np.zeros((4, 3, 8))
+        B[:, 0, 0::2] = B[:, 2, 1::2] = dNdx[..., 0]
+        B[:, 1, 1::2] = B[:, 2, 0::2] = dNdx[..., 1]
+        for got, ref in ((data.wdet[e], w), (data.dNdx[e], dNdx),
+                         (data.B[e], B)):
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_perturbed_mesh_has_skewed_jacobians():
+    """Both off-diagonal Jacobian entries are non-zero at every Gauss point
+    of every element of ``perturbed_mesh``."""
+    mesh = perturbed_mesh()
+    for xi, eta in gauss_rule(2)[0]:
+        J = mesh.element_coords().transpose(0, 2, 1) @ ref_shape_grad(xi, eta)
+        assert np.all(J[:, 0, 1] != 0.0) and np.all(J[:, 1, 0] != 0.0)
 
 
 @pytest.mark.parametrize("name", sorted(PATTERN_MESHES))
