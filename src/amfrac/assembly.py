@@ -43,9 +43,10 @@ construction), in ``element_data(mesh)``:
   active set; and, for the last Dirichlet mask, ``free_band`` from the
   element stiffness entries between two free dofs, so the displacement
   solve builds no CSR operator and no pinned rows;
-- built when first needed: the strain and gradient operators of all Gauss
-  points of an element in one matrix each (``strain_op``, ``grad_op``),
-  so a field's strains or gradients are one batched product;
+- built when first needed: the strain-displacement matrices ``B`` and the
+  strain and gradient operators of all Gauss points of an element in one
+  matrix each (``strain_op``, a view of ``B``, and ``grad_op``), so a
+  field's strains or gradients are one batched product;
 - for the last input only (``memo``): the element products ``B' C B`` of
   the last material; the damage quadratic's terms that do not depend on
   ``u``, for the last material's constants: ``kappa_E (M + L)`` for
@@ -232,13 +233,6 @@ class _ElementData:
         self.dNdx[..., 0] = gx * i00 + gy * i10
         self.dNdx[..., 1] = gx * i01 + gy * i11
 
-        # strain-displacement matrices, engineering shear convention
-        self.B = np.zeros((nel, nq, 3, 8))
-        self.B[:, :, 0, 0::2] = self.dNdx[:, :, :, 0]
-        self.B[:, :, 1, 1::2] = self.dNdx[:, :, :, 1]
-        self.B[:, :, 2, 0::2] = self.dNdx[:, :, :, 1]
-        self.B[:, :, 2, 1::2] = self.dNdx[:, :, :, 0]
-
         conn = mesh.elements
         self.conn = conn
         self.n_nodes = mesh.n_nodes
@@ -264,8 +258,8 @@ class _ElementData:
         return np.bincount(self.conn.ravel(), weights=(c @ self.N).ravel(),
                            minlength=self.n_nodes)
 
-    # The patterns, the band order and the bands are built on first use: a
-    # mesh that is only measured never pays for them.
+    # The patterns, the band order, the bands and the strain matrices are
+    # built on first use: a mesh that is only measured never pays for them.
     @cached_property
     def order(self) -> np.ndarray:
         """The band order of the nodes: the narrower of the two coordinate
@@ -296,10 +290,22 @@ class _ElementData:
             mask))
 
     @cached_property
+    def B(self) -> np.ndarray:
+        """The strain-displacement matrices (nel, nq, 3, 8), engineering
+        shear convention."""
+        dNdx = self.dNdx
+        B = np.zeros(dNdx.shape[:2] + (3, 8))
+        B[:, :, 0, 0::2] = dNdx[:, :, :, 0]
+        B[:, :, 1, 1::2] = dNdx[:, :, :, 1]
+        B[:, :, 2, 0::2] = dNdx[:, :, :, 1]
+        B[:, :, 2, 1::2] = dNdx[:, :, :, 0]
+        return B
+
+    @cached_property
     def strain_op(self) -> np.ndarray:
-        """``B`` as (nel, 8, nq * 3): entry ``[e, j, 3q + i]`` is strain
-        ``i`` at Gauss point ``q`` of element ``e`` per unit of its dof
-        ``j``."""
+        """``B`` as (nel, 8, nq * 3), a view of it: entry ``[e, j, 3q + i]``
+        is strain ``i`` at Gauss point ``q`` of element ``e`` per unit of
+        its dof ``j``."""
         nel, nq = self.wdet.shape
         return self.B.transpose(0, 3, 1, 2).reshape(nel, 8, nq * 3)
 

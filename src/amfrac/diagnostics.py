@@ -188,7 +188,7 @@ def sample_interpolants(trace: Trace, s_values) -> dict:
 # Energy-dissipation ledger
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class BalanceRow:
     k: int
     dE: float

@@ -21,8 +21,10 @@ solve of an AM loop and the previous solve's report after it,
 ``energy(t, u, z)``, the sup-norm ``sup(x)`` of the AM stopping rule, the
 per-step ``record(k, t, dt, res, z_prev) -> StepRecord``, which carries
 ``||z - z_prev||_V`` for the time update, ``predict(z_prev, z_pp)`` and,
-under a Dirichlet load only, ``energy_bound(t, u_prev, z_prev)``.  A
-trace keeps what the subproblem returned, uncopied, since nothing writes
+under a Dirichlet load only, ``energy_bound(t, u_prev, z_prev)``, and
+``z_solve_ignores_start``, true when a damage solve's result depends on
+``(u, z_prev, rho)`` alone (see "Exact fixpoint" below).  A trace keeps
+what the subproblem returned, uncopied, since nothing writes
 to a returned value: ``solve_u`` writes only into the fresh ``values(t)``,
 ``solve_z`` only into a copy of ``z_prev`` or of its start's ``z``, and
 ``predict`` builds new arrays.  Only the caller's ``z0`` is copied, and a
@@ -45,6 +47,19 @@ power of the last record; under a Dirichlet load ``energy_bound`` gives
 it.  Step 0 runs through the same body with ``z_{-2} = z_{-1} = z0``, so
 its prediction is ``z0``, and with ``B_0 = +inf``: there is no previous
 state to bound it.
+
+Exact fixpoint.  An AM iteration whose damage solve returns exactly the
+damage it was given leaves the next iteration nothing new: its
+displacement solve would see the same ``(t, z)``, and its damage solve the
+subproblem just solved.  When the damage solve ignores its ``start`` (the
+scalar model's closed-form step), that iteration would repeat the last one
+bit for bit, so ``am_loop`` evaluates its stopping rule without running it
+(counted in ``am_iters``, not solved); about a third of a fine-``rho``
+scalar run's iterations are such repeats.  A field damage solve
+warm-starts from the report it is given, and re-solving from its own
+report re-polishes the multiplier and the stationarity residual in the
+last bits (seen on a coarse L-panel under the H1 ball), so a field run
+solves every iteration.
 """
 
 from __future__ import annotations
@@ -69,9 +84,10 @@ from .model import (
 from .solvers import SolverFailure, solve_u, solve_z
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
-    """One outer-step row of a run trace."""
+    """One outer-step row of a run trace (slotted: a scalar run keeps one
+    per step)."""
 
     k: int
     t: float
@@ -150,25 +166,47 @@ def am_loop(problem, t: float, z_prev, rho: float, u_prev=None,
     Cauchy-type stopping rule; the returned pair is a fixpoint of the
     staggered map to tolerance.  The loop ends on a damage solve, so the
     damage KKT certificates hold exactly for the returned displacement.
+
+    Exact fixpoint.  When iteration ``i`` does not stop but its damage
+    solve returned exactly the damage its displacement solve was given
+    (``dz == 0.0``), iteration ``i + 1`` would see the same ``(t, z)``
+    and the subproblem ``(u_i, z_prev, rho)`` just solved.  If the
+    problem's ``z_solve_ignores_start``, its rule is evaluated without
+    the two solves: ``du = sup(u_i - u_i) / max(sup(u_i), 1e-12)`` (0,
+    or NaN for a non-finite ``u_i``) and ``dz = 0``.  If it stops, the
+    loop returns ``u_i``, the last damage and its report with ``iters =
+    i + 1``, the iterations the rule took; without ``i < max_am_iters``
+    there is no iteration ``i + 1``.  A damage solve that ignores its
+    start repeats its result bit for bit, so this is the iteration the
+    solves would compute; a field solve warm-starts from its report, and
+    re-solving re-polishes that report in round-off, so it solves on.
     """
     sup = problem.sup
     tol = problem.params.tol_am
+    max_iters = problem.params.max_am_iters
+    repeat_exit = problem.z_solve_ignores_start
     z_i = z_prev if z_start is None else z_start
     u_ref = u_prev
     report = None
     converged = False
     i = 0
-    for i in range(1, problem.params.max_am_iters + 1):
+    for i in range(1, max_iters + 1):
         u_i = problem.solve_u(t, z_i)
         z_new, report = problem.solve_z(u_i, z_prev, rho, report)
-        if u_ref is None:
-            du = math.inf
-        else:
-            u_scale = sup(u_i)  # max(sup(u_i), 1e-12), without the call
-            du = sup(u_i - u_ref) / (1e-12 if 1e-12 > u_scale else u_scale)
+        u_scale = sup(u_i)  # max(sup(u_i), 1e-12), without the call
+        if u_scale < 1e-12:
+            u_scale = 1e-12
+        du = math.inf if u_ref is None else sup(u_i - u_ref) / u_scale
         dz = sup(z_new - z_i)
         u_ref, z_i = u_i, z_new
         if du <= tol and dz <= tol:  # a NaN in either is not converged
+            converged = True
+            break
+        # the damage solve returned its input (NaN fails ==): the rule of
+        # iteration i + 1, whose two solves would repeat these (docstring)
+        if (dz == 0.0 and repeat_exit and i < max_iters
+                and sup(u_i - u_i) / u_scale <= tol):
+            i += 1
             converged = True
             break
     # positional: the scalar model runs this once per step
@@ -297,6 +335,9 @@ def evolve(problem, z0, times: np.ndarray | None = None,
 class FieldProblem:
     """The finite-element subproblem of ``evolve``: mesh, material and
     load program."""
+
+    # the damage solve warm-starts from its start's report
+    z_solve_ignores_start = False
 
     def __init__(self, mesh: Mesh, model: MaterialModel, load: LoadProgram,
                  params: SchemeParams):

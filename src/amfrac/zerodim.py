@@ -155,6 +155,9 @@ class ScalarProblem:
 
     sup = staticmethod(abs)
     load_mode = TRACTION_RAMP
+    # the closed-form damage step: an exact repeat of an AM iteration's
+    # inputs is counted, not re-solved (driver.am_loop)
+    z_solve_ignores_start = True
 
     def __init__(self, model: ZeroDimModel, params: SchemeParams,
                  check_oracle: bool = False):
@@ -187,23 +190,14 @@ class ScalarProblem:
         model = self.model
         u, z = res.u, res.z
         dz_norm = abs(z - z_prev)
-        return StepRecord(
-            k=k,
-            t=t,
-            dt=dt,
-            dz_norm_V=dz_norm,
-            am_iters=res.iters,
-            energy=model.energy(t, u, z),
-            R_increment=model.kappa_R * dz_norm,
-            reaction=0.0,
-            dual_distance=model.dual_distance(u, z),
-            xi_norm=res.z_report,
-            ball_active=res.z_report > 0.0,  # mu > 0: the ball binds
-            load_power=model.ell_rate * u,
-            am_converged=res.converged,
-            # the closed-form damage solve meets its KKT conditions exactly
-            stationarity=0.0,
-        )
+        mu = res.z_report
+        # positional, in field order: the scalar model builds one per step;
+        # the closed-form damage solve meets its KKT conditions exactly
+        # (stationarity 0.0), and mu > 0 is the binding ball
+        return StepRecord(k, t, dt, dz_norm, res.iters, model.energy(t, u, z),
+                          model.kappa_R * dz_norm, 0.0,
+                          model.dual_distance(u, z), mu, mu > 0.0,
+                          model.ell_rate * u, 0.0, False, res.converged)
 
 
 def run_zero_dim(model: ZeroDimModel, params: SchemeParams,

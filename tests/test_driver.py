@@ -84,6 +84,7 @@ class _StubProblem:
     index, and ``starts`` logs the start each solve was given."""
 
     sup = staticmethod(abs)
+    z_solve_ignores_start = True
 
     def __init__(self, z_values, max_am_iters=4):
         self.params = af.SchemeParams(rho=0.1, T=1.0,
@@ -120,6 +121,101 @@ class TestAMLoop:
         assert not res.converged
         assert res.iters == problem.params.max_am_iters
         assert math.isnan(res.z)
+
+    def test_repeated_damage_is_counted_not_resolved(self):
+        # the damage solve returns its input, so iteration 2 would repeat
+        # both solves: its rule is met without them
+        problem = _StubProblem([1.0])
+        res = af.am_loop(problem, 0.0, 1.0, 0.1)
+        assert (res.converged, res.iters) == (True, 2)
+        assert (res.u, res.z, res.z_report) == (1.0, 1.0, 0)
+        assert problem.calls == 1
+
+    @pytest.mark.parametrize("u", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_repeat_with_non_finite_displacement_is_not_converged(self, u):
+        # du = sup(u - u) / sup(u) is NaN, so the repeat does not stop the
+        # loop and every iteration runs, as without the exit
+        problem = _StubProblem([1.0])
+        problem.solve_u = lambda t, z: u
+        res = af.am_loop(problem, 0.0, 1.0, 0.1)
+        assert not res.converged
+        assert res.iters == problem.calls == problem.params.max_am_iters
+
+    def test_repeat_is_solved_when_the_damage_solve_reads_its_start(self):
+        # a warm-started damage solve may move its report on a repeat, so
+        # the second iteration runs
+        problem = _StubProblem([1.0])
+        problem.z_solve_ignores_start = False
+        res = af.am_loop(problem, 0.0, 1.0, 0.1)
+        assert (res.converged, res.iters, res.z_report) == (True, 2, 1)
+        assert problem.calls == 2
+
+    def test_repeat_on_the_last_iteration_is_not_converged(self):
+        problem = _StubProblem([1.0], max_am_iters=1)
+        res = af.am_loop(problem, 0.0, 1.0, 0.1)
+        assert (res.converged, res.iters, problem.calls) == (False, 1, 1)
+
+    def test_scalar_repeats_are_counted_not_solved(self, monkeypatch):
+        # fewer damage steps than AM iterations, and each step's count is
+        # the plain rule's, replayed with every iteration solved
+        calls = []
+        z_step = af.zerodim.z_step
+
+        def counted(*args):
+            calls.append(args)
+            return z_step(*args)
+
+        monkeypatch.setattr(af.zerodim, "z_step", counted)
+        zm = ZeroDimModel()
+        params = af.SchemeParams(rho=0.02, T=1.0,
+                                 norm_V=af.NormSpec("lalpha", 2.0),
+                                 store_all_snapshots=True)
+        trace = run_zero_dim(zm, params)
+        assert len(calls) < sum(r.am_iters for r in trace.records)
+        u_prev, z_prev, z_pp = None, 1.0, 1.0
+        for r in trace.records:
+            z_i = z_prev
+            if r.k > 0 and not r.am_redone:
+                z_i = min(z_prev, max(0.0, 2.0 * z_prev - z_pp))
+            u_ref, converged = u_prev, False
+            for iters in range(1, params.max_am_iters + 1):
+                u = zm.u_min(r.t, z_i)
+                z, _, _ = z_step(u, z_prev, params.rho, zm)
+                du = (abs(u - u_ref) / max(abs(u), 1e-12)
+                      if u_ref is not None else math.inf)
+                converged = max(du, abs(z - z_i)) <= params.tol_am
+                u_ref, z_i = u, z
+                if converged:
+                    break
+            assert (r.am_iters, r.am_converged) == (iters, converged)
+            z_pp = z_prev
+            u_prev, z_prev = trace.snapshot(r.k)
+            assert (u_prev, z_prev) == (u_ref, z_i)
+
+    def test_field_run_takes_no_exit(self, ct_coarse_setup, monkeypatch):
+        # every AM iteration of a field run runs its damage solve
+        class Counting(FieldProblem):
+            solves = 0
+
+            def solve_z(self, *args):
+                Counting.solves += 1
+                return super().solve_z(*args)
+
+        iters = []
+        am_loop = driver.am_loop
+
+        def counted(*args, **kwargs):
+            res = am_loop(*args, **kwargs)
+            iters.append(res.iters)
+            return res
+
+        monkeypatch.setattr(driver, "am_loop", counted)
+        mesh, model, load, params = ct_coarse_setup
+        problem = Counting(mesh, model, load,
+                           dataclasses.replace(params, T=0.4))
+        evolve(problem, np.ones(mesh.n_nodes))
+        assert len(iters) > 1
+        assert sum(iters) == Counting.solves
 
     def test_fixpoint_is_invariant(self, ct_coarse_setup):
         # a locally stable state (inactive ball) is a fixpoint of the map:

@@ -1,5 +1,6 @@
 """Scalar toy system: closed-form solves against the exhaustive oracle."""
 
+import dataclasses
 import itertools
 import math
 from types import SimpleNamespace
@@ -10,7 +11,9 @@ import pytest
 import amfrac as af
 import amfrac.driver as driver
 import amfrac.zerodim as zerodim
-from amfrac.diagnostics import check_trace_invariants, complementarity_check
+from amfrac.cli import TRACE_HEADER
+from amfrac.diagnostics import (check_trace_invariants, complementarity_check,
+                                energy_balance)
 from amfrac.model import ModelConfigError
 from amfrac.zerodim import (
     ScalarProblem,
@@ -376,6 +379,46 @@ class TestRunZeroDim:
         with pytest.raises(ValueError):
             run_zero_dim(ZeroDimModel(),
                          af.SchemeParams(rho=0.1, T=1.0), z0=1.5)
+
+
+class TestStepRecord:
+    def test_positional_record_equals_the_keyword_one(self, monkeypatch):
+        # ScalarProblem.record passes the fields in order; the same values
+        # by keyword must give an equal record at every step
+        built = []
+        record = ScalarProblem.record
+
+        def both_ways(self, k, t, dt, res, z_prev):
+            rec = record(self, k, t, dt, res, z_prev)
+            model, u, z = self.model, res.u, res.z
+            dz_norm = abs(z - z_prev)
+            built.append((rec, driver.StepRecord(
+                k=k, t=t, dt=dt, dz_norm_V=dz_norm, am_iters=res.iters,
+                energy=model.energy(t, u, z),
+                R_increment=model.kappa_R * dz_norm, reaction=0.0,
+                dual_distance=model.dual_distance(u, z), xi_norm=res.z_report,
+                ball_active=res.z_report > 0.0,
+                load_power=model.ell_rate * u, stationarity=0.0,
+                am_redone=False, am_converged=res.converged)))
+            return rec
+
+        monkeypatch.setattr(ScalarProblem, "record", both_ways)
+        params = af.SchemeParams(rho=0.02, T=1.0,
+                                 norm_V=af.NormSpec("lalpha", 2.0))
+        trace = run_zero_dim(ZeroDimModel(), params)
+        assert len(built) >= len(trace.records) > 1
+        assert any(rec.ball_active for rec, _ in built)
+        for rec, by_keyword in built:
+            assert rec == by_keyword
+            assert repr(rec) == repr(by_keyword)
+
+    def test_records_are_slotted_in_trace_order(self, zerodim_trace):
+        trace = zerodim_trace[2]
+        assert not hasattr(trace.records[0], "__dict__")
+        # the ledger the CLI writes keeps one row per step too
+        assert not hasattr(energy_balance(trace, None).rows[0], "__dict__")
+        assert ",".join(f.name for f in dataclasses.fields(driver.StepRecord)
+                        ) == TRACE_HEADER
 
 
 class TestBalancedViscosity:
