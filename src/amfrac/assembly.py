@@ -47,16 +47,16 @@ construction), in ``element_data(mesh)``:
   strain and gradient operators of all Gauss points of an element in one
   matrix each (``strain_op``, a view of ``B``, and ``grad_op``), so a
   field's strains or gradients are one batched product;
-- for the last input only (``memo``): the element products ``B' C B`` of
-  the last material; the damage quadratic's terms that do not depend on
-  ``u``, for the last material's constants: ``kappa_E (M + L)`` for
-  ANALYSIS, and ``c1 M``, ``c2 L``, ``b = c1 M 1`` and ``g_c/(4 theta)``
-  times the area for AT; the Gauss-point elastic density and the damage
-  quadratic ``z_quadratic``, keyed on the bytes of ``u`` and on the
-  material fields they read.  The damage solve, the energy and the dual
-  distance of one step then share one evaluation.  ``B' C B`` has two
-  non-zero products in each node-pair block of a plane-strain ``C``
-  (``_btcb``).
+- for the last input only (``memo``), keyed on the material model, which
+  cannot change: the element products ``B' C B``; the damage quadratic's
+  terms that do not depend on ``u``: ``kappa_E (M + L)`` for ANALYSIS,
+  and ``c1 M``, ``c2 L``, ``b = c1 M 1`` and ``g_c/(4 theta)`` times the
+  area for AT; and, keyed also on the bytes of ``u``, the Gauss-point
+  elastic density and the damage quadratic ``z_quadratic``.  The damage
+  solve, the energy and the dual distance of one step then share one
+  evaluation.  The key holds the model, so its id cannot be reused while
+  the entry lives.  ``B' C B`` has two non-zero products in each
+  node-pair block of a plane-strain ``C`` (``_btcb``).
 
 The summation orders above are a contract: the bits of every trace
 depend on them.  They are the orders of the ``np.einsum`` calls that these
@@ -358,7 +358,7 @@ class _ElementData:
         """Gram matrix M + L of the H1 norm."""
         return self.node_pattern.matrix(self.mass.data + self.laplacian.data)
 
-    def memo(self, name: str, key: tuple, build):
+    def memo(self, name: str, key, build):
         """``build()``, remembered under ``name`` for the last ``key``
         only: a one-entry cache for values that each step asks for again
         with the same inputs."""
@@ -421,7 +421,7 @@ def strains_at_gauss(u: np.ndarray, mesh: Mesh) -> np.ndarray:
 def elastic_density_at_gauss(u: np.ndarray, mesh: Mesh,
                              model: MaterialModel) -> np.ndarray:
     """Undegraded elastic energy density (C eps):eps at Gauss points,
-    (nel, nq).  Evaluated once for each distinct ``u`` and ``C`` in turn;
+    (nel, nq).  Evaluated once for each distinct ``u`` and model in turn;
     the array is read-only."""
     def build():
         eps = strains_at_gauss(u, mesh)
@@ -433,8 +433,7 @@ def elastic_density_at_gauss(u: np.ndarray, mesh: Mesh,
         psi.flags.writeable = False
         return psi
 
-    return element_data(mesh).memo(
-        "psi", (u.tobytes(), model.C.tobytes()), build)
+    return element_data(mesh).memo("psi", (u.tobytes(), model), build)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +468,7 @@ def element_stiffness(z: np.ndarray, mesh: Mesh,
     _check_state_dims(mesh, None, z)
     data = element_data(mesh)
     coef = data.wdet * degradation(data.gauss(z), model.eta)
-    btcb = data.memo("btcb", model.C.tobytes(), lambda: _btcb(data, model.C))
+    btcb = data.memo("btcb", model, lambda: _btcb(data, model.C))
     nel, nq = coef.shape
     return (coef[:, None, :] @ btcb.reshape(nel, nq, -1)).reshape(nel, -1)
 
@@ -519,17 +518,14 @@ def z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
     diagnostics share it.  ``Q``'s data and ``b`` are read-only.
     """
     _check_state_dims(mesh, u, None)
-    key = (u.tobytes(), model.C.tobytes(), model.preset, model.eta,
-           model.g_c, model.theta, model.kappa_E)
-    return element_data(mesh).memo(
-        "z_quadratic", key, lambda: _z_quadratic(u, mesh, model))
+    return element_data(mesh).memo("z_quadratic", (u.tobytes(), model),
+                                   lambda: _z_quadratic(u, mesh, model))
 
 
 def _z_constants(mesh: Mesh, model: MaterialModel):
     """The terms of ``_z_quadratic`` that do not depend on ``u``: the data
     added to ``H`` (one vector for ANALYSIS, ``c1 M`` and ``c2 L`` in turn
-    for AT), ``b`` and the constant of ``c0``.  Kept for the last
-    material's constants."""
+    for AT), ``b`` and the constant of ``c0``.  Kept for the last model."""
     data = element_data(mesh)
 
     def build():
@@ -547,8 +543,7 @@ def _z_constants(mesh: Mesh, model: MaterialModel):
         b.flags.writeable = False
         return terms, b, c
 
-    key = (model.preset, model.g_c, model.theta, model.kappa_E)
-    return data.memo("z_constants", key, build)
+    return data.memo("z_constants", model, build)
 
 
 def _z_quadratic(u: np.ndarray, mesh: Mesh, model: MaterialModel):
@@ -661,5 +656,5 @@ def reaction_force(t: float, u: np.ndarray, z: np.ndarray, mesh: Mesh,
         raise ValueError("reaction_force is defined for displacement control only")
     r = grad_u(t, u, z, mesh, model, load)
     nodes = mesh.boundary_sets["loaded"]
-    d = np.asarray(load.direction)
-    return float(d[0] * r[2 * nodes].sum() + d[1] * r[2 * nodes + 1].sum())
+    dx, dy = load.direction
+    return float(dx * r[2 * nodes].sum() + dy * r[2 * nodes + 1].sum())

@@ -16,6 +16,7 @@ Units are mm / N / MPa throughout; time is a dimensionless ramp parameter.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 
@@ -55,9 +56,10 @@ def coercivity_gamma(C: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(0.5 * (A + A.T)).min())
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MaterialModel:
-    """Elasticity and damage constants for one of the two energy presets."""
+    """Elasticity and damage constants for one of the two energy presets;
+    immutable once validated, with a read-only Voigt ``C``."""
 
     young_E: float
     poisson_nu: float
@@ -83,7 +85,9 @@ class MaterialModel:
         if not 0.0 <= self.kappa_R < math.inf:
             raise ModelConfigError(f"kappa_R = {self.kappa_R} must be "
                                    "non-negative and finite")
-        self.C = voigt_elasticity(self.young_E, self.poisson_nu)
+        object.__setattr__(self, "C", voigt_elasticity(self.young_E,
+                                                       self.poisson_nu))
+        self.C.flags.writeable = False
         if coercivity_gamma(self.C) <= 0:
             raise ModelConfigError("elasticity matrix is not positive definite")
 
@@ -97,12 +101,13 @@ DIRICHLET_RAMP = "DIRICHLET_RAMP"
 TRACTION_RAMP = "TRACTION_RAMP"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class LoadProgram:
     """Linear-in-time loading: either a displacement ramp on the "loaded"
     node set (``ubar(t) = ubar_rate * t`` along ``direction``, which must
     be axis-aligned) or a boundary traction ramp of line density
-    ``traction_rate * t`` on the same set."""
+    ``traction_rate * t`` on the same set.  Immutable once validated, with
+    ``direction`` normalized; ``dataclasses.replace`` builds a variant."""
 
     mode: str
     T: float
@@ -123,27 +128,30 @@ class LoadProgram:
                 f"T = {self.T} must be positive and finite, ubar_rate = "
                 f"{self.ubar_rate} and traction_rate = {self.traction_rate} "
                 "finite")
-        d = np.asarray(self.direction, dtype=float)
-        n = np.linalg.norm(d)
+        try:
+            x, y = map(float, self.direction)
+        except (TypeError, ValueError):  # not a pair of numbers
+            x = y = math.nan
+        n = math.sqrt(x * x + y * y)  # not hypot: overflow fails
         if not 0.0 < n < math.inf:
-            raise ModelConfigError(f"load direction {self.direction} must be "
-                                   "a nonzero finite vector")
-        d = d / n
-        if self.mode == DIRICHLET_RAMP and abs(np.abs(d).max() - 1.0) > 1e-12:
+            raise ModelConfigError(f"load direction {self.direction!r} must "
+                                   "be a nonzero finite pair of numbers")
+        x, y = x / n, y / n
+        if self.mode == DIRICHLET_RAMP and abs(max(abs(x), abs(y)) - 1.0) > 1e-12:
             raise ModelConfigError("displacement control requires an "
                                    "axis-aligned direction")
-        self.direction = tuple(d)
+        object.__setattr__(self, "direction", (x, y))
 
     def ubar(self, t: float) -> float:
         return self.ubar_rate * t
 
-    def _per_mesh(self, name: str, mesh: Mesh, key: tuple, build):
-        """``build(mesh)``, kept in the field ``name`` for the last mesh and
-        ``key`` only: a change of either rebuilds it."""
+    def _per_mesh(self, name: str, mesh: Mesh, build):
+        """``build(mesh)``, kept in the field ``name`` for the last mesh."""
         last = getattr(self, name)
-        if not (last and last[0]() is mesh and last[1] == key):
-            setattr(self, name, last := (weakref.ref(mesh), key, build(mesh)))
-        return last[2]
+        if not (last and last[0]() is mesh):
+            last = (weakref.ref(mesh), build(mesh))
+            object.__setattr__(self, name, last)
+        return last[1]
 
     # -- Dirichlet data ---------------------------------------------------
     def dirichlet_dofs(self, mesh: Mesh):
@@ -152,12 +160,11 @@ class LoadProgram:
         "clamped" nodes are fixed in both components.  In displacement
         control the "loaded" nodes are constrained in the load direction
         only, which ``__post_init__`` has checked to be axis-aligned.  The
-        mask is read-only and kept, with the loaded dofs, for the last mesh,
-        mode and direction; ``values(t)`` returns a fresh array each call.
+        mask is read-only and kept, with the loaded dofs, for the last
+        mesh; ``values(t)`` returns a fresh array each call.
         """
         mask, loaded_dofs, sign = self._per_mesh(
-            "_dirichlet_cache", mesh, (self.mode, self.direction),
-            self._build_dirichlet)
+            "_dirichlet_cache", mesh, self._build_dirichlet)
 
         def values(t: float) -> np.ndarray:
             vals = np.zeros(mask.size)
@@ -175,9 +182,9 @@ class LoadProgram:
         loaded_dofs = np.empty(0, dtype=np.int64)
         sign = 1.0
         if self.mode == DIRICHLET_RAMP:
-            d = np.asarray(self.direction)
-            axis = int(np.argmax(np.abs(d)))
-            sign = math.copysign(1.0, d[axis])
+            x, y = self.direction
+            axis = int(abs(y) > abs(x))
+            sign = math.copysign(1.0, self.direction[axis])
             loaded_dofs = 2 * mesh.boundary_sets["loaded"] + axis
             mask[loaded_dofs] = True
         mask.flags.writeable = False
@@ -190,12 +197,9 @@ class LoadProgram:
         The traction line density is spread over the edges of the "loaded"
         boundary chain with the trapezoidal (edge-lumped) rule, which is
         consistent for the bilinear elements' linear edge restriction.
-        The array is read-only and kept for the last mesh; a change of the
-        mesh, the mode, the direction or the rate rebuilds it.
+        The array is read-only and kept for the last mesh.
         """
-        return self._per_mesh(
-            "_f1_cache", mesh, (self.mode, self.direction, self.traction_rate),
-            self._build_f1)
+        return self._per_mesh("_f1_cache", mesh, self._build_f1)
 
     def _build_f1(self, mesh: Mesh) -> np.ndarray:
         f1 = np.zeros(2 * mesh.n_nodes)
@@ -209,19 +213,19 @@ class LoadProgram:
         along = int(np.argmax(spread))
         order = np.argsort(pts[:, along], kind="stable")
         chain = loaded[order]
-        d = np.asarray(self.direction)
+        dx, dy = self.direction
         diff = mesh.nodes[chain[1:]] - mesh.nodes[chain[:-1]]
         # a per-row dot product, rounded like np.linalg.norm of one edge
         seg = np.sqrt((diff[:, None, :] @ diff[:, :, None]).ravel())
         # both ends of each edge in chain order: every entry receives its
         # additions in the order of an edge-by-edge loop
         ends = np.column_stack([chain[:-1], chain[1:]]).ravel()
-        np.add.at(f1, 2 * ends, np.repeat(0.5 * seg * self.traction_rate * d[0], 2))
-        np.add.at(f1, 2 * ends + 1, np.repeat(0.5 * seg * self.traction_rate * d[1], 2))
+        np.add.at(f1, 2 * ends, np.repeat(0.5 * seg * self.traction_rate * dx, 2))
+        np.add.at(f1, 2 * ends + 1, np.repeat(0.5 * seg * self.traction_rate * dy, 2))
         if loaded.size == 1:
             # point load fallback: rate interpreted directly as a force
-            f1[2 * loaded[0]] = self.traction_rate * d[0]
-            f1[2 * loaded[0] + 1] = self.traction_rate * d[1]
+            f1[2 * loaded[0]] = self.traction_rate * dx
+            f1[2 * loaded[0] + 1] = self.traction_rate * dy
         f1.flags.writeable = False
         return f1
 
@@ -269,10 +273,11 @@ class SchemeParams:
             if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
                 raise ModelConfigError(f"{name} = {getattr(self, name)} must "
                                        "be positive and finite")
-        if self.max_am_iters < 1:
-            raise ModelConfigError("max_am_iters must be at least 1")
-        if self.snapshot_stride < 1:
-            raise ModelConfigError("snapshot_stride must be at least 1")
+        for name in ("max_am_iters", "snapshot_stride"):
+            count = getattr(self, name)  # int first: the ABC check is slow
+            if not isinstance(count, (int, numbers.Integral)) or count < 1:
+                raise ModelConfigError(f"{name} = {count!r} must be an "
+                                       "integer of at least 1")
 
 
 def degradation(z, eta: float):

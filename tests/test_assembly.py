@@ -227,8 +227,9 @@ class TestAssembleK:
         stiffness without that coupling."""
         mesh = unit_element_mesh()
         model = af.MaterialModel(young_E=1.0, poisson_nu=0.3)
-        model.C = model.C.copy()
-        model.C[entry] = 0.1
+        C = model.C.copy()
+        C[entry] = 0.1
+        object.__setattr__(model, "C", C)  # past the frozen model's guard
         with pytest.raises(ValueError, match="uncoupled shear"):
             af.assemble_K(np.ones(mesh.n_nodes), mesh, model)
 

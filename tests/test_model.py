@@ -153,6 +153,16 @@ class TestValidation:
     def test_load_direction_normalized(self):
         load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(0, 2))
         assert load.direction == (0.0, 1.0)
+        assert all(type(c) is float for c in load.direction)
+
+    @pytest.mark.parametrize("mode", ["DIRICHLET_RAMP", "TRACTION_RAMP"])
+    @pytest.mark.parametrize("direction", [
+        (0.0, 0.0, 1.0), (0.6, 0.0, 0.8), (1.0,)])
+    def test_load_direction_must_be_a_pair(self, direction, mode):
+        """A direction of any other length is a config error, not a
+        load on the wrong dofs or a later ``IndexError``."""
+        with pytest.raises(ModelConfigError, match="direction"):
+            af.LoadProgram(mode=mode, T=1.0, direction=direction)
 
     def test_scheme_validation(self):
         with pytest.raises(ModelConfigError):
@@ -190,7 +200,8 @@ class TestValidation:
             af.LoadProgram(**values)
 
     @pytest.mark.parametrize("field, bad, least", [
-        ("snapshot_stride", 0, 1), ("snapshot_stride", -3, 1)])
+        ("snapshot_stride", 0, 1), ("snapshot_stride", -3, 1),
+        ("snapshot_stride", 2.5, 1), ("max_am_iters", 2.5, 1)])
     def test_scheme_rejects_out_of_range_counts(self, field, bad, least):
         with pytest.raises(ModelConfigError, match=field):
             af.SchemeParams(rho=0.1, T=1.0, **{field: bad})
@@ -218,8 +229,9 @@ class TestForceRateVector:
         assert np.array_equal(load.force_rate_vector(mesh), expected)
 
     def test_cached_vector_follows_the_load_and_mesh(self):
-        """f1 is built once per load and mesh, and a changed mesh, rate,
-        direction or mode never returns the stale vector."""
+        """f1 is built once per load and mesh.  The load cannot be changed;
+        a variant built by ``dataclasses.replace`` on the same mesh gets
+        the vector of a load built afresh, never the cached one."""
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
         load = af.LoadProgram(mode="TRACTION_RAMP", T=1.0, direction=(1, 0),
                               traction_rate=2.0)
@@ -227,25 +239,33 @@ class TestForceRateVector:
         assert load.force_rate_vector(mesh) is f1 and not f1.flags.writeable
         assert np.array_equal(load.force_vector(mesh, 0.3), 0.3 * f1)
 
-        def fresh(**changes):
-            return dataclasses.replace(load, **changes).force_rate_vector(mesh)
-
         other = af.build_ct_mesh(1.0, 0.125, 0.125, notch=False)
         assert np.array_equal(load.force_rate_vector(other),
                               dataclasses.replace(load).force_rate_vector(other))
-        load.traction_rate = 3.0
-        assert np.array_equal(load.force_rate_vector(mesh), fresh())
-        load.direction = (0.0, 1.0)
-        assert np.array_equal(load.force_rate_vector(mesh), fresh())
-        load.mode = "DIRICHLET_RAMP"
-        assert not load.force_rate_vector(mesh).any()
+        kept = load.force_rate_vector(mesh)  # rebuilt for the first mesh
+        assert np.array_equal(kept, f1)
+        changes = dict(traction_rate=3.0, direction=(0.0, 1.0),
+                       mode="DIRICHLET_RAMP")
+        for name, value in changes.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(load, name, value)
+            variant = dataclasses.replace(load, **{name: value})
+            expected = af.LoadProgram(**{
+                **dict(mode="TRACTION_RAMP", T=1.0, direction=(1, 0),
+                       traction_rate=2.0), name: value})
+            assert np.array_equal(variant.force_rate_vector(mesh),
+                                  expected.force_rate_vector(mesh))
+            assert not np.array_equal(variant.force_rate_vector(mesh), f1)
+        assert load.traction_rate == 2.0 and load.direction == (1.0, 0.0)
+        assert load.force_rate_vector(mesh) is kept
 
 
 class TestDirichletDofs:
     def test_cached_mask_follows_the_load_and_mesh(self):
-        """The mask is built once per load and mesh, read-only, and a
-        changed mesh, direction or mode never returns the stale one;
-        ``values(t)`` is a fresh array at each call and follows the rate."""
+        """The mask is built once per load and mesh, read-only, and
+        ``values(t)`` is a fresh array at each call.  The load cannot be
+        changed; a variant built by ``dataclasses.replace`` on the same
+        mesh gets the mask and values of a load built afresh."""
         mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
         load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, direction=(0, 1),
                               ubar_rate=2.0)
@@ -262,26 +282,92 @@ class TestDirichletDofs:
         assert np.array_equal(np.flatnonzero(u), 2 * loaded + 1)
         assert (u[2 * loaded + 1] == 1.0).all()
 
-        def assert_fresh(mesh):
+        def assert_fresh(load, mesh, **built):
+            """``load``'s mask and values on ``mesh`` equal those of a load
+            built afresh from its own fields and ``built``."""
             mask, values = load.dirichlet_dofs(mesh)
-            ref_mask, ref_values = dataclasses.replace(load).dirichlet_dofs(mesh)
+            ref = af.LoadProgram(**{**dict(
+                mode=load.mode, T=load.T, direction=load.direction,
+                ubar_rate=load.ubar_rate), **built})
+            ref_mask, ref_values = ref.dirichlet_dofs(mesh)
             assert np.array_equal(mask, ref_mask)
             assert np.array_equal(values(0.5), ref_values(0.5))
 
         other = af.build_ct_mesh(1.0, 0.125, 0.125, notch=False)
-        assert_fresh(other)
+        assert_fresh(load, other)
         assert load.dirichlet_dofs(other)[0].size == 2 * other.n_nodes
-        assert_fresh(mesh)  # cached for the first mesh again
-        load.direction = (-1.0, 0.0)
-        assert_fresh(mesh)
-        assert (load.dirichlet_dofs(mesh)[1](0.5)[2 * loaded] == -1.0).all()
-        load.ubar_rate = 3.0
-        assert (load.dirichlet_dofs(mesh)[1](0.5)[2 * loaded] == -1.5).all()
-        load.mode = "TRACTION_RAMP"
-        assert_fresh(mesh)
-        mask, values = load.dirichlet_dofs(mesh)
+        assert_fresh(load, mesh)  # cached for the first mesh again
+
+        def variant(**changes):
+            (name, value), = changes.items()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(load, name, value)
+            new = dataclasses.replace(load, **changes)
+            assert_fresh(new, mesh, **changes)
+            return new.dirichlet_dofs(mesh)
+
+        mask, values = variant(direction=(-1.0, 0.0))
+        assert np.array_equal(np.flatnonzero(values(0.5)), 2 * loaded)
+        assert (values(0.5)[2 * loaded] == -1.0).all()
+        assert (variant(ubar_rate=3.0)[1](0.5)[2 * loaded + 1] == 1.5).all()
+        mask, values = variant(mode="TRACTION_RAMP")
         assert np.count_nonzero(mask) == 2 * clamped.size
         assert not values(0.5).any()
+        assert load.dirichlet_dofs(mesh)[0] is load.dirichlet_dofs(mesh)[0]
+        assert np.array_equal(load.dirichlet_dofs(mesh)[0], expected)
+
+
+def _built(cls):
+    if cls is af.MaterialModel:
+        return af.MaterialModel(young_E=1.0, poisson_nu=0.3)
+    return af.LoadProgram(mode="TRACTION_RAMP", T=1.0, traction_rate=1.0)
+
+
+class TestImmutable:
+    """A built material or load cannot change, so the caches that key on
+    the object itself never see a stale field."""
+
+    @pytest.mark.parametrize("cls, name", [
+        (cls, f.name) for cls in (af.MaterialModel, af.LoadProgram)
+        for f in dataclasses.fields(cls)])
+    def test_no_field_can_be_assigned(self, cls, name):
+        obj = _built(cls)
+        before = getattr(obj, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, before)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+
+    def test_elasticity_matrix_is_read_only(self):
+        model = _built(af.MaterialModel)
+        C = model.C.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            model.C[0, 0] = 0.0
+        assert np.array_equal(model.C, C)
+
+    def test_displacement_direction_cannot_bypass_its_check(self):
+        """An oblique direction on a displacement ramp fails its axis check
+        when built, and cannot be set on a built load either."""
+        load = af.LoadProgram(mode="DIRICHLET_RAMP", T=1.0, ubar_rate=1.0)
+        with pytest.raises(ModelConfigError, match="axis-aligned"):
+            dataclasses.replace(load, direction=(0.6, 0.8))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            load.direction = (0.6, 0.8)
+        assert load.direction == (0.0, 1.0)
+
+    def test_variant_is_validated_and_cached_apart(self):
+        mesh = af.build_ct_mesh(1.0, 0.25, 0.25, notch=False)
+        model = _built(af.MaterialModel)
+        with pytest.raises(ModelConfigError, match="eta"):
+            dataclasses.replace(model, eta=-1.0)
+        variant = dataclasses.replace(model, young_E=2.0)
+        assert np.array_equal(variant.C, 2.0 * model.C)
+        assert not variant.C.flags.writeable
+        z = np.ones(mesh.n_nodes)
+        K = af.assemble_K(z, mesh, model)
+        assert np.allclose(af.assemble_K(z, mesh, variant).toarray(),
+                           2.0 * K.toarray(), rtol=1e-14, atol=0.0)
 
 
 class TestCoercivity:
